@@ -49,12 +49,7 @@ from .regular import (
 )
 from .ratfunc import QPoly, RationalFunction, TruncatedSeries
 from .multipoly import MultiPolynomial, RatPoly
-from .groebner import (
-    assert_groebner,
-    buchberger_lex,
-    eliminate_univariate,
-    resultant_eliminate,
-)
+from .groebner import assert_groebner, buchberger_lex, eliminate_univariate
 from .newton import newton_series, reciprocal_poly
 from .csys import (
     build_system,

@@ -221,23 +221,8 @@ def cmd_hilbert(args):
     d = args.max_deg
     if spec.uchain2 is not None:
         u = spec.uchain2
-        nm = spec.n + u.grammar.n
-        res = hilbert_uchain2(u.R, u.Rp, u.grammar, nm, d, cert_deg=args.cert_deg)
         rep.add("gldim", "infinite")
-        rep.add("gamma-R", repr(res.gamma_R))
-        rep.add("gamma-Rp", repr(res.gamma_Rp))
-        rep.add("gamma-Q", repr(res.gamma_Q))
-        rep.add("closed-form", res.closed_form)
-        rep.series("series", res.series)
-        _cert_line(
-            rep,
-            res.gamma_L.certified,
-            res.gamma_L.cert_bound,
-            res.gamma_L.counterexample,
-            u.grammar.terminals,
-        )
-        rep.flush()
-        return 0
+        return _uchain2_report(rep, u.R, u.Rp, u.grammar, spec.n + u.grammar.n, args)
     if args.verify_chains:
         _verify_chains(spec, args.verify_chains, rep)
     res = hilbert_from_homology(spec, d, cert_deg=args.cert_deg)
@@ -269,18 +254,16 @@ def cmd_oracle(args):
     return 0
 
 
-def cmd_uchain2(args):
-    alphabet = Alphabet(args.alphabet.split())
-    r = RegularLanguageHandle.from_finite(
-        parse_language_file(alphabet, _read(args.r))
+def _uchain2_report(rep, r, rp, g, nm, args):
+    """Closed-form series for relations R * L(g) * R' with finite R, R'."""
+    res = hilbert_uchain2(
+        RegularLanguageHandle.from_finite(r),
+        RegularLanguageHandle.from_finite(rp),
+        g,
+        nm,
+        args.max_deg,
+        cert_deg=args.cert_deg,
     )
-    rp = RegularLanguageHandle.from_finite(
-        parse_language_file(alphabet, _read(args.rp))
-    )
-    g = parse_grammar(_read(args.grammar))
-    nm = alphabet.size + g.n
-    res = hilbert_uchain2(r, rp, g, nm, args.max_deg, cert_deg=args.cert_deg)
-    rep = Report(args.format)
     rep.add("gamma-R", repr(res.gamma_R))
     rep.add("gamma-Rp", repr(res.gamma_Rp))
     rep.add("gamma-Q", repr(res.gamma_Q))
@@ -295,6 +278,14 @@ def cmd_uchain2(args):
     )
     rep.flush()
     return 0
+
+
+def cmd_uchain2(args):
+    alphabet = Alphabet(args.alphabet.split())
+    r = parse_language_file(alphabet, _read(args.r))
+    rp = parse_language_file(alphabet, _read(args.rp))
+    g = parse_grammar(_read(args.grammar))
+    return _uchain2_report(Report(args.format), r, rp, g, alphabet.size + g.n, args)
 
 
 def cmd_gsb(args):

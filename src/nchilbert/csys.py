@@ -108,12 +108,16 @@ def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None, seed_len=None):
     then checked in full against count_derivations; disagreement means the
     elimination picked a wrong branch (or the grammar is ambiguous).
     """
-    validate(g)
+    if g.start not in validate(g).productive:
+        raise InputError(
+            "start variable %s derives no word" % g.variables.symbols[g.start]
+        )
+    name = keep or g.variables.symbols[g.start]
+    index = g.variables.index(name)  # InputError for an unknown variable
     certified, witness = certify_unambiguous(g, cert_deg)
     system = build_system(g)
-    name = keep or g.variables.symbols[g.start]
     poly = eliminate_univariate(list(system.equations), name)
-    counts = count_derivations(g, d)[g.variables.index(name) if keep else g.start]
+    counts = count_derivations(g, d)[index]
     if seed_len is None:
         seed_len = min(d + 1, max(4, poly.degree + 2))
     series = newton_series(poly, counts[:seed_len], d)

@@ -1,11 +1,10 @@
 """Buchberger's algorithm over Q(t) for the lexicographic order, plus
-univariate elimination with a resultant cross-check."""
+univariate elimination from the reduced lex basis."""
 
 from __future__ import annotations
 
 from .errors import EliminationError, ResourceCapError
-from .multipoly import MultiPolynomial, RatPoly
-from .ratfunc import RationalFunction, RF_ZERO
+from .multipoly import MultiPolynomial
 
 
 def lex_key(exps, ranking):
@@ -180,97 +179,3 @@ def eliminate_univariate(gens, keep, check=True):
         raise EliminationError("elimination ideal contains no univariate relation")
     best = min(found, key=lambda p: p.degree)
     return best.monic()
-
-
-def sylvester_resultant(f, g, elim_index):
-    """Resultant of two MultiPolynomials with respect to one variable.
-
-    Coefficients (polynomials in the remaining variables) fill the Sylvester
-    matrix; the determinant is expanded by cofactors, fine at these sizes.
-    """
-    variables = f.variables
-
-    def coeffs_in(p):
-        deg = max((e[elim_index] for e in p.terms), default=0)
-        out = [MultiPolynomial.zero(variables) for _ in range(deg + 1)]
-        for e, c in p.terms.items():
-            rest = list(e)
-            k = rest[elim_index]
-            rest[elim_index] = 0
-            out[k] = out[k] + MultiPolynomial.monomial(variables, tuple(rest), c)
-        while len(out) > 1 and not out[-1]:
-            out.pop()
-        return out
-
-    fc = coeffs_in(f)
-    gc = coeffs_in(g)
-    m, n = len(fc) - 1, len(gc) - 1
-    if m == 0 and n == 0:
-        return MultiPolynomial.const(variables, 1)
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [MultiPolynomial.zero(variables)] * size
-        for k, c in enumerate(reversed(fc)):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(m):
-        row = [MultiPolynomial.zero(variables)] * size
-        for k, c in enumerate(reversed(gc)):
-            row[i + k] = c
-        rows.append(row)
-    return _det(rows)
-
-
-def _det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for j in range(n):
-        if not rows[0][j]:
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return MultiPolynomial.zero(rows[0][0].variables) if rows[0] else None
-    return acc
-
-
-def resultant_eliminate(gens, keep):
-    """Cross-check path: eliminate all unknowns but `keep` by iterated resultants.
-
-    The output is a (possibly non-minimal) univariate multiple of the
-    elimination ideal's generator.
-    """
-    variables = gens[0].variables
-    work = list(gens)
-    for name in variables:
-        if name == keep:
-            continue
-        idx = variables.index(name)
-        involved = [p for p in work if any(e[idx] for e in p.terms)]
-        rest = [p for p in work if not any(e[idx] for e in p.terms)]
-        if not involved:
-            continue
-        pivot = min(involved, key=lambda p: max(e[idx] for e in p.terms))
-        for p in involved:
-            if p is pivot:
-                continue
-            r = sylvester_resultant(pivot, p, idx)
-            if r:
-                rest.append(r)
-        work = rest
-    cands = [p.restrict_univariate(keep) for p in work if p]
-    cands = [p for p in cands if p.degree >= 1]
-    if not cands:
-        raise EliminationError("resultant elimination produced no relation")
-    acc = cands[0]
-    for p in cands[1:]:
-        acc = acc.gcd(p)
-    if acc.degree < 1:
-        raise EliminationError("resultant cross-check collapsed to a unit")
-    return acc.monic()

@@ -322,6 +322,8 @@ def _parse_relation(alphabet, line):
                 continue
             except ValueError:
                 pass
+            except ZeroDivisionError:
+                raise InputError("coefficient %r has a zero denominator" % tok) from None
         word.append(alphabet.index(tok))
         started = True
     flush()

@@ -562,7 +562,10 @@ def parse_homology_spec(text, loader):
                 alphabet = Alphabet(toks)
                 n = alphabet.size
         elif key.startswith("chain"):
-            idx = int(key.split()[1])
+            toks = key.split()
+            if len(toks) != 2 or not toks[1].isdigit():
+                raise InputError("spec line %r needs `chain <index>:`" % raw)
+            idx = int(toks[1])
             kind, _, rest = value.partition(" ")
             rest = rest.strip()
             if kind == "grammar":
@@ -577,16 +580,22 @@ def parse_homology_spec(text, loader):
                 raise InputError("unknown chain descriptor %r" % kind)
         elif key == "gldim":
             if value.startswith("infinite-uchain2"):
-                opts = dict(
-                    tok.split("=", 1) for tok in value.split()[1:]
-                )
+                opts = dict(tok.partition("=")[::2] for tok in value.split()[1:])
+                missing = [k + "=" for k in ("R", "Rp", "L") if not opts.get(k)]
+                if missing:
+                    raise InputError("uchain2 spec needs %s" % " ".join(missing))
                 if alphabet is None:
                     raise InputError("uchain2 specs need named symbols in n:")
                 r = parse_language_file(alphabet, loader(opts["R"]))
                 rp = parse_language_file(alphabet, loader(opts["Rp"]))
                 uspec = Uchain2Spec(r, rp, parse_grammar(loader(opts["L"])))
             else:
-                gldim = int(value)
+                try:
+                    gldim = int(value)
+                except ValueError:
+                    raise InputError(
+                        "gldim must be an integer or infinite-uchain2, not %r" % value
+                    ) from None
         else:
             raise InputError("unknown spec line %r" % raw)
     if n is None:

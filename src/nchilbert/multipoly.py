@@ -117,13 +117,6 @@ class MultiPolynomial:
     def scale(self, c):
         return self * c
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def degree_in(self, name):
-        i = self.variables.index(name)
-        return max((e[i] for e in self.terms), default=-1)
-
     def involved(self):
         out = set()
         for e in self.terms:
@@ -189,27 +182,24 @@ class MultiPolynomial:
         return " + ".join(parts)
 
 
-class RatPoly:
-    """Univariate polynomial in a named unknown with Q(t) coefficients."""
+def _as_rational(c):
+    return c if isinstance(c, RationalFunction) else RationalFunction(c)
 
-    __slots__ = ("var", "coeffs")
+
+class RatPoly(QPoly):
+    """Univariate polynomial in a named unknown with Q(t) coefficients; the
+    dense arithmetic is QPoly's."""
+
+    __slots__ = ("var",)
+    _zero = RF_ZERO
+    _coeff = staticmethod(_as_rational)
 
     def __init__(self, var, coeffs):
-        coeffs = [
-            c if isinstance(c, RationalFunction) else RationalFunction(c)
-            for c in coeffs
-        ]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
         self.var = var
-        self.coeffs = tuple(coeffs)
+        super().__init__(coeffs)
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
+    def _new(self, coeffs):
+        return RatPoly(self.var, coeffs)
 
     def __eq__(self, other):
         return (
@@ -217,77 +207,6 @@ class RatPoly:
             and self.var == other.var
             and self.coeffs == other.coeffs
         )
-
-    def __getitem__(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else RF_ZERO
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly(self.var, [self[i] + other[i] for i in range(n)])
-
-    def __neg__(self):
-        return RatPoly(self.var, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QPoly, RationalFunction)):
-            return RatPoly(self.var, [c * other for c in self.coeffs])
-        if not self or not other:
-            return RatPoly(self.var, [])
-        out = [RF_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return RatPoly(self.var, out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other):
-        if not other:
-            raise ZeroDivisionError
-        rem = list(self.coeffs)
-        q = [RF_ZERO] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dn = len(other.coeffs)
-        while len(rem) >= dn:
-            c = rem[-1] / other.coeffs[-1]
-            k = len(rem) - dn
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - c * b
-            while rem and not rem[-1]:
-                rem.pop()
-        return RatPoly(self.var, q), RatPoly(self.var, rem)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def monic(self):
-        if not self:
-            return self
-        inv = self.coeffs[-1].inverse()
-        return RatPoly(self.var, [c * inv for c in self.coeffs])
-
-    def gcd(self, other):
-        a, b = self, other
-        while b:
-            a, b = b, a % b
-        return a.monic()
-
-    def derivative(self):
-        return RatPoly(
-            self.var, [i * self.coeffs[i] for i in range(1, len(self.coeffs))]
-        )
-
-    def eval_rational(self, x):
-        acc = RF_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def eval_series(self, h, d):
         """Evaluate at a truncated series argument (coefficients expanded)."""

@@ -12,20 +12,26 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _strip(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(Fraction(c) for c in coeffs)
-
-
 class QPoly:
-    """Dense univariate polynomial in t with exact rational coefficients."""
+    """Dense univariate polynomial in t with exact rational coefficients.
+
+    The arithmetic works over any coefficient field: a subclass sets the
+    zero element `_zero`, the coefficient coercion `_coeff` and `_new`,
+    which builds a result of its own type.
+    """
 
     __slots__ = ("coeffs",)
+    _zero = ZERO
+    _coeff = Fraction
 
     def __init__(self, coeffs=()):
-        self.coeffs = _strip(coeffs)
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.coeffs = tuple(map(self._coeff, coeffs))
+
+    def _new(self, coeffs):
+        return QPoly(coeffs)
 
     @classmethod
     def const(cls, c):
@@ -51,38 +57,36 @@ class QPoly:
         return hash(self.coeffs)
 
     def __getitem__(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self._zero
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly.const(other)
+        if not isinstance(other, type(self)):
+            other = self._new((other,))
         n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(tuple(self[i] + other[i] for i in range(n)))
+        return self._new(tuple(self[i] + other[i] for i in range(n)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly(tuple(-c for c in self.coeffs))
+        return self._new(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QPoly(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, type(self)):
+            return self._new(tuple(c * other for c in self.coeffs))
         if not self or not other:
-            return QPoly()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return self._new(())
+        out = [self._zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return QPoly(out)
+        return self._new(out)
 
     __rmul__ = __mul__
 
@@ -90,7 +94,7 @@ class QPoly:
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        q = [ZERO] * max(len(rem) - len(other.coeffs) + 1, 0)
+        q = [self._zero] * max(len(rem) - len(other.coeffs) + 1, 0)
         dlead = other.coeffs[-1]
         dn = len(other.coeffs)
         while len(rem) >= dn:
@@ -99,9 +103,9 @@ class QPoly:
             q[k] = c
             for i, b in enumerate(other.coeffs):
                 rem[k + i] -= c * b
-            while rem and rem[-1] == 0:
+            while rem and not rem[-1]:
                 rem.pop()
-        return QPoly(q), QPoly(rem)
+        return self._new(q), self._new(rem)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -113,7 +117,7 @@ class QPoly:
         if not self:
             return self
         lead = self.coeffs[-1]
-        return QPoly(tuple(c / lead for c in self.coeffs))
+        return self._new(tuple(c / lead for c in self.coeffs))
 
     def gcd(self, other):
         a, b = self, other
@@ -122,7 +126,7 @@ class QPoly:
         return a.monic()
 
     def derivative(self):
-        return QPoly(tuple(i * self.coeffs[i] for i in range(1, len(self.coeffs))))
+        return self._new(tuple(i * self.coeffs[i] for i in range(1, len(self.coeffs))))
 
     def eval(self, x):
         acc = ZERO
@@ -279,14 +283,8 @@ class RationalFunction:
         """Maclaurin expansion to degree d; needs no pole at t = 0."""
         if self.den[0] == 0:
             raise InputError("pole at t = 0; no power series expansion")
-        coeffs = []
-        den0 = self.den[0]
-        for k in range(d + 1):
-            c = self.num[k]
-            for j in range(1, k + 1):
-                c -= self.den[j] * coeffs[k - j]
-            coeffs.append(c / den0)
-        return TruncatedSeries(coeffs, d)
+        num = TruncatedSeries.from_counts(self.num.coeffs, d)
+        return num / TruncatedSeries.from_counts(self.den.coeffs, d)
 
     def __repr__(self):
         if self.is_polynomial():
@@ -299,7 +297,7 @@ def _coerce(x):
         return x
     if isinstance(x, (int, Fraction)):
         return RationalFunction.const(x)
-    if isinstance(x, QPoly):
+    if type(x) is QPoly:  # a RatPoly is a polynomial over Q(t), not in Q[t]
         return RationalFunction(x)
     return None
 
@@ -344,11 +342,6 @@ class TruncatedSeries:
 
     def __hash__(self):
         return hash((self.coeffs, self.d))
-
-    def truncate(self, d):
-        if d > self.d:
-            raise InputError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: d + 1], d)
 
     def prefix_equals(self, other, upto=None):
         k = min(self.d, other.d) if upto is None else upto
@@ -430,7 +423,7 @@ class TruncatedSeries:
             return other
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries([other] + [0] * self.d, self.d)
-        if isinstance(other, QPoly):
+        if type(other) is QPoly:
             return RationalFunction(other).series(self.d)
         if isinstance(other, RationalFunction):
             return other.series(self.d)
@@ -443,20 +436,3 @@ class TruncatedSeries:
             "..." if self.d > 10 else "",
             self.d,
         )
-
-
-def series_arith(a, b, op):
-    """Named dispatch kept for the operation table; thin wrapper."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise InputError("unknown series op %r" % (op,))
-
-
-def rational_eval_series(f, d):
-    return f.series(d)

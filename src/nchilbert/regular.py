@@ -55,10 +55,6 @@ def universal_dfa(alphabet):
     return DFA(alphabet, ((tuple(0 for _ in alphabet.symbols),)), frozenset([0]), 0)
 
 
-def empty_dfa(alphabet):
-    return DFA(alphabet, ((tuple(0 for _ in alphabet.symbols),)), frozenset(), 0)
-
-
 def _reachable(dfa):
     seen = [dfa.initial]
     index = {dfa.initial: 0}
@@ -135,18 +131,6 @@ class NFA:
         return frozenset(out)
 
 
-def nfa_from_dfa(dfa):
-    nfa = NFA(dfa.alphabet)
-    for _ in range(dfa.n_states):
-        nfa.new_state()
-    for s, row in enumerate(dfa.transitions):
-        for i, t in enumerate(row):
-            nfa.add(s, i, t)
-    nfa.initial = {dfa.initial}
-    nfa.accepting = set(dfa.accepting)
-    return nfa
-
-
 def determinize(nfa, cap=DEFAULT_STATE_CAP):
     n_sym = nfa.alphabet.size
     start = nfa.closure(nfa.initial)
@@ -176,10 +160,6 @@ def determinize(nfa, cap=DEFAULT_STATE_CAP):
 
 def intersect(d1, d2):
     return _product(d1, d2, lambda a, b: a and b)
-
-
-def union_dfa(d1, d2):
-    return _product(d1, d2, lambda a, b: a or b)
 
 
 def difference(d1, d2):
@@ -398,15 +378,3 @@ def myhill_nerode_grammar(handle, cap=DEFAULT_STATE_CAP):
             productions.append((k, (i, n_sym + index[t])))
     variables = Alphabet(["A%d" % (k + 1) for k in range(len(order))])
     return CFGrammar(dfa.alphabet, variables, 0, productions)
-
-
-def format_automaton(handle):
-    """One transition per line, plus initial/accepting summary."""
-    dfa = handle.dfa
-    lines = []
-    for s, row in enumerate(dfa.transitions):
-        for i, t in enumerate(row):
-            lines.append("%d %s -> %d" % (s, dfa.alphabet.symbols[i], t))
-    lines.append("initial: %d" % dfa.initial)
-    lines.append("accepting: " + " ".join(str(s) for s in sorted(dfa.accepting)))
-    return "\n".join(lines) + "\n"

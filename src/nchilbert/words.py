@@ -119,11 +119,6 @@ class FiniteLanguage:
         """Length of the shortest word; None when empty."""
         return min((len(w) for w in self.words), default=None)
 
-    def truncate(self, d):
-        return TruncatedLanguage(
-            self.alphabet, d, frozenset(w for w in self.words if len(w) <= d)
-        )
-
 
 @dataclass(frozen=True)
 class TruncatedLanguage:
@@ -321,7 +316,3 @@ def parse_language_file(alphabet, text):
             continue
         words.add(alphabet.word(line))
     return FiniteLanguage(alphabet, frozenset(words))
-
-
-def format_language(lang):
-    return "\n".join(lang.texts()) + "\n"

@@ -1,5 +1,7 @@
 """Command-line entry point: exit codes and output contract."""
 
+import pytest
+
 from nchilbert.cli import main
 from nchilbert.examples import DYCK, IFTHENELSE
 
@@ -136,3 +138,61 @@ def test_verify_example(capsys):
     code, out, _ = run(capsys, ["verify-example", "xystar"])
     assert code == 0
     assert "result: ok" in out
+
+
+UCHAIN2_LINES = [
+    "gamma-R: t",
+    "gamma-Rp: t",
+    "gamma-Q: t",
+    "closed-form: HS^-1 = 1 - 3*t + (t)*(t)*gL / (1 + (t)*gL)",
+    "series: 1,3,8,22,59,160,430,1161,3123",
+    "series-bound: 8",
+    "certified: unambiguous to degree 12",
+]
+
+
+@pytest.mark.parametrize("command", ["uchain2", "hilbert"])
+def test_uchain2_report(tmp_path, capsys, command):
+    # dyck sandwich: R = R' = {x}, Dyck over {a, b}
+    r = write(tmp_path, "r.lang", "x\n")
+    gf = write(tmp_path, "dyck.gf", DYCK)
+    if command == "uchain2":
+        argv = ["uchain2", "--r", r, "--rp", r, "--grammar", gf, "--alphabet", "x"]
+        want = UCHAIN2_LINES
+    else:
+        spec = write(
+            tmp_path, "spec.hs",
+            "n: x\ngldim: infinite-uchain2 R=r.lang Rp=r.lang L=dyck.gf\n",
+        )
+        argv = ["hilbert", spec]
+        want = ["gldim: infinite"] + UCHAIN2_LINES
+    code, out, _ = run(capsys, argv + ["--max-deg", "8"])
+    assert code == 0
+    assert out.splitlines() == want
+
+
+MALFORMED = {
+    "chain-without-index": ("spec.hs", "n: x y\nchain: grammar g.gf\n", ["hilbert"]),
+    "gldim-not-a-number": ("spec.hs", "n: x y\ngldim: abc\n", ["hilbert"]),
+    "uchain2-without-Rp": (
+        "spec.hs", "n: x\ngldim: infinite-uchain2 R=r.lang L=g.gf\n", ["hilbert"],
+    ),
+    "gsb-zero-denominator": ("p.txt", "alphabet: x y\n1/0 x x\n", ["gsb"]),
+    "gamma-unknown-keep": ("g.gf", DYCK, ["gamma", "--keep", "Z"]),
+    "gamma-unproductive-start": (
+        "g.gf", "terminals: a\nvariables: S\nstart: S\nS -> S\n", ["gamma"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    name, text, argv = MALFORMED[case]
+    write(tmp_path, "r.lang", "x\n")
+    write(tmp_path, "g.gf", DYCK)
+    path = write(tmp_path, name, text)
+    code, _, err = run(capsys, argv[:1] + [path] + argv[1:])
+    assert code == 2
+    assert err.startswith("input error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
