@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from .csys import DEFAULT_CERT_DEG, gamma_algebraic
 from .errors import (
@@ -84,6 +85,15 @@ def _read(path):
         raise InputError("cannot read %s: %s" % (path, exc)) from None
 
 
+def _parse(path, parse, *args):
+    """parse(text of the file, *args); an input error names the file."""
+    text = _read(path)
+    try:
+        return parse(text, *args)
+    except InputError as exc:
+        raise InputError("%s: %s" % (path, exc)) from None
+
+
 def _loader_for(path):
     base = os.path.dirname(os.path.abspath(path))
 
@@ -120,7 +130,7 @@ def _cert_line(rep, certified, bound, witness, alphabet=None):
 
 
 def cmd_gamma(args):
-    g = parse_grammar(_read(args.grammar))
+    g = _parse(args.grammar, parse_grammar)
     res = gamma_algebraic(g, args.max_deg, cert_deg=args.cert_deg, keep=args.keep)
     rep = Report(args.format)
     rep.add("unknown", args.keep or g.variables.symbols[g.start])
@@ -132,7 +142,7 @@ def cmd_gamma(args):
 
 
 def cmd_ambiguity(args):
-    g = parse_grammar(_read(args.grammar))
+    g = _parse(args.grammar, parse_grammar)
     validate(g)
     ok, witness = certify_unambiguous(g, args.max_deg)
     rep = Report(args.format)
@@ -142,7 +152,7 @@ def cmd_ambiguity(args):
 
 
 def cmd_quotient_grammar(args):
-    g = parse_grammar(_read(args.grammar))
+    g = _parse(args.grammar, parse_grammar)
     handle = RegularLanguageHandle.from_right_linear(g)
     if args.quotient:
         handle = right_quotient(handle, g.terminals.word(args.quotient))
@@ -156,7 +166,7 @@ def cmd_quotient_grammar(args):
 
 def cmd_chains(args):
     alphabet = Alphabet(args.alphabet.split())
-    basis = parse_language_file(alphabet, _read(args.antichain))
+    basis = _parse(args.antichain, partial(parse_language_file, alphabet))
     levels, gldim = chains_finite(basis, args.kmax)
     rep = Report(args.format)
     for i, lang in enumerate(levels, start=1):
@@ -168,7 +178,7 @@ def cmd_chains(args):
 
 def cmd_govorov_chains(args):
     alphabet = Alphabet(args.alphabet.split())
-    basis = parse_language_file(alphabet, _read(args.antichain))
+    basis = _parse(args.antichain, partial(parse_language_file, alphabet))
     d = args.max_deg
     l1 = TruncatedLanguage(
         alphabet, d, frozenset(w for w in basis.words if len(w) <= d)
@@ -216,7 +226,7 @@ def _verify_chains(spec, c, rep):
 
 
 def cmd_hilbert(args):
-    spec = parse_homology_spec(_read(args.spec), _loader_for(args.spec))
+    spec = _parse(args.spec, parse_homology_spec, _loader_for(args.spec))
     rep = Report(args.format)
     d = args.max_deg
     if spec.uchain2 is not None:
@@ -245,7 +255,9 @@ def cmd_hilbert(args):
 
 
 def cmd_oracle(args):
-    rels = parse_relation_file(_read(args.relations), _loader_for(args.relations))
+    rels = _parse(
+        args.relations, parse_relation_file, _loader_for(args.relations)
+    )
     series = hilbert_oracle(rels, args.max_deg)
     rep = Report(args.format)
     rep.series("series", series)
@@ -282,14 +294,14 @@ def _uchain2_report(rep, r, rp, g, nm, args):
 
 def cmd_uchain2(args):
     alphabet = Alphabet(args.alphabet.split())
-    r = parse_language_file(alphabet, _read(args.r))
-    rp = parse_language_file(alphabet, _read(args.rp))
-    g = parse_grammar(_read(args.grammar))
+    r = _parse(args.r, partial(parse_language_file, alphabet))
+    rp = _parse(args.rp, partial(parse_language_file, alphabet))
+    g = _parse(args.grammar, parse_grammar)
     return _uchain2_report(Report(args.format), r, rp, g, alphabet.size + g.n, args)
 
 
 def cmd_gsb(args):
-    alphabet, order, relations = parse_presentation(_read(args.presentation))
+    alphabet, order, relations = _parse(args.presentation, parse_presentation)
     basis = gs_complete(relations, order, args.max_deg)
     lead = leading_language(basis, order)
     rep = Report(args.format)
@@ -306,13 +318,13 @@ def cmd_gsb(args):
     code = 0
     if args.predict or args.finite:
         finite = (
-            parse_language_file(alphabet, _read(args.finite))
+            _parse(args.finite, partial(parse_language_file, alphabet))
             if args.finite
             else FiniteLanguage(alphabet, frozenset())
         )
         families = ()
         if args.predict:
-            g = parse_grammar(_read(args.predict))
+            g = _parse(args.predict, parse_grammar)
             if g.terminals != alphabet:
                 raise InputError(
                     "prediction grammar terminals must match the presentation"

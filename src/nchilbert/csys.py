@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, RootMismatchError
+from .errors import InputError
 from .grammar import count_derivations, certify_unambiguous, validate
 from .groebner import eliminate_univariate
 from .multipoly import MultiPolynomial, gaussian_solve
@@ -101,12 +101,12 @@ class GammaResult:
         return "unverified: grammar ambiguity not certified"
 
 
-def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None, seed_len=None):
+def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None):
     """Minimal polynomial of the start unknown plus its certified series.
 
-    The series is lifted by Newton from a short derivation-count prefix and
-    then checked in full against count_derivations; disagreement means the
-    elimination picked a wrong branch (or the grammar is ambiguous).
+    The series is the derivation counts to degree d.  newton_series checks
+    them against the eliminated polynomial by one residual test, which fails
+    if elimination returned a polynomial that does not annihilate them.
     """
     if g.start not in validate(g).productive:
         raise InputError(
@@ -117,14 +117,7 @@ def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None, seed_len=None):
     certified, witness = certify_unambiguous(g, cert_deg)
     system = build_system(g)
     poly = eliminate_univariate(list(system.equations), name)
-    counts = count_derivations(g, d)[index]
-    if seed_len is None:
-        seed_len = min(d + 1, max(4, poly.degree + 2))
-    series = newton_series(poly, counts[:seed_len], d)
-    if any(series[k] != counts[k] for k in range(d + 1)):
-        raise RootMismatchError(
-            "lifted series disagrees with derivation counts"
-        )
+    series = newton_series(poly, count_derivations(g, d)[index], d)
     return GammaResult(poly, series, cert_deg, certified, witness)
 
 

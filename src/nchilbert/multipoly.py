@@ -45,9 +45,6 @@ class MultiPolynomial:
     def monomial(cls, variables, exps, coeff):
         return cls(variables, {tuple(exps): coeff})
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -113,17 +110,6 @@ class MultiPolynomial:
         return MultiPolynomial(self.variables, terms)
 
     __rmul__ = __mul__
-
-    def scale(self, c):
-        return self * c
-
-    def involved(self):
-        out = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    out.add(self.variables[i])
-        return out
 
     def restrict_univariate(self, name):
         """View as a RatPoly in one variable; fails if others occur."""

@@ -1,11 +1,18 @@
 """Power-series roots of univariate polynomials over Q(t).
 
-The quadratics arising from Euler-characteristic systems routinely have a
-double root at t = 0 (both branches start at 1), so plain Newton from the
-constant seed stalls.  We lift coefficient by coefficient instead, tracking
-the valuation of the derivative: with h agreeing with a root up to t^k and
-v = val(q'(h)), the next coefficient is read off at t^(k+v).  A seed prefix
-long enough to separate the branches makes the lift unique.
+`newton_series` is the one place where a series is paired with the
+polynomial it solves, and it ends in one residual check.  Let h be the
+series zero-padded past degree d and v = val(q'(h)), at most d; then
+q(h) = 0 mod t^(d+v+1).  By Newton's lemma h is then exact to degree d,
+and the root it approximates is the only one agreeing with h to degree v.
+
+Pipelines that already hold the whole series (derivation counts, an
+inverted E-series) pass it in full and only the check runs.  A shorter
+seed is first lifted coefficient by coefficient: with h agreeing with a
+root up to t^(k-1), coefficient k is read off the residual at t^(k+v).
+Tracking v matters because the quadratics of Euler-characteristic systems
+often have a double root at t = 0, where plain Newton from the constant
+seed stalls.
 """
 
 from __future__ import annotations
@@ -42,47 +49,39 @@ def newton_series(q, seed, d):
         return _lift(sf, seed, d)
 
 
+def _padded(coeffs, n):
+    return TruncatedSeries(coeffs + [Fraction(0)] * (n + 1 - len(coeffs)), n)
+
+
+def _derivative_valuation(qd, coeffs, d):
+    v = qd.eval_series(_padded(coeffs, d), d).valuation()
+    if v is None:
+        raise RootMismatchError("derivative vanishes to degree %d at the seed" % d)
+    return v
+
+
 def _lift(q, seed, d):
     # monic coefficients may carry poles at t = 0; clearing fixes the roots
     q = q.cleared()
-    prefix = _as_prefix(seed)[: d + 1]
-    if not prefix:
+    coeffs = _as_prefix(seed)[: d + 1]
+    if not coeffs:
         raise RootMismatchError("empty seed")
     if q.degree < 1:
         raise RootMismatchError("polynomial has no root")
-    if q.degree == 1:
-        # h = -c0/c1 exactly; the seed only selects/confirms
-        h = ((-1) * q[0] / q[1]).series(d)
-        for i, c in enumerate(prefix[: d + 1]):
-            if h[i] != c:
-                raise RootMismatchError("seed does not match the linear root")
-        return h
-
     qd = q.derivative()
-    # derivative valuation at the seed sets how far ahead we must evaluate
-    probe = TruncatedSeries(prefix + [0] * max(0, d + 1 - len(prefix)), d)
-    vd = qd.eval_series(probe, d).valuation()
-    if vd is None:
-        raise RootMismatchError("derivative vanishes identically at the seed")
-    big = d + vd + 2
-
-    coeffs = prefix + [Fraction(0)] * (big + 1 - len(prefix))
-    start = len(prefix)
-    for k in range(start, d + 1):
-        h = TruncatedSeries(coeffs, big)
-        qv = q.eval_series(h, big)
-        dv = qd.eval_series(h, big)
-        v = dv.valuation()
-        if v is None or k + v > big:
-            raise RootMismatchError("derivative degenerates during lifting")
-        for i in range(k + v):
-            if i <= big and qv[i] != 0:
-                raise RootMismatchError(
-                    "seed is not a root prefix (residual at degree %d)" % i
-                )
-        coeffs[k] = -qv[k + v] / dv[v]
-    out = TruncatedSeries(coeffs[: d + 1], d)
-    res = q.eval_series(out, d)
-    if any(res[i] != 0 for i in range(d + 1)):
-        raise RootMismatchError("lifted series fails to annihilate q")
-    return out
+    if len(coeffs) <= d:
+        # lift a short seed: coefficient k is read off the residual at t^(k+v)
+        big = d + _derivative_valuation(qd, coeffs, d) + 1
+        for k in range(len(coeffs), d + 1):
+            h = _padded(coeffs, big)
+            qv = q.eval_series(h, big)
+            dv = qd.eval_series(h, big)
+            v = dv.valuation()
+            if v is None or k + v > big:
+                raise RootMismatchError("derivative degenerates during lifting")
+            coeffs.append(-qv[k + v] / dv[v])
+    v = _derivative_valuation(qd, coeffs, d)
+    bad = q.eval_series(_padded(coeffs, d + v), d + v).valuation()
+    if bad is not None:
+        raise RootMismatchError("series is not a root (residual at degree %d)" % bad)
+    return TruncatedSeries(coeffs, d)

@@ -4,7 +4,6 @@ degree-truncated power series over Q."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
 
 from .errors import InputError
 
@@ -128,31 +127,6 @@ class QPoly:
     def derivative(self):
         return self._new(tuple(i * self.coeffs[i] for i in range(1, len(self.coeffs))))
 
-    def eval(self, x):
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def clear_denominators(self):
-        """(integer-coefficient polynomial, scalar) with self = poly * scalar."""
-        if not self:
-            return self, ONE
-        denom = 1
-        for c in self.coeffs:
-            denom = denom * c.denominator // int_gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in self.coeffs]
-        content = 0
-        for v in ints:
-            content = int_gcd(content, abs(v))
-        if ints[-1] < 0:
-            content = -content
-        return QPoly([Fraction(v // content) for v in ints]), Fraction(content, denom)
-
-    def primitive(self):
-        """Integer-cleared, content-one, positive leading coefficient."""
-        return self.clear_denominators()[0]
-
     def __repr__(self):
         return "QPoly(%s)" % format_qpoly(self)
 
@@ -216,9 +190,6 @@ class RationalFunction:
     @classmethod
     def t_power(cls, k, c=1):
         return cls(QPoly.t_power(k, c))
-
-    def is_zero(self):
-        return not self.num
 
     def is_polynomial(self):
         return self.den == QPoly.const(1)
@@ -354,9 +325,6 @@ class TruncatedSeries:
                 return i
         return None
 
-    def is_zero(self):
-        return self.valuation() is None
-
     def __add__(self, other):
         other = self._coerce(other)
         d = min(self.d, other.d)
@@ -406,17 +374,6 @@ class TruncatedSeries:
 
     def inverse(self):
         return TruncatedSeries.one(self.d) / self
-
-    def shift(self, k):
-        """Multiply by t^k (k >= 0) or exactly divide by t^{-k}."""
-        if k >= 0:
-            return TruncatedSeries(
-                [ZERO] * k + list(self.coeffs[: self.d + 1 - k]), self.d
-            )
-        k = -k
-        if any(self.coeffs[:k]):
-            raise InputError("inexact shift: valuation too small")
-        return TruncatedSeries(list(self.coeffs[k:]), self.d - k)
 
     def _coerce(self, other):
         if isinstance(other, TruncatedSeries):

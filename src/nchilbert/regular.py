@@ -247,9 +247,6 @@ class RegularLanguageHandle:
     def accepts(self, word):
         return self.dfa.accepts(word)
 
-    def contains_empty(self):
-        return self.dfa.initial in self.dfa.accepting
-
     @classmethod
     def from_antichain(cls, basis):
         return ideal_automaton(basis)

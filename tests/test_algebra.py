@@ -9,6 +9,7 @@ from nchilbert.errors import InputError, RootMismatchError, SingularSystemError
 from nchilbert.examples import (
     DYCK,
     IFTHENELSE,
+    LUKAS1_CHAINS,
     palindrome_grammar,
     qp,
     ratpoly,
@@ -21,6 +22,7 @@ from nchilbert.groebner import (
     eliminate_univariate,
     ranking_keep_lowest,
 )
+from nchilbert.homology import HomologySpec, hilbert_from_homology
 from nchilbert.multipoly import MultiPolynomial, RatPoly, gaussian_solve
 from nchilbert.newton import newton_series, reciprocal_poly
 from nchilbert.ratfunc import RF_ONE, RF_ZERO, RationalFunction
@@ -125,10 +127,33 @@ def test_newton_dyck_catalan():
     assert list(out.coeffs) == [1, 0, 1, 0, 2, 0, 5]
 
 
-def test_newton_rejects_bad_seed():
-    q = ratpoly("T", [[1], [-1], [0, 0, 1]])
+def _lukas1_h_seed():
+    chains = tuple(("grammar", parse_grammar(t)) for t in LUKAS1_CHAINS)
+    res = hilbert_from_homology(HomologySpec(6, chains), 10)
+    return res.poly_h, list(res.series.coeffs), 10  # val q'(H) = 3
+
+
+SEEDS = {
+    "catalan-short": lambda: (ratpoly("T", [[1], [-1], [0, 0, 1]]), [5], 6),
+    "ifthenelse-S": lambda: (
+        eliminate_univariate(ifthenelse_equations(), "S"),
+        [1, 1, 2, 3, 6, 10, 20, 35, 70, 126, 252],
+        10,
+    ),
+    "lukas1-H": _lukas1_h_seed,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEEDS))
+def test_newton_rejects_bad_seed(case):
+    q, seed, d = SEEDS[case]()
+    if len(seed) == d + 1:
+        # a full root prefix comes back unchanged; with its top coefficient
+        # off by one it is caught only by a residual taken past degree d
+        assert list(newton_series(q, seed, d).coeffs) == seed
+        seed[-1] += 1
     with pytest.raises(RootMismatchError):
-        newton_series(q, [5], 6)
+        newton_series(q, seed, d)
 
 
 def test_newton_annihilates():

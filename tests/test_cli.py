@@ -2,8 +2,12 @@
 
 import pytest
 
+from nchilbert import csys, homology
 from nchilbert.cli import main
-from nchilbert.examples import DYCK, IFTHENELSE
+from nchilbert.errors import NchilbertError
+from nchilbert.examples import DYCK, IFTHENELSE, LUKAS1_CHAINS
+from nchilbert.grammar import parse_grammar
+from nchilbert.ratfunc import TruncatedSeries
 
 
 def write(tmp_path, name, text):
@@ -140,6 +144,46 @@ def test_verify_example(capsys):
     assert "result: ok" in out
 
 
+def _bump_top(coeffs):
+    return list(coeffs[:-1]) + [coeffs[-1] + 1]
+
+
+@pytest.mark.parametrize("command", ["gamma", "hilbert"])
+def test_count_off_by_one_is_a_math_failure(tmp_path, capsys, monkeypatch, command):
+    # the counted series with its top coefficient off by one must fail the
+    # check against the eliminated polynomial, in the library and the CLI
+    if command == "gamma":
+        real = csys.count_derivations
+        monkeypatch.setattr(
+            csys, "count_derivations",
+            lambda g, d: {j: _bump_top(c) for j, c in real(g, d).items()},
+        )
+        with pytest.raises(NchilbertError):
+            csys.gamma_algebraic(parse_grammar(IFTHENELSE), 12)
+        argv = ["gamma", write(tmp_path, "g.gf", IFTHENELSE), "--max-deg", "12"]
+    else:
+        # three chains: the bumps add up to +1 at t^10 in the E-series
+        real = homology._descriptor_series
+        monkeypatch.setattr(
+            homology, "_descriptor_series",
+            lambda kind, payload, d: TruncatedSeries(
+                _bump_top(real(kind, payload, d).coeffs), d
+            ),
+        )
+        chains = tuple(("grammar", parse_grammar(t)) for t in LUKAS1_CHAINS)
+        with pytest.raises(NchilbertError):
+            homology.hilbert_from_homology(homology.HomologySpec(6, chains), 10)
+        lines = ["n: 6"]
+        for i, text in enumerate(LUKAS1_CHAINS, start=1):
+            write(tmp_path, "c%d.gf" % i, text)
+            lines.append("chain %d: grammar c%d.gf" % (i, i))
+        argv = ["hilbert", write(tmp_path, "spec.hs", "\n".join(lines) + "\n"),
+                "--max-deg", "10"]
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert err.startswith("mathematical failure: ")
+
+
 UCHAIN2_LINES = [
     "gamma-R: t",
     "gamma-Rp: t",
@@ -171,6 +215,13 @@ def test_uchain2_report(tmp_path, capsys, command):
     assert out.splitlines() == want
 
 
+# cases whose error is raised while the named file is parsed
+PARSE_TIME = {
+    "chain-without-index",
+    "gldim-not-a-number",
+    "uchain2-without-Rp",
+    "gsb-zero-denominator",
+}
 MALFORMED = {
     "chain-without-index": ("spec.hs", "n: x y\nchain: grammar g.gf\n", ["hilbert"]),
     "gldim-not-a-number": ("spec.hs", "n: x y\ngldim: abc\n", ["hilbert"]),
@@ -196,3 +247,5 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert err.startswith("input error: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    if case in PARSE_TIME:
+        assert path in err
