@@ -14,7 +14,7 @@ from .errors import InputError
 from .grammar import count_derivations, certify_unambiguous, validate
 from .groebner import eliminate_univariate
 from .multipoly import MultiPolynomial, gaussian_solve
-from .newton import newton_series
+from .newton import root_series
 from .ratfunc import QPoly, RationalFunction, RF_ONE, RF_ZERO, TruncatedSeries
 
 DEFAULT_CERT_DEG = 12
@@ -104,7 +104,7 @@ class GammaResult:
 def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None):
     """Minimal polynomial of the start unknown plus its certified series.
 
-    The series is the derivation counts to degree d.  newton_series checks
+    The series is the derivation counts to degree d.  root_series checks
     them against the eliminated polynomial by one residual test, which fails
     if elimination returned a polynomial that does not annihilate them.
     """
@@ -117,7 +117,11 @@ def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None):
     certified, witness = certify_unambiguous(g, cert_deg)
     system = build_system(g)
     poly = eliminate_univariate(list(system.equations), name)
-    series = newton_series(poly, count_derivations(g, d)[index], d)
+    series = root_series(
+        poly,
+        lambda D: TruncatedSeries(count_derivations(g, D)[index], D),
+        d,
+    )
     return GammaResult(poly, series, cert_deg, certified, witness)
 
 

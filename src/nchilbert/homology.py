@@ -8,7 +8,7 @@ the acceptance suite leans on that.
 The series pipelines assemble the Euler characteristic equation
 E = 1 - n*t + E_1 - E_2 + ... from per-chain descriptors, eliminate down to
 a univariate polynomial, and check the Hilbert series, the inverse of the
-E-series, as a root of the reciprocal polynomial (newton_series).
+E-series, as a root of the reciprocal polynomial (root_series).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .grammar import (
 )
 from .groebner import eliminate_univariate
 from .multipoly import MultiPolynomial
-from .newton import newton_series, reciprocal_poly
+from .newton import reciprocal_poly, root_series
 from .ratfunc import QPoly, RationalFunction, RF_ONE, TruncatedSeries
 from .regular import (
     RegularLanguageHandle,
@@ -371,11 +371,14 @@ def hilbert_from_homology(spec, d, cert_deg=12, check_oracle=None):
     poly_e = eliminate_univariate(equations, "E")
     poly_h = reciprocal_poly(poly_e, "H")
 
-    e_series = TruncatedSeries.one(d) - RationalFunction.t_power(1) * spec.n
-    for i, (kind, payload) in enumerate(spec.descriptors, start=1):
-        term = _descriptor_series(kind, payload, d)
-        e_series = e_series + (term if i % 2 == 1 else -term)
-    series = newton_series(poly_h, e_series.inverse(), d)
+    def h_series(D):
+        e_series = TruncatedSeries.one(D) - RationalFunction.t_power(1) * spec.n
+        for i, (kind, payload) in enumerate(spec.descriptors, start=1):
+            term = _descriptor_series(kind, payload, D)
+            e_series = e_series + (term if i % 2 == 1 else -term)
+        return e_series.inverse()
+
+    series = root_series(poly_h, h_series, d)
     if check_oracle is not None:
         bound = min(d, check_oracle.d)
         if not series.prefix_equals(check_oracle, bound):

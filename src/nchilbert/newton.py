@@ -7,9 +7,10 @@ q(h) = 0 mod t^(d+v+1).  By Newton's lemma h is then exact to degree d,
 and the root it approximates is the only one agreeing with h to degree v.
 
 Pipelines that already hold the whole series (derivation counts, an
-inverted E-series) pass it in full and only the check runs.  A shorter
-seed is first lifted coefficient by coefficient: with h agreeing with a
-root up to t^(k-1), coefficient k is read off the residual at t^(k+v).
+inverted E-series) go through `root_series`, which passes it in full and
+long enough to reach v, so only the check runs.  A shorter seed is first
+lifted coefficient by coefficient: with h agreeing with a root up to
+t^(k-1), coefficient k is read off the residual at t^(k+v).
 Tracking v matters because the quadratics of Euler-characteristic systems
 often have a double root at t = 0, where plain Newton from the constant
 seed stalls.
@@ -47,6 +48,29 @@ def newton_series(q, seed, d):
         if sf.degree == q.degree:
             raise
         return _lift(sf, seed, d)
+
+
+def root_series(q, series_at, d):
+    """The root of q whose exact expansion to degree D is series_at(D),
+    checked by newton_series and returned to degree d.
+
+    The check needs v = val q'(h) <= D, and v can exceed d (it is 2 to 6
+    for the Hilbert polynomials).  So D starts at d and grows to 2D + 1
+    until q'(h) has a valuation, but not past (2n - 1)m for the cleared q
+    of degree n with coefficients of t-degree <= m.  That bounds v for a
+    squarefree q: Res(q, q') = Aq + Bq' with A, B in Q[t][H], so v is at
+    most val Res(q, q') <= (2n - 1)m.  At the bound q'(h) can only vanish
+    for a repeated root, which newton_series then handles.
+    """
+    qc = q.cleared()
+    qd = qc.derivative()
+    bound = (2 * qc.degree - 1) * max(c.num.degree for c in qc.coeffs)
+    D = d
+    h = series_at(D)
+    while D < bound and qd.eval_series(h, D).valuation() is None:
+        D = min(2 * D + 1, bound)
+        h = series_at(D)
+    return TruncatedSeries(newton_series(q, h, D).coeffs, d)
 
 
 def _padded(coeffs, n):

@@ -157,10 +157,18 @@ def format_qpoly(p, var="t"):
 
 
 T = QPoly.t_power(1)
+_POLY_ONE = QPoly.const(1)
 
 
 class RationalFunction:
-    """Element of Q(t), kept reduced with a monic denominator."""
+    """Element of Q(t), kept reduced with a monic denominator.
+
+    Every instance is in this canonical form: gcd(num, den) = 1 and den is
+    monic.  `==`, `hash` and the callers that read `num`/`den` rely on it,
+    and the arithmetic below relies on its operands having it.  Results are
+    built reduced from reduced operands (Henrici's method, Knuth TAOCP 2,
+    4.5.1), so only the constructor normalises input from outside.
+    """
 
     __slots__ = ("num", "den")
 
@@ -173,8 +181,8 @@ class RationalFunction:
             den = QPoly.const(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        g = num.gcd(den)
-        if g:
+        g = _gcd(num, den)
+        if g is not None:
             num, den = num // g, den // g
         lead = den.coeffs[-1]
         if lead != 1:
@@ -182,6 +190,14 @@ class RationalFunction:
             den = den.monic()
         self.num = num
         self.den = den
+
+    @classmethod
+    def _reduced(cls, num, den):
+        """num/den as it stands: the caller guarantees the canonical form."""
+        out = object.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
 
     @classmethod
     def const(cls, c):
@@ -210,14 +226,33 @@ class RationalFunction:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            num = a + c
+            if not num:
+                return RF_ZERO
+            g = _gcd(num, b)
+            if g is None:
+                return RationalFunction._reduced(num, b)
+            return RationalFunction._reduced(num // g, b // g)
+        g = _gcd(b, d)
+        if g is None:
+            return RationalFunction._reduced(a * d + c * b, b * d)
+        b, d = b // g, d // g
+        num = a * d + c * b
+        g2 = _gcd(num, g)
+        if g2 is None:
+            return RationalFunction._reduced(num, b * d * g)
+        return RationalFunction._reduced(num // g2, b * d * (g // g2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -232,7 +267,16 @@ class RationalFunction:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a or not c:
+            return RF_ZERO
+        g = _gcd(a, d)
+        if g is not None:
+            a, d = a // g, d // g
+        g = _gcd(c, b)
+        if g is not None:
+            c, b = c // g, b // g
+        return RationalFunction._reduced(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -242,13 +286,16 @@ class RationalFunction:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
     def inverse(self):
-        return RationalFunction(self.den, self.num)
+        if not self.num:
+            raise ZeroDivisionError("rational function with zero denominator")
+        lead = self.num.coeffs[-1]
+        return RationalFunction._reduced(self.den * (ONE / lead), self.num.monic())
 
     def series(self, d):
         """Maclaurin expansion to degree d; needs no pole at t = 0."""
@@ -263,13 +310,22 @@ class RationalFunction:
         return "(%s)/(%s)" % (format_qpoly(self.num), format_qpoly(self.den))
 
 
+def _gcd(p, q):
+    """Monic gcd of p and q (q nonzero), or None when it is 1.  A nonzero
+    constant shares no factor with anything, so it needs no Euclidean run."""
+    if p.degree == 0 or q.degree == 0:
+        return None
+    g = p.gcd(q)
+    return None if g.degree == 0 else g
+
+
 def _coerce(x):
     if isinstance(x, RationalFunction):
         return x
     if isinstance(x, (int, Fraction)):
-        return RationalFunction.const(x)
+        return RationalFunction._reduced(QPoly.const(x), _POLY_ONE)
     if type(x) is QPoly:  # a RatPoly is a polynomial over Q(t), not in Q[t]
-        return RationalFunction(x)
+        return RationalFunction._reduced(x, _POLY_ONE)
     return None
 
 

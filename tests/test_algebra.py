@@ -4,18 +4,24 @@ from fractions import Fraction
 
 import pytest
 
-from nchilbert.csys import build_system, gamma_linear, gamma_rational
-from nchilbert.errors import InputError, RootMismatchError, SingularSystemError
+from nchilbert.csys import build_system, gamma_algebraic, gamma_linear, gamma_rational
+from nchilbert.errors import (
+    EliminationError,
+    InputError,
+    RootMismatchError,
+    SingularSystemError,
+)
 from nchilbert.examples import (
     DYCK,
     IFTHENELSE,
     LUKAS1_CHAINS,
+    LUKAS1_SERIES,
     palindrome_grammar,
     qp,
     ratpoly,
     xystar_handle,
 )
-from nchilbert.grammar import parse_grammar
+from nchilbert.grammar import count_derivations, parse_grammar
 from nchilbert.groebner import (
     assert_groebner,
     buchberger_lex,
@@ -93,6 +99,45 @@ def test_buchberger_postconditions():
         ranking = ranking_keep_lowest(names, keep)
         basis = buchberger_lex(gens, ranking)
         assert_groebner(basis, gens, ranking)
+
+
+def xy_poly(terms):
+    return MultiPolynomial(("x", "y"), terms)
+
+
+X_OVER_Y = [1, 0]  # lex with x > y
+X_1, Y_2 = xy_poly({(1, 0): 1, (0, 0): -1}), xy_poly({(0, 1): 1, (0, 0): -2})
+# lt = xy and x^2 share x; S = x(xy - 1) - y(x^2 - y) = y^2 - x is irreducible
+SHARED = [xy_poly({(1, 1): 1, (0, 0): -1}), xy_poly({(2, 0): 1, (0, 1): -1})]
+# lt = x^2 and y^3 are coprime: Buchberger's first criterion
+COPRIME = [xy_poly({(2, 0): 1, (0, 1): 1}), xy_poly({(0, 3): 1, (0, 0): -1})]
+GROEBNER_CASES = {  # (basis, inputs, expected failure)
+    "misses-input": ([X_1], [X_1, Y_2], "input"),
+    "shared-lead-spair": (SHARED, SHARED, "S-polynomial"),
+    "coprime-leads": (COPRIME, COPRIME, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROEBNER_CASES))
+def test_assert_groebner_postcondition(case):
+    basis, gens, failure = GROEBNER_CASES[case]
+    if failure is None:
+        assert_groebner(basis, gens, X_OVER_Y)
+    else:
+        with pytest.raises(EliminationError, match=failure):
+            assert_groebner(basis, gens, X_OVER_Y)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_series_below_derivative_valuation(d):
+    # val q'(h) is 3 for lukas1's H, and > 2 for its chain grammars' series
+    chains = tuple(("grammar", parse_grammar(t)) for t in LUKAS1_CHAINS)
+    res = hilbert_from_homology(HomologySpec(6, chains), d)
+    assert res.series.d == d
+    assert list(res.series.coeffs) == LUKAS1_SERIES[: d + 1]
+    g = chains[0][1]
+    gamma = gamma_algebraic(g, d)
+    assert list(gamma.series.coeffs) == count_derivations(g, d)[g.start]
 
 
 def test_reciprocal_poly_examples():

@@ -144,6 +144,22 @@ def test_verify_example(capsys):
     assert "result: ok" in out
 
 
+def _lukas1_spec(tmp_path):
+    lines = ["n: 6"]
+    for i, text in enumerate(LUKAS1_CHAINS, start=1):
+        write(tmp_path, "c%d.gf" % i, text)
+        lines.append("chain %d: grammar c%d.gf" % (i, i))
+    return write(tmp_path, "spec.hs", "\n".join(lines) + "\n")
+
+
+def test_hilbert_below_derivative_valuation(tmp_path, capsys):
+    # val q'(H) = 3 for lukas1, so the check needs the E-series past degree 0
+    code, out, _ = run(capsys, ["hilbert", _lukas1_spec(tmp_path), "--max-deg", "0"])
+    assert code == 0
+    assert "series: 1\n" in out
+    assert "series-bound: 0" in out
+
+
 def _bump_top(coeffs):
     return list(coeffs[:-1]) + [coeffs[-1] + 1]
 
@@ -173,12 +189,7 @@ def test_count_off_by_one_is_a_math_failure(tmp_path, capsys, monkeypatch, comma
         chains = tuple(("grammar", parse_grammar(t)) for t in LUKAS1_CHAINS)
         with pytest.raises(NchilbertError):
             homology.hilbert_from_homology(homology.HomologySpec(6, chains), 10)
-        lines = ["n: 6"]
-        for i, text in enumerate(LUKAS1_CHAINS, start=1):
-            write(tmp_path, "c%d.gf" % i, text)
-            lines.append("chain %d: grammar c%d.gf" % (i, i))
-        argv = ["hilbert", write(tmp_path, "spec.hs", "\n".join(lines) + "\n"),
-                "--max-deg", "10"]
+        argv = ["hilbert", _lukas1_spec(tmp_path), "--max-deg", "10"]
     code, _, err = run(capsys, argv)
     assert code == 1
     assert err.startswith("mathematical failure: ")

@@ -1,9 +1,16 @@
-"""Randomized invariants over the word/language/automaton layer."""
+"""Randomized invariants over the word/language/automaton layer and the
+Q(t) arithmetic."""
 
+from fractions import Fraction
+from functools import reduce
+from operator import mul
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nchilbert.grammar import count_derivations, enumerate_words
+from nchilbert.ratfunc import QPoly, RationalFunction
 from nchilbert.regular import (
     RegularLanguageHandle,
     ideal_automaton,
@@ -104,3 +111,80 @@ def test_ideal_grammar_counts_match_membership(lang):
     assert per_len == counts
     for w in full_language(XY, d).words:
         assert handle.accepts(w) == (w in set(enumerated.words))
+
+
+# products of a few shared factors, so that operands often have common ones
+FACTORS = [QPoly(c) for c in ((0, 1), (-1, 1), (1, 1), (1, 2), (1, 0, 1))]
+factored_st = st.builds(
+    lambda c, fs: reduce(mul, fs, QPoly.const(c)),
+    st.integers(-3, 3).filter(bool),
+    st.lists(st.sampled_from(FACTORS), max_size=3),
+)
+dense_st = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=4
+).map(QPoly)
+nonzero_poly_st = st.one_of(factored_st, dense_st.filter(bool))
+ratfunc_st = st.builds(
+    RationalFunction, st.one_of(nonzero_poly_st, dense_st), nonzero_poly_st
+)
+
+
+def _ratfunc_results(x, y):
+    """(result of the fast arithmetic, normalising constructor applied to the
+    textbook formula) for every operation on x = a/b and y = c/d."""
+    a, b, c, d = x.num, x.den, y.num, y.den
+    out = [
+        (x + y, (a * d + c * b, b * d)),
+        (x - y, (a * d - c * b, b * d)),
+        (x * y, (a * c, b * d)),
+        (-x, (-a, b)),
+    ]
+    if y:
+        out += [(x / y, (a * d, b * c)), (y.inverse(), (d, c))]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratfunc_st, ratfunc_st)
+def test_ratfunc_results_are_canonical(x, y):
+    for got, (num, den) in _ratfunc_results(x, y):
+        assert got.den.coeffs[-1] == 1
+        assert got.num.gcd(got.den) == QPoly.const(1)
+        want = RationalFunction(num, den)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_ratfunc_results_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def to_sympy(p):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * t**k
+             for k, c in enumerate(p.coeffs)),
+            sympy.Integer(0),
+        )
+
+    def coeffs(expr, scale):
+        # low-to-high coefficients of expr / scale, trailing zeros dropped
+        cs = [Fraction(int(c.p), int(c.q))
+              for c in reversed(sympy.Poly(expr / scale, t).all_coeffs())]
+        while cs and not cs[-1]:
+            cs.pop()
+        return cs
+
+    @settings(max_examples=60, deadline=None)
+    @given(ratfunc_st, ratfunc_st)
+    def check(x, y):
+        xs = to_sympy(x.num) / to_sympy(x.den)
+        ys = to_sympy(y.num) / to_sympy(y.den)
+        exprs = [xs + ys, xs - ys, xs * ys, -xs]
+        if y:
+            exprs += [xs / ys, 1 / ys]
+        for (got, _), expr in zip(_ratfunc_results(x, y), exprs, strict=True):
+            snum, sden = sympy.fraction(sympy.cancel(expr))
+            lead = sympy.Poly(sden, t).LC()
+            assert list(got.num.coeffs) == coeffs(snum, lead)
+            assert list(got.den.coeffs) == coeffs(sden, lead)
+
+    check()
