@@ -27,7 +27,6 @@ from .words import (
     parse_language_file,
     trunc_boolean,
     trunc_ideal,
-    trunc_power,
     trunc_product,
 )
 from .grammar import (

@@ -176,9 +176,16 @@ def cmd_chains(args):
     return 0
 
 
+def _parse_basis(text, alphabet):
+    basis = parse_language_file(alphabet, text)
+    if any(len(w) < 2 for w in basis.words):
+        raise InputError("basis words must have length >= 2")
+    return basis
+
+
 def cmd_govorov_chains(args):
     alphabet = Alphabet(args.alphabet.split())
-    basis = _parse(args.antichain, partial(parse_language_file, alphabet))
+    basis = _parse(args.antichain, _parse_basis, alphabet)
     d = args.max_deg
     l1 = TruncatedLanguage(
         alphabet, d, frozenset(w for w in basis.words if len(w) <= d)

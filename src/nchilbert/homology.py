@@ -1,9 +1,12 @@
 """Chain languages of monomial algebras and the Hilbert series pipelines.
 
 Two independent routes to the chain languages of a finite antichain: the
-overlap recursion on chain elements (word plus split point), and the ideal
-set-algebra formulas working inside a degree window.  They must agree, and
-the acceptance suite leans on that.
+overlap recursion on chain elements (word plus split point), and Govorov's
+ideal set-algebra formulas inside a degree window.  The formulas are
+evaluated by membership: each candidate word, one that begins and ends with
+a basis word, is tested against the ideal by prefix, suffix and greedy-cut
+counts, so no power or product of the ideal is built.  The routes must
+agree, and the acceptance suite leans on that.
 
 The series pipelines assemble the Euler characteristic equation
 E = 1 - n*t + E_1 - E_2 + ... from per-chain descriptors, eliminate down to
@@ -120,38 +123,76 @@ def chains_finite(L1, k_max):
 
 
 def govorov_chains_trunc(L1, m, d):
-    """The m-th chain language to degree d by ideal set algebra alone."""
+    """The m-th chain language to degree d by ideal set algebra alone.
+
+    With L the ideal generated by L1 and X+ the nonempty words, Govorov's
+    formulas are, for m = 2k and m = 2k - 1:
+
+        C_2k     = (X+ L^k  cap  L^k X+)  minus  (X+ L^k X+  cup  L^(k+1))
+        C_(2k-1) = (X+ L^(k-1) X+  cap  L^k)  minus  (X+ L^k  cup  L^k X+)
+
+    They are evaluated word by word, without building X+ or any power of L.
+    For k >= 1, L^k is an ideal, so w is in X+ L^k iff w[1:] is in L^k, in
+    L^k X+ iff w[:-1] is, and in X+ L^k X+ iff |w| >= 2 and w[1:-1] is;
+    X+ L^0 X+ is every word of length >= 2.  A word is in L^k iff the greedy
+    cut, which keeps taking the shortest prefix of the rest that lies in L,
+    finds at least k pieces.  Every word of C_m begins and ends with a word
+    of L1, so only the words of L1 X* cap X* L1 up to length d are tested.
+    """
     if m < 1:
         raise InputError("chain index must be >= 1")
     if L1.d < d:
         raise InputError("L1 window too small for the requested degree")
-    alphabet = L1.alphabet
-    xp = full_language(alphabet, d, 1)
-    L = trunc_ideal(L1, d)
+    ideal = trunc_ideal(L1, d).words
+    pad = full_language(L1.alphabet, max(d - L1.min_length_bound(), 0))
+    candidates = trunc_boolean(
+        trunc_product(L1, pad, d), trunc_product(pad, L1, d), "intersection"
+    )
 
-    def power(k):
-        acc = TruncatedLanguage(alphabet, d, frozenset([EMPTY]))
-        for _ in range(k):
-            acc = trunc_product(acc, L, d)
-        return acc
+    def in_power(w, k):
+        """w in L^k."""
+        if k == 0:
+            return w == EMPTY
+        if EMPTY in ideal:
+            return True
+        pieces, start = 0, 0
+        for end in range(1, len(w) + 1):
+            if w[start:end] in ideal:
+                pieces, start = pieces + 1, end
+        return pieces >= k
+
+    def left(w, k):
+        """w in X+ L^k, k >= 1."""
+        return len(w) >= 1 and in_power(w[1:], k)
+
+    def right(w, k):
+        """w in L^k X+, k >= 1."""
+        return len(w) >= 1 and in_power(w[:-1], k)
+
+    def both(w, k):
+        """w in X+ L^k X+."""
+        return len(w) >= 2 and (k == 0 or in_power(w[1:-1], k))
 
     if m % 2 == 0:
         k = m // 2
-        lk = power(k)
-        left = trunc_product(xp, lk, d)
-        right = trunc_product(lk, xp, d)
-        both = trunc_product(xp, trunc_product(lk, xp, d), d)
-        inner = trunc_boolean(left, right, "intersection")
-        excl = trunc_boolean(both, power(k + 1), "union")
+
+        def member(w):
+            return (
+                left(w, k) and right(w, k)
+                and not (both(w, k) or in_power(w, k + 1))
+            )
     else:
         k = (m + 1) // 2
-        lk = power(k)
-        mid = trunc_product(xp, trunc_product(power(k - 1), xp, d), d)
-        inner = trunc_boolean(mid, lk, "intersection")
-        excl = trunc_boolean(
-            trunc_product(xp, lk, d), trunc_product(lk, xp, d), "union"
-        )
-    return trunc_boolean(inner, excl, "difference")
+
+        def member(w):
+            return (
+                both(w, k - 1) and in_power(w, k)
+                and not (left(w, k) or right(w, k))
+            )
+
+    return TruncatedLanguage(
+        L1.alphabet, d, frozenset(w for w in candidates.words if member(w))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -246,47 +246,17 @@ def trunc_product(a, b, d, min_a=None, min_b=None):
     return TruncatedLanguage(a.alphabet, d, frozenset(out))
 
 
-def trunc_power(base, k, d):
-    """Bounded k-th concatenation power; base**0 is {eps}."""
-    acc = TruncatedLanguage(base.alphabet, d, frozenset([EMPTY]))
-    for _ in range(k):
-        acc = trunc_product(acc, base, d)
-    return acc
-
-
 def trunc_ideal(basis, d):
     """All words of length <= d containing some basis element as a factor.
 
-    Layered construction: a word is in the ideal iff its longest proper prefix
-    is, or some basis word is one of its suffixes.
+    Built as X^{<=d-b} . basis . X^{<=d-b}, b the minimum basis length, with
+    two bounded products.  A basis holding eps gives every word; a basis
+    with no word of length <= d gives the empty set.
     """
     if basis.d < d:
         raise BoundError("ideal to degree %d from a basis window of %d" % (d, basis.d))
-    alphabet = basis.alphabet
-    n = alphabet.size
-    bwords = basis.words
-    maxb = max((len(w) for w in bwords), default=0)
-    out = set()
-    layer = {EMPTY: False}  # word -> already absorbed
-    if EMPTY in bwords:
-        layer = {EMPTY: True}
-        out.add(EMPTY)
-    for _ in range(d):
-        nxt = {}
-        for w, absorbed in layer.items():
-            for i in range(n):
-                v = w + bytes([i])
-                if absorbed:
-                    nxt[v] = True
-                else:
-                    hit = any(
-                        v[-k:] in bwords for k in range(1, min(len(v), maxb) + 1)
-                    )
-                    nxt[v] = hit
-                if nxt[v]:
-                    out.add(v)
-        layer = nxt
-    return TruncatedLanguage(alphabet, d, frozenset(out))
+    pad = full_language(basis.alphabet, max(d - basis.min_length_bound(), 0))
+    return trunc_product(trunc_product(pad, basis, d), pad, d)
 
 
 def trunc_boolean(a, b, op):

@@ -1,5 +1,9 @@
 """Command-line entry point: exit codes and output contract."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from nchilbert import csys, homology
@@ -232,7 +236,10 @@ PARSE_TIME = {
     "gldim-not-a-number",
     "uchain2-without-Rp",
     "gsb-zero-denominator",
+    "govorov-eps-basis",
+    "govorov-one-letter-basis",
 }
+GOVOROV_1 = ["govorov-chains", "--alphabet", "x y", "--index", "1"]
 MALFORMED = {
     "chain-without-index": ("spec.hs", "n: x y\nchain: grammar g.gf\n", ["hilbert"]),
     "gldim-not-a-number": ("spec.hs", "n: x y\ngldim: abc\n", ["hilbert"]),
@@ -240,6 +247,8 @@ MALFORMED = {
         "spec.hs", "n: x\ngldim: infinite-uchain2 R=r.lang L=g.gf\n", ["hilbert"],
     ),
     "gsb-zero-denominator": ("p.txt", "alphabet: x y\n1/0 x x\n", ["gsb"]),
+    "govorov-eps-basis": ("l1.lang", "eps\n", GOVOROV_1),
+    "govorov-one-letter-basis": ("l1.lang", "x\n", GOVOROV_1),
     "gamma-unknown-keep": ("g.gf", DYCK, ["gamma", "--keep", "Z"]),
     "gamma-unproductive-start": (
         "g.gf", "terminals: a\nvariables: S\nstart: S\nS -> S\n", ["gamma"],
@@ -260,3 +269,14 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in err
     if case in PARSE_TIME:
         assert path in err
+
+
+def test_python_m_nchilbert_help():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nchilbert", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "govorov-chains" in proc.stdout

@@ -1,6 +1,8 @@
 """Chain languages, oracle counting, and the assembled series pipelines."""
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -19,10 +21,17 @@ from nchilbert.homology import (
     parse_rational,
     parse_relation_file,
 )
-from nchilbert.grammar import parse_grammar
+from nchilbert.examples import TRIPLE_L1
+from nchilbert.grammar import enumerate_words, parse_grammar
 from nchilbert.ratfunc import QPoly, RationalFunction
 from nchilbert.regular import RegularLanguageHandle
-from nchilbert.words import Alphabet, FiniteLanguage, TruncatedLanguage
+from nchilbert.words import (
+    Alphabet,
+    FiniteLanguage,
+    TruncatedLanguage,
+    full_language,
+    is_antichain,
+)
 
 XY = Alphabet(["x", "y"])
 
@@ -64,6 +73,88 @@ def test_govorov_matches_chains_xx():
         got = govorov_chains_trunc(l1, i, 8)
         want = {w for w in lang.words if len(w) <= 8}
         assert set(got.words) == want
+
+
+def _set_formula_chains(l1, m, d):
+    """C_m to degree d by Govorov's formulas, each set product tested on
+    every split of every word of length <= d."""
+    basis = [v for v in l1.words if len(v) <= d]
+
+    @lru_cache(maxsize=None)
+    def in_ideal(w):
+        return any(v in w for v in basis)
+
+    @lru_cache(maxsize=None)
+    def in_power(w, k):  # w in L^k
+        if k == 0:
+            return w == b""
+        return any(
+            in_ideal(w[:i]) and in_power(w[i:], k - 1) for i in range(len(w) + 1)
+        )
+
+    def left(w, k):  # X+ L^k
+        return any(in_power(w[i:], k) for i in range(1, len(w) + 1))
+
+    def right(w, k):  # L^k X+
+        return any(in_power(w[:i], k) for i in range(len(w)))
+
+    def both(w, k):  # X+ L^k X+
+        return any(right(w[i:], k) for i in range(1, len(w) + 1))
+
+    out = set()
+    for w in full_language(l1.alphabet, d).words:
+        if m % 2 == 0:
+            k = m // 2
+            keep = (left(w, k) and right(w, k)
+                    and not (both(w, k) or in_power(w, k + 1)))
+        else:
+            k = (m + 1) // 2
+            keep = (both(w, k - 1) and in_power(w, k)
+                    and not (left(w, k) or right(w, k)))
+        if keep:
+            out.add(w)
+    return out
+
+
+def test_govorov_matches_set_formulas():
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        alphabet = Alphabet(list("xyz"[:n]))
+        d = rng.randint(0, 7)
+        window = d + rng.choice((0, 0, 1, 2))
+        words = set()
+        for _ in range(rng.randint(0, 4)):
+            length = min(rng.choice((0, 1, 2, 2, 3, 3, 4)), window)
+            words.add(bytes(rng.randrange(n) for _ in range(length)))
+        l1 = TruncatedLanguage(alphabet, window, frozenset(words))
+        m = rng.randint(1, 5)
+        got = set(govorov_chains_trunc(l1, m, d).words)
+        assert got == _set_formula_chains(l1, m, d), (n, d, sorted(words), m)
+        seen.add(("d", d))
+        seen.add(("m", m))
+        seen.add(("eps", b"" in words))
+        seen.add(("letter", any(len(w) == 1 for w in words)))
+        seen.add(("antichain", is_antichain(FiniteLanguage(alphabet, frozenset(words)))))
+        seen.add(("wide", window > d))
+        seen.add(("nonempty", bool(got)))
+    wanted = {("d", d) for d in range(8)} | {("m", m) for m in range(1, 6)}
+    wanted |= {(flag, value) for flag in ("eps", "letter", "antichain", "wide", "nonempty")
+               for value in (True, False)}
+    assert wanted <= seen
+
+
+def test_govorov_triple_chains():
+    g = parse_grammar(TRIPLE_L1)
+    l1 = enumerate_words(g, 12)
+    assert len(l1) == 8
+    assert set(govorov_chains_trunc(l1, 1, 12).words) == set(l1.words)
+    assert set(govorov_chains_trunc(l1, 2, 12).words) == {
+        g.terminals.word(" ".join(["x"] * n + ["y"] * n + ["z"] * n))
+        for n in (2, 3, 4)
+    }
+    assert not govorov_chains_trunc(l1, 3, 12).words
 
 
 def test_oracle_fibonacci():

@@ -14,7 +14,6 @@ from nchilbert.words import (
     parse_language_file,
     trunc_boolean,
     trunc_ideal,
-    trunc_power,
     trunc_product,
 )
 
@@ -77,11 +76,6 @@ def test_trunc_product_rejects_short_windows():
         trunc_product(a, b, 4)
 
 
-def test_trunc_power_zero_is_eps():
-    assert texts(trunc_power(tlang(3, "x"), 0, 3)) == {"eps"}
-    assert texts(trunc_power(tlang(3, "x"), 2, 3)) == {"x x"}
-
-
 def test_trunc_ideal_xx():
     basis = tlang(3, "x x")
     assert texts(trunc_ideal(basis, 3)) == {"x x", "x x x", "x x y", "y x x"}
@@ -133,13 +127,22 @@ def test_normal_plus_ideal_counts():
 
 
 def test_trunc_ideal_matches_factor_scan():
-    basis = lang("x y", "y y x")
     d = 6
-    ideal = trunc_ideal(TruncatedLanguage(XY, d, basis.words), d)
-    scanned = {
-        w for w in full_language(XY, d).words if not is_normal(w, basis)
-    }
-    assert set(ideal.words) == scanned
+    cases = [
+        (d, ("x y", "y y x")),
+        (d, ("eps", "x y")),  # every word
+        (d, ()),
+        (d + 2, ("x y y", "x x x x x x x y")),  # a basis word longer than d
+        (d + 2, ("y y y y y y y",)),  # no basis word inside the window
+    ]
+    for window, words in cases:
+        basis = lang(*words)
+        ideal = trunc_ideal(TruncatedLanguage(XY, window, basis.words), d)
+        scanned = {
+            w for w in full_language(XY, d).words if not is_normal(w, basis)
+        }
+        assert ideal.d == d
+        assert set(ideal.words) == scanned, words
 
 
 def test_language_file_roundtrip():
