@@ -166,7 +166,7 @@ def cmd_quotient_grammar(args):
 
 def cmd_chains(args):
     alphabet = Alphabet(args.alphabet.split())
-    basis = _parse(args.antichain, partial(parse_language_file, alphabet))
+    basis = _parse(args.antichain, _parse_basis, alphabet)
     levels, gldim = chains_finite(basis, args.kmax)
     rep = Report(args.format)
     for i, lang in enumerate(levels, start=1):

@@ -26,9 +26,6 @@ class AlgebraicSystem:
     equations: tuple  # MultiPolynomial, one per unknown, A_i - sum of images
     grammar: object = None
 
-    def equation_for(self, name):
-        return self.equations[self.unknowns.index(name)]
-
 
 def production_image(g, rhs, variables):
     """Commutative image of a right-hand side: t^(#terminals) * product of

@@ -1,13 +1,18 @@
 """Context-free grammars: validation, bounded enumeration, derivation counting,
 bounded unambiguity certificates and membership tests.
 
-Symbols on production right-hand sides are ints: ``0..n-1`` are terminal
-positions, ``n+j`` is variable ``j``.
+Enumeration, derivation counts and per-word parse counts are three modes of
+one kernel, `_layers`, which builds the words of length k of every variable
+from the shorter ones.  Symbols on production right-hand sides are ints:
+``0..n-1`` are terminal positions, ``n+j`` is variable ``j``.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 from .errors import DivergenceError, InputError, ResourceCapError
 from .words import EMPTY, Alphabet, TruncatedLanguage, WORD_KEY
@@ -90,67 +95,74 @@ class GrammarReport:
     is_right_linear: bool
 
 
-def _nullable(g):
-    nullable = set()
+def _deriving(g, terminals):
+    """Variables that derive some word: any terminal word when `terminals`,
+    otherwise the empty word."""
+    found = set()
     changed = True
     while changed:
         changed = False
         for var, rhs in g.productions:
-            if var in nullable:
-                continue
-            if all(g.is_var(s) and g.var_of(s) in nullable for s in rhs):
-                nullable.add(var)
+            if var not in found and all(
+                g.var_of(s) in found if g.is_var(s) else terminals for s in rhs
+            ):
+                found.add(var)
                 changed = True
-    return nullable
+    return found
 
 
-def _cycle_graph(g, nullable):
-    """Edges A -> B where A => alpha rewrites back to bare B erasing the rest."""
-    edges = {j: set() for j in range(g.variables.size)}
+def _layer_plan(g, variables, nullable):
+    """The steps that build one length layer of `variables`, in order.
+
+    Only productions of `variables` whose body variables all lie in
+    `variables` are kept.  A step is a variable (keyed by its symbol), whose
+    layer is the sum of its bodies' layers, or a nonempty body prefix (a tuple
+    of symbols), whose layer k sums, over the splits k = j + l, layer j of the
+    prefix one symbol shorter times layer l of its last symbol.  Inside layer
+    k a split reads a layer-k value only when l = 0 (the last symbol is
+    nullable) or j = 0 (the shorter prefix is nullable); those reads order the
+    steps, and a cycle among them is a unit/epsilon cycle.
+
+    Returns (order, steps): a variable's step lists its bodies, a prefix's is
+    (shorter prefix, last symbol, least l, k - greatest l).
+    """
+
+    def null(s):
+        return g.is_var(s) and g.var_of(s) in nullable
+
+    steps, reads = {}, {}
     for var, rhs in g.productions:
-        if any(not g.is_var(s) for s in rhs):
+        if var not in variables or any(
+            g.is_var(s) and g.var_of(s) not in variables for s in rhs
+        ):
             continue
-        vs = [g.var_of(s) for s in rhs]
-        for i, b in enumerate(vs):
-            rest = vs[:i] + vs[i + 1 :]
-            if all(v in nullable for v in rest):
-                edges[var].add(b)
-    return edges
-
-def _has_cycle(edges, restrict=None):
-    nodes = set(edges) if restrict is None else set(restrict)
-    color = {}
-
-    def dfs(u):
-        color[u] = 1
-        for v in edges.get(u, ()):
-            if v not in nodes:
-                continue
-            c = color.get(v)
-            if c == 1:
-                return True
-            if c is None and dfs(v):
-                return True
-        color[u] = 2
-        return False
-
-    return any(color.get(u) is None and dfs(u) for u in nodes)
+        steps.setdefault(g.n + var, []).append(rhs)
+        reads.setdefault(g.n + var, set()).add(rhs)
+        for i, s in enumerate(rhs):
+            head, key = rhs[:i], rhs[: i + 1]
+            head_null = all(map(null, head))
+            steps[key] = (head, s, 0 if null(s) else 1, 0 if head_null else 1)
+            reads[key] = {head} if null(s) else set()
+            if head_null:
+                reads[key].add(s)
+    # the empty body and the terminals are given, not built
+    graph = {key: {x for x in xs if x in steps} for key, xs in reads.items()}
+    try:
+        order = list(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        names = dict.fromkeys(
+            g.sym_text(key) for key in exc.args[1] if isinstance(key, int)
+        )
+        raise DivergenceError(
+            "unit/epsilon cycle through %s" % " ".join(names)
+        ) from None
+    return order, steps
 
 
 def validate(g):
-    """Fixpoint computation of productive/reachable/nullable sets plus flags."""
-    nullable = _nullable(g)
-
-    productive = set()
-    changed = True
-    while changed:
-        changed = False
-        for var, rhs in g.productions:
-            if var in productive:
-                continue
-            if all(not g.is_var(s) or g.var_of(s) in productive for s in rhs):
-                productive.add(var)
-                changed = True
+    """Productive/reachable/nullable sets plus flags."""
+    nullable = _deriving(g, terminals=False)
+    productive = _deriving(g, terminals=True)
 
     reachable = {g.start}
     stack = [g.start]
@@ -169,7 +181,11 @@ def validate(g):
         for _, rhs in g.productions
     )
 
-    cyclic = _has_cycle(_cycle_graph(g, nullable))
+    try:
+        _layer_plan(g, range(g.variables.size), nullable)
+        cyclic = False
+    except DivergenceError:
+        cyclic = True
     return GrammarReport(
         frozenset(productive),
         frozenset(reachable),
@@ -179,137 +195,109 @@ def validate(g):
     )
 
 
-def _check_counting_safe(g):
+# What a length layer holds, as (empty word, one letter, product, sum of an
+# iterable): parse-tree counts, the set of words, or word -> parse-tree count.
+_COUNTS = (1, lambda a: 1, operator.mul, sum)
+_WORDS = (
+    {EMPTY},
+    lambda a: {bytes([a])},
+    lambda x, y: {u + v for u in x for v in y},
+    lambda xs: set().union(*xs),
+)
+
+
+def _sum_parses(xs):
+    out = Counter()
+    for x in xs:
+        out.update(x)
+    return out
+
+
+_PARSES = (
+    {EMPTY: 1},
+    lambda a: {bytes([a]): 1},
+    lambda x, y: {u + v: cu * cv for u, cu in x.items() for v, cv in y.items()},
+    _sum_parses,
+)
+
+
+def _layers(g, d, variables, mode, cap=None):
+    """Length layers 0..d of each variable in `variables`, by variable index.
+
+    `variables` must be productive and closed under the bodies of their
+    productions.  Layer k of each step is built from the layers below k and
+    from the layer-k values of the steps before it in the plan, so each split
+    of a body costs one product (the recursive method of Flajolet, Zimmermann
+    and Van Cutsem, 1994).  A unit/epsilon cycle raises DivergenceError before
+    any layer is built.  With `cap`, more than `cap` words held over all
+    layers raises ResourceCapError.
+    """
+    unit, letter, mul, total = mode
+    zero = total(())
+    nullable = _deriving(g, terminals=False)
+    order, steps = _layer_plan(g, variables, nullable)
+    vals = {(): [unit] + [zero] * d}
+    vals.update((a, [zero, letter(a)]) for a in range(g.n))
+    vals.update((key, []) for key in order)
+    held = 0
+    for k in range(d + 1):
+        for key in order:
+            step = steps[key]
+            if isinstance(key, int):
+                value = total(vals[body][k] for body in step)
+            else:
+                head, s, lo, off = step
+                head, last = vals[head], vals[s]
+                top = k - off if g.is_var(s) else min(k - off, 1)
+                value = total(
+                    mul(head[k - l], last[l])
+                    for l in range(lo, top + 1)
+                    if head[k - l] and last[l]
+                )
+            vals[key].append(value)
+            if cap is not None:
+                held += len(value)
+                if held > cap:
+                    raise ResourceCapError("enumeration exceeded word cap %d" % cap)
+    return {key - g.n: vals[key] for key in order if isinstance(key, int)}
+
+
+def _live(g):
     report = validate(g)
-    live = report.productive & report.reachable
-    if _has_cycle(_cycle_graph(g, report.nullable), restrict=live):
-        raise DivergenceError("unit/epsilon cycle among live variables")
-    return report
+    return report.productive & report.reachable
 
 
 def enumerate_words(g, d, cap=DEFAULT_WORD_CAP):
-    """Distinct generated words of length <= d (bottom-up fixpoint)."""
-    _check_counting_safe(g)
-    by_var = g.by_variable()
-    sets = {j: set() for j in by_var}
-    changed = True
-    while changed:
-        changed = False
-        for var, rhss in by_var.items():
-            for rhs in rhss:
-                acc = {EMPTY}
-                for s in rhs:
-                    if not g.is_var(s):
-                        acc = {w + bytes([s]) for w in acc if len(w) < d}
-                    else:
-                        sub = sets[g.var_of(s)]
-                        acc = {
-                            w + u
-                            for w in acc
-                            for u in sub
-                            if len(w) + len(u) <= d
-                        }
-                    if not acc:
-                        break
-                new = acc - sets[var]
-                if new:
-                    sets[var] |= new
-                    changed = True
-                    if sum(len(s) for s in sets.values()) > cap:
-                        raise ResourceCapError("enumeration exceeded word cap")
-    return TruncatedLanguage(g.terminals, d, frozenset(sets[g.start]))
-
-
-def _convolve(a, b, d):
-    out = [0] * (d + 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y and i + j <= d:
-                    out[i + j] += x * y
-    return out
+    """Distinct generated words of length <= d."""
+    layers = _layers(g, d, _live(g), _WORDS, cap).get(g.start, ())
+    return TruncatedLanguage(g.terminals, d, frozenset().union(*layers))
 
 
 def count_derivations(g, d):
     """c[A][k] = number of leftmost derivations (= parse trees) from A of words
-    of length k, for k <= d."""
-    _check_counting_safe(g)
-    by_var = g.by_variable()
-    m = g.variables.size
-    c = {j: [0] * (d + 1) for j in range(m)}
-    term_vec = [0, 1] + [0] * (d - 1) if d >= 1 else [0]
-    for _ in range(m * (d + 1) + 2):
-        new = {}
-        for var, rhss in by_var.items():
-            total = [0] * (d + 1)
-            for rhs in rhss:
-                acc = [1] + [0] * d
-                for s in rhs:
-                    vec = term_vec if not g.is_var(s) else c[g.var_of(s)]
-                    acc = _convolve(acc, vec, d)
-                total = [x + y for x, y in zip(total, acc)]
-            new[var] = total
-        if new == c:
-            return c
-        c = new
-    raise DivergenceError("derivation counting did not stabilize")
-
-
-def _parse_counts(g, d):
-    """word -> number of parse trees, per variable, words of length <= d."""
-    by_var = g.by_variable()
-    counts = {j: {} for j in by_var}
-    changed = True
-    while changed:
-        changed = False
-        for var, rhss in by_var.items():
-            total = {}
-            for rhs in rhss:
-                acc = {EMPTY: 1}
-                for s in rhs:
-                    if not g.is_var(s):
-                        acc = {
-                            w + bytes([s]): c for w, c in acc.items() if len(w) < d
-                        }
-                    else:
-                        sub = counts[g.var_of(s)]
-                        nxt = {}
-                        for w, c in acc.items():
-                            for u, cu in sub.items():
-                                if len(w) + len(u) <= d:
-                                    key = w + u
-                                    nxt[key] = nxt.get(key, 0) + c * cu
-                        acc = nxt
-                    if not acc:
-                        break
-                for w, c in acc.items():
-                    total[w] = total.get(w, 0) + c
-            if total != counts[var]:
-                counts[var] = total
-                changed = True
-    return counts
+    of length k, for k <= d, for every variable A (zero when unproductive)."""
+    layers = _layers(g, d, _deriving(g, terminals=True), _COUNTS)
+    return {j: layers.get(j, [0] * (d + 1)) for j in range(g.variables.size)}
 
 
 def certify_unambiguous(g, d):
     """True iff derivation counts match distinct-word counts for all k <= d.
 
-    On failure also returns a minimal-length word with >= 2 parse trees.
+    On failure also returns the shortlex-least word with >= 2 parse trees:
+    parse trees are counted per word only at the first length that differs.
     """
     derivations = count_derivations(g, d)[g.start]
-    lang = enumerate_words(g, d)
-    per_len = lang.counts()
+    per_len = enumerate_words(g, d).counts()
     if derivations == per_len:
         return True, None
-    parse_counts = _parse_counts(g, d)[g.start]
-    bad = [w for w, c in parse_counts.items() if c >= 2]
-    if not bad:
-        raise DivergenceError("count mismatch without a multi-parse word")
-    return False, min(bad, key=WORD_KEY)
+    k = next(k for k, (a, b) in enumerate(zip(derivations, per_len)) if a != b)
+    parses = _layers(g, k, _live(g), _PARSES)[g.start][k]
+    return False, min((w for w, c in parses.items() if c >= 2), key=WORD_KEY)
 
 
 def _to_cnf(g):
     """Binary/terminal normal form (eps and unit productions removed)."""
-    nullable = _nullable(g)
+    nullable = _deriving(g, terminals=False)
     prods = set()
     for var, rhs in g.productions:
         null_pos = [
@@ -383,7 +371,7 @@ def _to_cnf(g):
 def cyk_member(g, w):
     """True iff w is generated by g (CYK on an internal normal form)."""
     if w == EMPTY:
-        return g.start in _nullable(g)
+        return g.start in _deriving(g, terminals=False)
     unary, binary, _ = _to_cnf(g)
     n = len(w)
     table = [[set() for _ in range(n + 1)] for _ in range(n)]

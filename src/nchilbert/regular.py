@@ -248,10 +248,6 @@ class RegularLanguageHandle:
         return self.dfa.accepts(word)
 
     @classmethod
-    def from_antichain(cls, basis):
-        return ideal_automaton(basis)
-
-    @classmethod
     def from_finite(cls, lang):
         return cls(finite_dfa(lang))
 
@@ -270,26 +266,6 @@ class RegularLanguageHandle:
                 nfa.add(var, rhs[0], g.var_of(rhs[1]))
         nfa.initial = {g.start}
         return cls(determinize(nfa))
-
-    def enumerate(self, d):
-        """All accepted words of length <= d (for oracle cross-checks)."""
-        from .words import EMPTY, TruncatedLanguage
-
-        out = set()
-        layer = {self.dfa.initial: {EMPTY}}
-        for length in range(d + 1):
-            for s, ws in layer.items():
-                if s in self.dfa.accepting:
-                    out |= ws
-            if length == d:
-                break
-            nxt = {}
-            for s, ws in layer.items():
-                for i in range(self.alphabet.size):
-                    t = self.dfa.transitions[s][i]
-                    nxt.setdefault(t, set()).update(w + bytes([i]) for w in ws)
-            layer = nxt
-        return TruncatedLanguage(self.alphabet, d, frozenset(out))
 
 
 def ideal_automaton(basis):

@@ -212,7 +212,7 @@ def test_newton_annihilates():
 def test_build_system_images():
     g = parse_grammar(DYCK)
     system = build_system(g)
-    eq = system.equation_for("S")
+    eq = system.equations[system.unknowns.index("S")]
     # S - 1 - t^2 S^2
     t2 = RationalFunction.t_power(2)
     expected = (

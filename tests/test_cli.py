@@ -238,8 +238,11 @@ PARSE_TIME = {
     "gsb-zero-denominator",
     "govorov-eps-basis",
     "govorov-one-letter-basis",
+    "chains-eps-basis",
+    "chains-one-letter-basis",
 }
 GOVOROV_1 = ["govorov-chains", "--alphabet", "x y", "--index", "1"]
+CHAINS = ["chains", "--alphabet", "x y"]
 MALFORMED = {
     "chain-without-index": ("spec.hs", "n: x y\nchain: grammar g.gf\n", ["hilbert"]),
     "gldim-not-a-number": ("spec.hs", "n: x y\ngldim: abc\n", ["hilbert"]),
@@ -249,9 +252,18 @@ MALFORMED = {
     "gsb-zero-denominator": ("p.txt", "alphabet: x y\n1/0 x x\n", ["gsb"]),
     "govorov-eps-basis": ("l1.lang", "eps\n", GOVOROV_1),
     "govorov-one-letter-basis": ("l1.lang", "x\n", GOVOROV_1),
+    "chains-eps-basis": ("l1.lang", "eps\nx y\n", CHAINS),
+    "chains-one-letter-basis": ("l1.lang", "x\n", CHAINS),
     "gamma-unknown-keep": ("g.gf", DYCK, ["gamma", "--keep", "Z"]),
     "gamma-unproductive-start": (
         "g.gf", "terminals: a\nvariables: S\nstart: S\nS -> S\n", ["gamma"],
+    ),
+    # A is productive, unreachable and on an epsilon cycle: counting every
+    # variable must refuse it at once
+    "gamma-unreachable-epsilon-cycle": (
+        "g.gf",
+        "terminals: x\nvariables: S A B\nstart: S\nS -> x\nA -> A A | eps\nB -> x\n",
+        ["gamma"],
     ),
 }
 

@@ -1,10 +1,14 @@
 """Grammar validation, enumeration, counting, ambiguity certification."""
 
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 
 from nchilbert.errors import DivergenceError
 from nchilbert.examples import DYCK, IFTHENELSE, LUKASIEWICZ, palindrome_grammar
 from nchilbert.grammar import (
+    CFGrammar,
     certify_unambiguous,
     count_derivations,
     cyk_member,
@@ -13,6 +17,7 @@ from nchilbert.grammar import (
     parse_grammar,
     validate,
 )
+from nchilbert.words import WORD_KEY, Alphabet, full_language
 
 XYSTAR = """
 terminals: x y
@@ -109,6 +114,15 @@ def test_certify_planted_ambiguous():
     assert g.terminals.text(witness) == "a a"
 
 
+def test_certify_witness_is_shortlex_least():
+    # "a b" and "b a" both have two parse trees
+    g = parse_grammar(
+        "terminals: a b\nvariables: S A B\nstart: S\n"
+        "S -> b a | B a | a b | A b\nA -> a\nB -> b"
+    )
+    assert certify_unambiguous(g, 3) == (False, g.terminals.word("a b"))
+
+
 def test_certify_palindromes():
     ok, _ = certify_unambiguous(palindrome_grammar("xy"), 8)
     assert ok
@@ -141,8 +155,6 @@ def test_enumeration_bounded_by_derivation_counts():
 def test_enumeration_agrees_with_cyk():
     g = parse_grammar(DYCK)
     lang = set(enumerate_words(g, 6).words)
-    from nchilbert.words import full_language
-
     for w in full_language(g.terminals, 6).words:
         assert (w in lang) == cyk_member(g, w)
 
@@ -152,3 +164,148 @@ def test_grammar_format_roundtrip():
     g2 = parse_grammar(format_grammar(g))
     assert g2.productions == g.productions
     assert g2.terminals == g.terminals
+
+
+def test_count_derivations_unreachable_epsilon_cycle():
+    # A is productive but unreachable; its epsilon cycle makes its counts
+    # infinite, so counting every variable refuses before any arithmetic
+    g = parse_grammar(
+        "terminals: x\nvariables: S A B\nstart: S\nS -> x\nA -> A A | eps\nB -> x"
+    )
+    with pytest.raises(DivergenceError):
+        count_derivations(g, 12)
+    assert set(enumerate_words(g, 12).words) == {b"\x00"}
+
+
+def random_grammar(rng):
+    """1-2 terminals, 1-3 variables, 1-3 bodies each of length 0-3."""
+    n, m = rng.randint(1, 2), rng.randint(1, 3)
+    prods = set()
+    for var in range(m):
+        for _ in range(rng.randint(1, 3)):
+            body = tuple(rng.randrange(n + m) for _ in range(rng.randint(0, 3)))
+            prods.add((var, body))
+    return CFGrammar(Alphabet(list("ab"[:n])), Alphabet(list("SAB"[:m])), 0, sorted(prods))
+
+
+def shortest_words(g):
+    """A shortest word of each productive variable, by relaxation."""
+    short = {}
+    changed = True
+    while changed:
+        changed = False
+        for var, rhs in g.productions:
+            if all(not g.is_var(s) or g.var_of(s) in short for s in rhs):
+                w = b"".join(
+                    short[g.var_of(s)] if g.is_var(s) else bytes([s]) for s in rhs
+                )
+                if var not in short or len(w) < len(short[var]):
+                    short[var] = w
+                    changed = True
+    return short
+
+
+class Cycle(Exception):
+    """A (variable, word) pair was reached again while it was being counted."""
+
+
+def parse_counter(g):
+    """count(symbol, word) = parse trees, by memoised splitting of the word.
+
+    Only productive bodies are split, the empty parts of a split must be
+    nullable, and the parts are counted shortest first, stopping at a zero:
+    so reaching a pair again is a unit/epsilon cycle of a productive
+    variable, and raises Cycle.
+    """
+    short = shortest_words(g)
+    bodies = {
+        var: [
+            rhs
+            for v, rhs in g.productions
+            if v == var and all(not g.is_var(s) or g.var_of(s) in short for s in rhs)
+        ]
+        for var in short
+    }
+    memo, active = {}, set()
+
+    def nullable(s):
+        return g.is_var(s) and short.get(g.var_of(s)) == b""
+
+    def split(rhs, w):
+        if not rhs:
+            return int(not w)
+        total = 0
+        for cuts in combinations_with_replacement(range(len(w) + 1), len(rhs) - 1):
+            ends = (0, *cuts, len(w))
+            parts = sorted(
+                zip(rhs, (w[i:j] for i, j in zip(ends, ends[1:]))),
+                key=lambda p: len(p[1]),
+            )
+            if any(not part and not nullable(s) for s, part in parts):
+                continue
+            prod = 1
+            for s, part in parts:
+                prod *= count(s, part)
+                if not prod:
+                    break
+            total += prod
+        return total
+
+    def count(s, w):
+        if not g.is_var(s):
+            return int(w == bytes([s]))
+        key = (g.var_of(s), w)
+        if key[0] not in short:
+            return 0
+        if key not in memo:
+            if key in active:
+                raise Cycle
+            active.add(key)
+            memo[key] = sum(split(rhs, w) for rhs in bodies[key[0]])
+        return memo[key]
+
+    return count, short
+
+
+def test_kernel_against_independent_routes():
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(300):
+        g = random_grammar(rng)
+        d = rng.randint(0, 5)
+        words = full_language(g.terminals, d).words
+        count, short = parse_counter(g)
+        try:
+            for var, w in short.items():
+                count(g.n + var, w)
+            cyclic = False
+        except Cycle:
+            cyclic = True
+        if short.get(g.start) == b"":
+            seen.add("nullable start")
+        if any(len(rhs) == 1 and g.is_var(rhs[0]) for _, rhs in g.productions):
+            seen.add("unit rule")
+        try:
+            lang = set(enumerate_words(g, d).words)
+            assert lang == {w for w in words if cyk_member(g, w)}
+        except DivergenceError:
+            assert cyclic
+        if cyclic:
+            seen.add("divergent")
+            with pytest.raises(DivergenceError):
+                count_derivations(g, d)
+            with pytest.raises(DivergenceError):
+                certify_unambiguous(g, d)
+            continue
+        counts = count_derivations(g, d)
+        for var in range(g.variables.size):
+            want = [0] * (d + 1)
+            for w in words:
+                want[len(w)] += count(g.n + var, w)
+            assert counts[var] == want
+        ambiguous = [w for w in words if count(g.n + g.start, w) >= 2]
+        witness = min(ambiguous, key=WORD_KEY) if ambiguous else None
+        assert certify_unambiguous(g, d) == (witness is None, witness)
+        if ambiguous:
+            seen.add("ambiguous")
+    assert seen == {"nullable start", "unit rule", "ambiguous", "divergent"}

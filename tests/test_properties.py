@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from nchilbert.grammar import count_derivations, enumerate_words
 from nchilbert.ratfunc import QPoly, RationalFunction
 from nchilbert.regular import (
-    RegularLanguageHandle,
     ideal_automaton,
     myhill_nerode_grammar,
     right_quotient,
@@ -81,7 +80,7 @@ def test_quotient_composition_law(lang, v, w):
     basis = minimize_antichain(lang)
     if b"" in basis.words:
         return
-    handle = RegularLanguageHandle.from_antichain(basis)
+    handle = ideal_automaton(basis)
     lhs = right_quotient(handle, v + w)
     rhs = right_quotient(right_quotient(handle, v), w)
     for u in full_language(XY, 5).words:

@@ -36,7 +36,7 @@ def test_right_quotient_ystar_by_x_is_empty():
 
 
 def test_quotient_law_composition():
-    h = RegularLanguageHandle.from_antichain(
+    h = ideal_automaton(
         FiniteLanguage.from_texts(XY, ["x y", "y y x"])
     )
     for v in ("x", "y x", "x y"):
