@@ -113,7 +113,7 @@ def buchberger_lex(gens, ranking, cap=2000):
         pending.discard((i, j))
         steps += 1
         if steps > cap:
-            raise ResourceCapError("Buchberger pair cap exceeded")
+            raise ResourceCapError("Buchberger pair cap %d exceeded" % cap)
         ei, ej = lts[i][0], lts[j][0]
         if _coprime(ei, ej):
             continue

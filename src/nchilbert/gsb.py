@@ -2,7 +2,10 @@
 
 Relations must be homogeneous: then every overlap ambiguity is homogeneous of
 the length of its ambiguity word, so processing overlaps by increasing degree
-makes the truncated basis complete below the degree cap.
+makes the truncated basis complete below the degree cap. The basis is a
+mapping from leading word to monic element whose keys form an antichain
+(Bergman's diamond lemma, Mora's completion): reduction looks elements up by
+their leading word and never recomputes one.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import heapq
 from fractions import Fraction
 
 from .errors import InputError, MismatchError, ResourceCapError
-from .words import Alphabet, FiniteLanguage, WORD_KEY, contains_factor
+from .words import Alphabet, FiniteLanguage, WORD_KEY, is_antichain
 
 
 class MonomialOrder:
@@ -116,36 +119,30 @@ class NCPolynomial:
 
 
 def nc_reduce(f, basis, order):
-    """Two-sided normal form of f modulo the basis."""
-    lms = [(g.lm(order), g.lc(order), g) for g in basis if g]
+    """Two-sided normal form of f modulo basis, a mapping from leading word
+    to monic element: the top term is rewritten by the first leading word
+    that occurs in it until no term contains one."""
     done = {}
     work = dict(f.terms)
     while work:
         w = order.max_word(work)
         c = work.pop(w)
-        if not c:
-            continue
-        hit = None
-        for lm, lc, g in lms:
-            i = w.find(lm)
+        for lead, g in basis.items():
+            i = w.find(lead)
             if i >= 0:
-                hit = (lm, lc, g, i)
                 break
-        if hit is None:
-            done[w] = done.get(w, 0) + c
-            if not done[w]:
-                del done[w]
+        else:
+            done[w] = c  # every later top term is smaller, so w never returns
             continue
-        lm, lc, g, i = hit
-        piece = g.sandwich(w[:i], w[i + len(lm):]).scale(c / lc)
-        for v, cv in piece.terms.items():
-            if v == w:
-                continue
-            nv = work.get(v, 0) - cv
-            if nv:
-                work[v] = nv
-            else:
-                work.pop(v, None)
+        left, right = w[:i], w[i + len(lead):]
+        for v, cv in g.terms.items():
+            if v != lead:
+                u = left + v + right
+                nu = work.get(u, 0) - c * cv
+                if nu:
+                    work[u] = nu
+                else:
+                    work.pop(u, None)
     return NCPolynomial(f.alphabet, done)
 
 
@@ -158,97 +155,73 @@ def _overlaps(w, v):
     return out
 
 
-def _interreduce(basis, order):
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            g = basis[i]
-            if not g:
-                continue
-            rest = [h for j, h in enumerate(basis) if j != i and h]
-            r = nc_reduce(g, rest, order)
-            if r != g:
-                basis[i] = r.monic(order) if r else r
-                changed = True
-        basis[:] = [g for g in basis if g]
-    return basis
-
-
 def gs_complete(relations, order, D, cap=20000):
-    """Reduced truncated basis: all elements with leading monomial length <= D."""
+    """Reduced truncated basis: all elements with leading monomial length <= D.
+
+    The basis is kept reduced by leading word: a new element displaces every
+    element whose leading word it divides, and those are reduced and added
+    again (the inclusion compositions). Each overlap of a new leading word
+    with a live one is queued once, by degree; a removed leading word lies
+    in the leading ideal and never returns, so a pair is stale exactly when
+    one of its words is no longer a key. Input relations above D are kept
+    but form no pairs. The cap counts popped pairs.
+    """
     for f in relations:
         if not f.is_homogeneous():
             raise InputError("relations must be homogeneous")
-    basis = _interreduce([f.monic(order) for f in relations if f], order)
-
+    basis = {}  # leading word -> monic element
     queue = []
-    counter = 0
-    for i in range(len(basis)):
-        wi = basis[i].lm(order)
-        for j in range(i + 1):
-            wj = basis[j].lm(order)
-            for o in _overlaps(wi, wj):
-                deg = len(wi) + len(wj) - o
-                if deg <= D:
-                    counter += 1
-                    heapq.heappush(queue, (deg, counter, i, j, o))
-            if i != j:
-                for o in _overlaps(wj, wi):
-                    deg = len(wj) + len(wi) - o
-                    if deg <= D:
-                        counter += 1
-                        heapq.heappush(queue, (deg, counter, j, i, o))
 
+    def add(r):
+        # r is nonzero and in normal form modulo the basis
+        g = r.monic(order)
+        w = g.lm(order)
+        displaced = [basis.pop(v) for v in [v for v in basis if w in v]]
+        basis[w] = g
+        for v in basis:
+            for u, x in {(w, v), (v, w)}:
+                for o in _overlaps(u, x):
+                    deg = len(u) + len(x) - o
+                    if deg <= D:
+                        heapq.heappush(queue, (deg, u, x, o))
+        for h in displaced:
+            h = nc_reduce(h, basis, order)
+            if h:
+                add(h)
+
+    for f in relations:
+        r = nc_reduce(f, basis, order)
+        if r:
+            add(r)
     steps = 0
     while queue:
-        deg, _, i, j, o = heapq.heappop(queue)
+        _, u, v, o = heapq.heappop(queue)
         steps += 1
         if steps > cap:
-            raise ResourceCapError("completion pair cap exceeded")
-        gi, gj = basis[i], basis[j]
-        if not gi or not gj:
+            raise ResourceCapError("completion pair cap %d exceeded" % cap)
+        if u not in basis or v not in basis:
             continue
-        wi, wj = gi.lm(order), gj.lm(order)
-        if o >= min(len(wi), len(wj)) or wi[-o:] != wj[:o]:
-            continue  # stale pair after interreduction
-        # ambiguity word wi . wj[o:]; both compositions scaled monic
-        s = gi.sandwich(b"", wj[o:]) - gj.sandwich(wi[: len(wi) - o], b"")
-        r = nc_reduce(s, [g for g in basis if g], order)
+        # ambiguity word u . v[o:]; both compositions monic
+        s = basis[u].sandwich(b"", v[o:]) - basis[v].sandwich(u[:-o], b"")
+        r = nc_reduce(s, basis, order)
         if r:
             if r.degree() > D:
                 raise MismatchError("homogeneity broken: remainder above cap")
-            basis.append(r.monic(order))
-            _interreduce(basis, order)
-            # indices may have shifted meaning; rebuild the queue lazily by
-            # pushing pairs for every current element against the rest
-            queue.clear()
-            for k in range(len(basis)):
-                wk = basis[k].lm(order)
-                for l in range(k + 1):
-                    wl = basis[l].lm(order)
-                    for ov in _overlaps(wk, wl):
-                        dg = len(wk) + len(wl) - ov
-                        if dg >= deg and dg <= D:
-                            counter += 1
-                            heapq.heappush(queue, (dg, counter, k, l, ov))
-                    if k != l:
-                        for ov in _overlaps(wl, wk):
-                            dg = len(wl) + len(wk) - ov
-                            if dg >= deg and dg <= D:
-                                counter += 1
-                                heapq.heappush(queue, (dg, counter, l, k, ov))
-    return _interreduce(basis, order)
+            add(r)
+    # leading words form an antichain, so one tail pass leaves the reduced
+    # basis; re-inserting each key keeps the dict order
+    for w, g in list(basis.items()):
+        del basis[w]
+        basis[w] = nc_reduce(g, basis, order)
+    return list(basis.values())
 
 
 def leading_language(basis, order):
-    words = frozenset(g.lm(order) for g in basis if g)
-    for w in words:
-        for v in words:
-            if v != w and contains_factor(w, v):
-                raise MismatchError("leading monomials are not an antichain")
     alphabet = basis[0].alphabet if basis else Alphabet([])
-    return FiniteLanguage(alphabet, words)
+    lang = FiniteLanguage(alphabet, frozenset(g.lm(order) for g in basis if g))
+    if not is_antichain(lang):
+        raise MismatchError("leading monomials are not an antichain")
+    return lang
 
 
 def compare_leading(predicted, computed, D):

@@ -150,7 +150,7 @@ def determinize(nfa, cap=DEFAULT_STATE_CAP):
             nxt = nfa.closure(nxt)
             if nxt not in index:
                 if len(index) >= cap:
-                    raise ResourceCapError("determinization exceeded state cap")
+                    raise ResourceCapError("determinization state cap %d exceeded" % cap)
                 index[nxt] = len(index)
                 queue.append(nxt)
             row.append(index[nxt])
@@ -331,7 +331,7 @@ def myhill_nerode_grammar(handle, cap=DEFAULT_STATE_CAP):
     """
     dfa = handle.dfa
     if dfa.n_states > cap:
-        raise ResourceCapError("quotient automaton exceeds state cap")
+        raise ResourceCapError("quotient automaton state cap %d exceeded" % cap)
     n_sym = dfa.alphabet.size
     index = {dfa.initial: 0}
     order = [dfa.initial]

@@ -179,6 +179,12 @@ class TruncatedLanguage:
         return min((len(w) for w in self.words), default=self.d + 1)
 
 
+def _proper_factors(word):
+    """Every factor of word but word itself; eps is one of every nonempty word."""
+    n = len(word)
+    return {word[i:j] for i in range(n) for j in range(i, n + 1)} - {word}
+
+
 def minimize_antichain(lang):
     """Drop every word containing another (distinct) word of the set as a factor.
 
@@ -187,18 +193,13 @@ def minimize_antichain(lang):
     """
     kept = set()
     for w in lang.sorted_words():  # shorter words first: they can only survive
-        if not any(contains_factor(w, v) for v in kept):
+        if kept.isdisjoint(_proper_factors(w)):
             kept.add(w)
     return FiniteLanguage(lang.alphabet, frozenset(kept))
 
 
 def is_antichain(lang):
-    words = list(lang.words)
-    for i, w in enumerate(words):
-        for v in words:
-            if v is not w and contains_factor(w, v):
-                return False
-    return True
+    return all(lang.words.isdisjoint(_proper_factors(w)) for w in lang.words)
 
 
 def is_normal(word, basis):

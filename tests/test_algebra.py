@@ -8,11 +8,13 @@ from nchilbert.csys import build_system, gamma_algebraic, gamma_linear, gamma_ra
 from nchilbert.errors import (
     EliminationError,
     InputError,
+    ResourceCapError,
     RootMismatchError,
     SingularSystemError,
 )
 from nchilbert.examples import (
     DYCK,
+    FP_PRESENTATION,
     IFTHENELSE,
     LUKAS1_CHAINS,
     LUKAS1_SERIES,
@@ -22,6 +24,7 @@ from nchilbert.examples import (
     xystar_handle,
 )
 from nchilbert.grammar import count_derivations, parse_grammar
+from nchilbert.gsb import gs_complete, parse_presentation
 from nchilbert.groebner import (
     assert_groebner,
     buchberger_lex,
@@ -32,7 +35,8 @@ from nchilbert.homology import HomologySpec, hilbert_from_homology
 from nchilbert.multipoly import MultiPolynomial, RatPoly, gaussian_solve
 from nchilbert.newton import newton_series, reciprocal_poly
 from nchilbert.ratfunc import RF_ONE, RF_ZERO, RationalFunction
-from nchilbert.regular import myhill_nerode_grammar
+from nchilbert.regular import NFA, determinize, myhill_nerode_grammar
+from nchilbert.words import Alphabet
 
 
 def test_gaussian_solve_palindrome():
@@ -99,6 +103,44 @@ def test_buchberger_postconditions():
         ranking = ranking_keep_lowest(names, keep)
         basis = buchberger_lex(gens, ranking)
         assert_groebner(basis, gens, ranking)
+
+
+def _fp_completion(cap):
+    _, order, relations = parse_presentation(FP_PRESENTATION)
+    gs_complete(relations, order, 6, cap)
+
+
+def _ifthenelse_buchberger(cap):
+    gens = ifthenelse_equations()
+    buchberger_lex(gens, ranking_keep_lowest(gens[0].variables, "S"), cap)
+
+
+def _x_determinize(cap):
+    nfa = NFA(Alphabet(["x", "y"]))  # three subsets: {a}, {b}, {}
+    a, b = nfa.new_state(), nfa.new_state()
+    nfa.add(a, 0, b)
+    nfa.initial, nfa.accepting = {a}, {b}
+    determinize(nfa, cap)
+
+
+CAPPED = {  # run with a cap -> message with that cap
+    "gs_complete": (_fp_completion, 5, "completion pair cap 5 exceeded"),
+    "buchberger_lex": (_ifthenelse_buchberger, 1, "Buchberger pair cap 1 exceeded"),
+    "determinize": (_x_determinize, 2, "determinization state cap 2 exceeded"),
+    "myhill_nerode_grammar": (
+        lambda cap: myhill_nerode_grammar(xystar_handle(), cap),
+        2,
+        "quotient automaton state cap 2 exceeded",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CAPPED))
+def test_cap_message_names_cap_and_value(case):
+    run, cap, message = CAPPED[case]
+    with pytest.raises(ResourceCapError) as info:
+        run(cap)
+    assert str(info.value) == message
 
 
 def xy_poly(terms):

@@ -1,6 +1,8 @@
 """Truncated Groebner-Shirshov completion in the free algebra."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from nchilbert.grammar import parse_grammar
 from nchilbert.gsb import (
     MonomialOrder,
     NCPolynomial,
+    _overlaps,
     compare_leading,
     gs_complete,
     leading_language,
@@ -17,7 +20,10 @@ from nchilbert.gsb import (
     parse_presentation,
 )
 from nchilbert.homology import PatternFamily, RelationSet
-from nchilbert.words import FiniteLanguage
+from nchilbert.words import Alphabet, FiniteLanguage
+
+# fp's leading language at D = 8, 10 and 12, recorded by the benchmark
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 
 def poly(alphabet, *signed_texts):
@@ -31,6 +37,14 @@ def fp_setup():
     return parse_presentation(FP_PRESENTATION)
 
 
+def fp_predicted(alphabet):
+    finite = FiniteLanguage(
+        alphabet, frozenset(alphabet.word(s) for s in FP_FINITE)
+    )
+    family = PatternFamily((("grammar", parse_grammar(FP_FAMILY)),))
+    return RelationSet(alphabet, finite, (family,))
+
+
 def test_order_key():
     alphabet, order, _ = fp_setup()
     # grad first, then priority: a' beats y at equal length
@@ -40,7 +54,7 @@ def test_order_key():
 
 def test_nc_reduce_commuting_relation():
     alphabet, order, _ = fp_setup()
-    basis = [poly(alphabet, (1, "a' x"), (-1, "x a'"))]
+    basis = {alphabet.word("a' x"): poly(alphabet, (1, "a' x"), (-1, "x a'"))}
     out = nc_reduce(poly(alphabet, (1, "a' x")), basis, order)
     assert out == poly(alphabet, (1, "x a'"))
     irred = poly(alphabet, (1, "x a'"))
@@ -49,10 +63,10 @@ def test_nc_reduce_commuting_relation():
 
 def test_nc_reduce_two_steps():
     alphabet, order, _ = fp_setup()
-    basis = [
-        poly(alphabet, (1, "b' x"), (-1, "x e")),
-        poly(alphabet, (1, "x y e")),
-    ]
+    basis = {
+        alphabet.word("b' x"): poly(alphabet, (1, "b' x"), (-1, "x e")),
+        alphabet.word("x y e"): poly(alphabet, (1, "x y e")),
+    }
     out = nc_reduce(poly(alphabet, (1, "b' x y")), basis, order)
     assert out == poly(alphabet, (1, "x e y"))
 
@@ -98,12 +112,20 @@ def test_fp_prediction_confirmed_degree_5():
     alphabet, order, rels = fp_setup()
     basis = gs_complete(rels, order, 5)
     computed = leading_language(basis, order)
-    finite = FiniteLanguage(
-        alphabet, frozenset(alphabet.word(s) for s in FP_FINITE)
-    )
-    family = PatternFamily((("grammar", parse_grammar(FP_FAMILY)),))
-    predicted = RelationSet(alphabet, finite, (family,))
-    assert compare_leading(predicted, computed, 5).ok
+    assert compare_leading(fp_predicted(alphabet), computed, 5).ok
+
+
+@pytest.mark.parametrize("D", [8, 10, 12])
+def test_fp_leading_language_matches_record(D):
+    with open(REFERENCE) as fh:
+        record = json.load(fh)["records"]["fp_leading_language"][str(D)]
+    alphabet, order, rels = fp_setup()
+    basis = gs_complete(rels, order, D)
+    computed = leading_language(basis, order)
+    assert len(basis) == record["basis_size"]
+    assert computed.texts() == record["leading"]
+    ok = compare_leading(fp_predicted(alphabet), computed, D).ok
+    assert ok == record["predicted_ok"]
 
 
 def test_completion_order_independent():
@@ -119,8 +141,7 @@ def test_completion_order_independent():
 def test_spoly_remainders_vanish():
     alphabet, order, rels = fp_setup()
     basis = gs_complete(rels, order, 5)
-    from nchilbert.gsb import _overlaps
-
+    reduced = {g.lm(order): g for g in basis}
     for i, gi in enumerate(basis):
         for gj in basis[: i + 1]:
             wi, wj = gi.lm(order), gj.lm(order)
@@ -128,4 +149,48 @@ def test_spoly_remainders_vanish():
                 if len(wi) + len(wj) - o > 5:
                     continue
                 s = gi.sandwich(b"", wj[o:]) - gj.sandwich(wi[: len(wi) - o], b"")
-                assert not nc_reduce(s, basis, order)
+                assert not nc_reduce(s, reduced, order)
+
+
+def random_presentation(rng):
+    """2-3 letters; 1-4 homogeneous relations of degree 2-4, 1-3 terms each."""
+    n = rng.randint(2, 3)
+    alphabet = Alphabet(list("xyz"[:n]))
+    relations = []
+    for _ in range(rng.randint(1, 4)):
+        degree = rng.randint(2, 4)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            w = bytes(rng.randrange(n) for _ in range(degree))
+            terms[w] = terms.get(w, 0) + rng.choice((-2, -1, 1, 3))
+        relations.append(NCPolynomial(alphabet, terms))
+    return MonomialOrder(alphabet), relations, rng.randint(3, 6)
+
+
+def test_completion_properties_on_random_presentations():
+    rng = random.Random(11)
+    lost_leads = 0
+    for _ in range(250):
+        order, relations, D = random_presentation(rng)
+        basis = gs_complete(relations, order, D)
+        reduced = {g.lm(order): g for g in basis}
+        assert len(reduced) == len(basis)
+        for f in relations:
+            assert not nc_reduce(f, reduced, order)
+        for w, g in reduced.items():
+            assert g.terms[w] == 1
+            others = set(reduced) - {w}
+            for t in g.terms:
+                assert not any(v in t for v in others)
+            for v, h in reduced.items():
+                for o in _overlaps(w, v):
+                    if len(w) + len(v) - o <= D:
+                        s = g.sandwich(b"", v[o:]) - h.sandwich(w[:-o], b"")
+                        assert not nc_reduce(s, reduced, order)
+        shuffled = list(relations)
+        rng.shuffle(shuffled)
+        again = gs_complete(shuffled, order, D)
+        assert {g.text() for g in again} == {g.text() for g in basis}
+        lost_leads += any(f and f.lm(order) not in reduced for f in relations)
+    # some inputs' leading words leave the basis: pop-and-re-reduce runs
+    assert lost_leads
