@@ -54,7 +54,6 @@ from .csys import (
     build_system,
     gamma_algebraic,
     gamma_linear,
-    gamma_rational,
     residual_series,
     solution_series,
 )

@@ -275,14 +275,7 @@ def cmd_oracle(args):
 
 def _uchain2_report(rep, r, rp, g, nm, args):
     """Closed-form series for relations R * L(g) * R' with finite R, R'."""
-    res = hilbert_uchain2(
-        RegularLanguageHandle.from_finite(r),
-        RegularLanguageHandle.from_finite(rp),
-        g,
-        nm,
-        args.max_deg,
-        cert_deg=args.cert_deg,
-    )
+    res = hilbert_uchain2(r, rp, g, nm, args.max_deg, cert_deg=args.cert_deg)
     rep.add("gamma-R", repr(res.gamma_R))
     rep.add("gamma-Rp", repr(res.gamma_Rp))
     rep.add("gamma-Q", repr(res.gamma_Q))

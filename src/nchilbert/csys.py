@@ -53,14 +53,6 @@ def build_system(g):
     return AlgebraicSystem(tuple(names), tuple(equations), g)
 
 
-def gamma_rational(g):
-    """Counting series of a right-linear grammar as a rational function."""
-    report = validate(g)
-    if not report.is_right_linear:
-        raise InputError("gamma_rational requires a right-linear grammar")
-    return gamma_linear(g)
-
-
 def gamma_linear(g):
     """Rational counting series of any grammar whose system is linear in the
     unknowns (right-linear and general linear grammars alike)."""

@@ -323,9 +323,7 @@ S -> eps | a S b S
 def example_dyck_sandwich(d=10):
     report = ExampleReport("dyck-sandwich")
     x_alpha = Alphabet(["x"])
-    r = RegularLanguageHandle.from_finite(
-        FiniteLanguage(x_alpha, frozenset([bytes([0])]))
-    )
+    r = FiniteLanguage(x_alpha, frozenset([bytes([0])]))
     lg = parse_grammar(DYCK)
     result = hilbert_uchain2(r, r, lg, 3, d)
     t = RationalFunction.t_power(1)

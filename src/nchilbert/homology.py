@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .csys import production_image
+from .csys import build_system, gamma_algebraic
 from .errors import InputError, MismatchError
 from .grammar import (
     CFGrammar,
@@ -33,17 +33,8 @@ from .grammar import (
 from .groebner import eliminate_univariate
 from .multipoly import MultiPolynomial
 from .newton import reciprocal_poly, root_series
-from .ratfunc import QPoly, RationalFunction, RF_ONE, TruncatedSeries
-from .regular import (
-    RegularLanguageHandle,
-    concat_dfa,
-    difference,
-    ideal_automaton,
-    intersect,
-    minimize,
-    myhill_nerode_grammar,
-    universal_dfa,
-)
+from .ratfunc import QPoly, RationalFunction, TruncatedSeries
+from .regular import ideal_automaton
 from .words import (
     EMPTY,
     FiniteLanguage,
@@ -306,7 +297,7 @@ def _descriptor_series(kind, payload, d):
     raise InputError("unknown chain descriptor %r" % (kind,))
 
 
-def _descriptor_poly(kind, payload, d):
+def _descriptor_poly(kind, payload):
     """Chain contribution as a polynomial in t when no grammar is involved."""
     if kind == "rational":
         return payload
@@ -372,17 +363,11 @@ def assemble_system(spec):
     for i, (kind, payload) in enumerate(spec.descriptors, start=1):
         e_name = "E%d" % i
         if kind == "grammar":
-            g = payload
-            rename = {}
-            for j, sym in enumerate(g.variables.symbols):
-                rename[sym] = e_name if j == g.start else sym
-            by_var = g.by_variable()
-            for j, sym in enumerate(g.variables.symbols):
-                name = rename[sym]
-                eq = MultiPolynomial.var(names, name)
-                for rhs in by_var[j]:
-                    img = production_image(g, rhs, g.variables.symbols)
-                    eq = eq - img.rename(rename, names)
+            rename = {payload.variables.symbols[payload.start]: e_name}
+            system = build_system(payload)
+            for sym, eq in zip(system.unknowns, system.equations):
+                name = rename.get(sym, sym)
+                eq = eq.rename(rename, names)
                 if name in aux_sources:
                     if aux_sources[name] != eq:
                         raise InputError(
@@ -393,7 +378,7 @@ def assemble_system(spec):
                     aux_sources[name] = eq
                 equations.append(eq)
         else:
-            value = _descriptor_poly(kind, payload, None)
+            value = _descriptor_poly(kind, payload)
             equations.append(MultiPolynomial.var(names, e_name) - value)
     return names, equations
 
@@ -445,34 +430,74 @@ class Uchain2Result:
     closed_form: str = ""
 
 
-def _gamma_regular(handle):
-    from .csys import gamma_rational
-
-    return gamma_rational(myhill_nerode_grammar(handle))
-
-
 def overlap_language(R, Rp):
-    """Q = (R X* cap X* R') minus R X* R': minimal overlaps of R with R'."""
-    if R.dfa.alphabet != Rp.dfa.alphabet:
+    """Q = (R X* cap X* R') minus R X* R' for finite word sets R and R'.
+
+    A word of Q has a prefix u in R and a suffix v in R', and no such pair
+    sits side by side, so u and v overlap: the word is u v[o:] with
+    1 <= o <= min(|u|, |v|) and v[:o] a suffix of u.  Q is the set of those
+    words whose shortest prefix in R ends after its longest suffix in R'
+    starts; it is finite, its words shorter than max|u| + max|v|.
+    """
+    if R.alphabet != Rp.alphabet:
         raise InputError("overlap languages need a common alphabet")
-    univ = universal_dfa(R.dfa.alphabet)
-    rx = concat_dfa(R.dfa, univ)
-    xr = concat_dfa(univ, Rp.dfa)
-    rxr = concat_dfa(R.dfa, concat_dfa(univ, Rp.dfa))
-    q = difference(intersect(rx, xr), rxr)
-    return RegularLanguageHandle(minimize(q))
+
+    def side_by_side(w):
+        end = min(i for i in range(len(w) + 1) if w[:i] in R.words)
+        start = max(j for j in range(len(w) + 1) if w[j:] in Rp.words)
+        return end <= start
+
+    joins = {
+        u + v[o:]
+        for u in R.words
+        for v in Rp.words
+        for o in range(1, min(len(u), len(v)) + 1)
+        if u.endswith(v[:o])
+    }
+    return FiniteLanguage(
+        R.alphabet, frozenset(w for w in joins if not side_by_side(w))
+    )
+
+
+def _sandwich_oracle(R, Rp, Lg, d):
+    """Normal-word counts, lengths 0..d, of the algebra on R's alphabet plus
+    Lg's terminals with the relation words u w v, u in R, w in L(Lg), v in R'."""
+    joint = R.alphabet.union(Lg.terminals)  # InputError on a shared symbol
+    words = set()
+    if R.words and Rp.words:
+        bound = d - R.min_length() - Rp.min_length()
+        if bound >= 0:
+            lift = bytes.maketrans(
+                bytes(range(Lg.terminals.size)),
+                bytes(range(R.alphabet.size, joint.size)),
+            )
+            words = {
+                u + w.translate(lift) + v
+                for w in enumerate_words(Lg, bound).words
+                for u in R.words
+                for v in Rp.words
+                if len(u) + len(w) + len(v) <= d
+            }
+    rels = RelationSet(joint, FiniteLanguage(joint, frozenset(words)))
+    return hilbert_oracle(rels, d)
 
 
 def hilbert_uchain2(R, Rp, Lg, nm, d, cert_deg=12):
-    """HS of the algebra with relations R * L(Lg) * R', by the closed form
-    1 / (1 - nm*t + gR*gRp*gL / (1 + gQ*gL))."""
-    from .csys import gamma_algebraic
+    """HS of the algebra with relations R * L(Lg) * R', R and R' finite word
+    sets, by the closed form 1 / (1 - nm*t + gR*gRp*gL / (1 + gQ*gL)).
 
-    if not R.dfa.alphabet == Rp.dfa.alphabet:
+    gR, gRp and gQ (Q = overlap_language(R, R')) are polynomials counting
+    word lengths; gL is Lg's certified counting series.  The closed form
+    holds only for some R, R' and L(Lg), so the series is compared to degree
+    d with the normal-word count of the relations over R's alphabet plus
+    Lg's terminals, and a disagreement raises MismatchError.
+    """
+    if R.alphabet != Rp.alphabet:
         raise InputError("R and R' must share an alphabet")
-    g_r = _gamma_regular(R)
-    g_rp = _gamma_regular(Rp)
-    g_q = _gamma_regular(overlap_language(R, Rp))
+    oracle = _sandwich_oracle(R, Rp, Lg, d)
+    g_r = _descriptor_poly("finite", R)
+    g_rp = _descriptor_poly("finite", Rp)
+    g_q = _descriptor_poly("finite", overlap_language(R, Rp))
     gamma_l = gamma_algebraic(Lg, d, cert_deg=cert_deg)
     gl = gamma_l.series
     one = TruncatedSeries.one(d)
@@ -482,6 +507,10 @@ def hilbert_uchain2(R, Rp, Lg, nm, d, cert_deg=12):
         + (g_r.series(d) * g_rp.series(d) * gl) / (one + g_q.series(d) * gl)
     )
     series = inv.inverse()
+    if series != oracle:
+        raise MismatchError(
+            "sandwich series disagrees with the normal-word count to degree %d" % d
+        )
     closed = "HS^-1 = 1 - %d*t + (%r)*(%r)*gL / (1 + (%r)*gL)" % (
         nm, g_r, g_rp, g_q
     )
@@ -526,6 +555,8 @@ def parse_rational(text):
         raise InputError("bad rational function %r" % text)
     num = parse_qpoly(m.group("num"))
     den = parse_qpoly(m.group("den")) if m.group("den") else QPoly.const(1)
+    if not den:
+        raise InputError("zero denominator in rational function %r" % text)
     return RationalFunction(num, den)
 
 

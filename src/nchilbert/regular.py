@@ -1,5 +1,11 @@
-"""Regular-language engine: quotient automata of monomial ideals, right
-quotients, the Myhill-Nerode grammar construction and closure operations."""
+"""Regular-language engine: quotient automata of monomial ideals, automata
+of right-linear grammars, right quotients and the Myhill-Nerode grammar
+construction.
+
+No closure operations (concatenation, products) are needed: the sandwich
+relations R * L(G) * R' take finite R and R', which homology treats as
+word sets.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, ResourceCapError
 from .grammar import CFGrammar, validate
-from .words import Alphabet, FiniteLanguage, is_antichain
+from .words import Alphabet, is_antichain
 
 DEFAULT_STATE_CAP = 10**5
 
@@ -49,10 +55,6 @@ class DFA:
 
     def accepts(self, word):
         return self.run(word) in self.accepting
-
-
-def universal_dfa(alphabet):
-    return DFA(alphabet, ((tuple(0 for _ in alphabet.symbols),)), frozenset([0]), 0)
 
 
 def _reachable(dfa):
@@ -99,13 +101,12 @@ def minimize(dfa):
 
 
 class NFA:
-    """Nondeterministic automaton with epsilon moves (construction helper)."""
+    """Nondeterministic automaton without epsilon moves (construction helper)."""
 
     def __init__(self, alphabet):
         self.alphabet = alphabet
         self.n = 0
         self.moves = {}  # (state, sym) -> set
-        self.eps = {}  # state -> set
         self.initial = set()
         self.accepting = set()
 
@@ -116,24 +117,10 @@ class NFA:
     def add(self, s, sym, t):
         self.moves.setdefault((s, sym), set()).add(t)
 
-    def add_eps(self, s, t):
-        self.eps.setdefault(s, set()).add(t)
-
-    def closure(self, states):
-        out = set(states)
-        stack = list(states)
-        while stack:
-            s = stack.pop()
-            for t in self.eps.get(s, ()):
-                if t not in out:
-                    out.add(t)
-                    stack.append(t)
-        return frozenset(out)
-
 
 def determinize(nfa, cap=DEFAULT_STATE_CAP):
     n_sym = nfa.alphabet.size
-    start = nfa.closure(nfa.initial)
+    start = frozenset(nfa.initial)
     index = {start: 0}
     queue = [start]
     rows = []
@@ -144,10 +131,7 @@ def determinize(nfa, cap=DEFAULT_STATE_CAP):
             accepting.add(index[cur])
         row = []
         for i in range(n_sym):
-            nxt = set()
-            for s in cur:
-                nxt |= nfa.moves.get((s, i), set())
-            nxt = nfa.closure(nxt)
+            nxt = frozenset(t for s in cur for t in nfa.moves.get((s, i), ()))
             if nxt not in index:
                 if len(index) >= cap:
                     raise ResourceCapError("determinization state cap %d exceeded" % cap)
@@ -158,87 +142,11 @@ def determinize(nfa, cap=DEFAULT_STATE_CAP):
     return DFA(nfa.alphabet, tuple(rows), frozenset(accepting), 0)
 
 
-def intersect(d1, d2):
-    return _product(d1, d2, lambda a, b: a and b)
-
-
-def difference(d1, d2):
-    return _product(d1, d2, lambda a, b: a and not b)
-
-
-def _product(d1, d2, keep):
-    if d1.alphabet != d2.alphabet:
-        raise InputError("product of automata over different alphabets")
-    n_sym = d1.alphabet.size
-    index = {(d1.initial, d2.initial): 0}
-    queue = [(d1.initial, d2.initial)]
-    rows = []
-    accepting = set()
-    while queue:
-        s1, s2 = pair = queue.pop(0)
-        if keep(s1 in d1.accepting, s2 in d2.accepting):
-            accepting.add(index[pair])
-        row = []
-        for i in range(n_sym):
-            nxt = (d1.transitions[s1][i], d2.transitions[s2][i])
-            if nxt not in index:
-                index[nxt] = len(index)
-                queue.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
-    return minimize(DFA(d1.alphabet, tuple(rows), frozenset(accepting), 0))
-
-
-def concat_dfa(d1, d2):
-    """Automaton for the concatenation of two regular languages."""
-    nfa = NFA(d1.alphabet)
-    off2 = d1.n_states
-    for _ in range(d1.n_states + d2.n_states):
-        nfa.new_state()
-    for s, row in enumerate(d1.transitions):
-        for i, t in enumerate(row):
-            nfa.add(s, i, t)
-    for s, row in enumerate(d2.transitions):
-        for i, t in enumerate(row):
-            nfa.add(off2 + s, i, off2 + t)
-    for s in d1.accepting:
-        nfa.add_eps(s, off2 + d2.initial)
-    nfa.initial = {d1.initial}
-    nfa.accepting = {off2 + s for s in d2.accepting}
-    return minimize(determinize(nfa))
-
-
-def finite_dfa(lang):
-    """Trie automaton accepting exactly the given finite set of words."""
-    alphabet = lang.alphabet
-    n_sym = alphabet.size
-    prefixes = {b""}
-    for w in lang.words:
-        for k in range(len(w) + 1):
-            prefixes.add(w[:k])
-    order = sorted(prefixes, key=lambda w: (len(w), w))
-    index = {w: i for i, w in enumerate(order)}
-    dead = len(order)
-    rows = []
-    for w in order:
-        rows.append(
-            tuple(
-                index.get(w + bytes([i]), dead) for i in range(n_sym)
-            )
-        )
-    rows.append(tuple(dead for _ in range(n_sym)))
-    accepting = frozenset(index[w] for w in lang.words)
-    return minimize(DFA(alphabet, tuple(rows), accepting, index[b""]))
-
-
 class RegularLanguageHandle:
     """A regular language, normalized internally to its minimal total DFA."""
 
-    def __init__(self, dfa, states=None):
+    def __init__(self, dfa):
         self.dfa = minimize(dfa)
-        if states is not None and len(states) != self.dfa.n_states:
-            states = None  # labels no longer line up after merging
-        self.states = states  # optional QuotientState labels (ideal form)
 
     @property
     def alphabet(self):
@@ -246,10 +154,6 @@ class RegularLanguageHandle:
 
     def accepts(self, word):
         return self.dfa.accepts(word)
-
-    @classmethod
-    def from_finite(cls, lang):
-        return cls(finite_dfa(lang))
 
     @classmethod
     def from_right_linear(cls, g):
@@ -312,7 +216,7 @@ def ideal_automaton(basis):
         frozenset(index[s] for s in order if s.absorbed),
         0,
     )
-    return RegularLanguageHandle(dfa, states=tuple(order))
+    return RegularLanguageHandle(dfa)
 
 
 def right_quotient(handle, word):

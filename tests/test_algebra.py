@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from nchilbert.csys import build_system, gamma_algebraic, gamma_linear, gamma_rational
+from nchilbert.csys import build_system, gamma_algebraic, gamma_linear
 from nchilbert.errors import (
     EliminationError,
-    InputError,
     ResourceCapError,
     RootMismatchError,
     SingularSystemError,
@@ -18,7 +17,6 @@ from nchilbert.examples import (
     IFTHENELSE,
     LUKAS1_CHAINS,
     LUKAS1_SERIES,
-    palindrome_grammar,
     qp,
     ratpoly,
     xystar_handle,
@@ -59,13 +57,8 @@ def test_gaussian_solve_singular():
 
 def test_gamma_rational_xystar():
     g = myhill_nerode_grammar(xystar_handle())
-    gamma = gamma_rational(g)
+    gamma = gamma_linear(g)
     assert list(gamma.series(5).coeffs) == [1, 2, 3, 4, 5, 6]
-
-
-def test_gamma_rational_rejects_palindromes():
-    with pytest.raises(InputError):
-        gamma_rational(palindrome_grammar("xy"))
 
 
 def test_gamma_linear_trivial():

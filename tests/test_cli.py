@@ -230,12 +230,36 @@ def test_uchain2_report(tmp_path, capsys, command):
     assert out.splitlines() == want
 
 
+def test_uchain2_wrong_closed_form_exits_1(tmp_path, capsys):
+    # relations x w {x x, x y}: 242 normal words of degree 4, the closed form says 240
+    r = write(tmp_path, "r.lang", "x\n")
+    rp = write(tmp_path, "rp.lang", "x x\nx y\n")
+    gf = write(tmp_path, "dyck.gf", DYCK)
+    argv = ["uchain2", "--r", r, "--rp", rp, "--grammar", gf, "--alphabet", "x y"]
+    code, out, err = run(capsys, argv + ["--max-deg", "9"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("mathematical failure: sandwich series disagrees")
+
+
+def test_uchain2_alphabet_overlapping_grammar_exits_2(tmp_path, capsys):
+    r = write(tmp_path, "r.lang", "a\n")
+    gf = write(tmp_path, "dyck.gf", DYCK)
+    argv = ["uchain2", "--r", r, "--rp", r, "--grammar", gf, "--alphabet", "a"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "input error: alphabets overlap on ['a']\n"
+
+
 # cases whose error is raised while the named file is parsed
 PARSE_TIME = {
     "chain-without-index",
     "gldim-not-a-number",
     "uchain2-without-Rp",
     "gsb-zero-denominator",
+    "rational-zero-denominator",
+    "rational-zero-polynomial-denominator",
     "govorov-eps-basis",
     "govorov-one-letter-basis",
     "chains-eps-basis",
@@ -250,6 +274,10 @@ MALFORMED = {
         "spec.hs", "n: x\ngldim: infinite-uchain2 R=r.lang L=g.gf\n", ["hilbert"],
     ),
     "gsb-zero-denominator": ("p.txt", "alphabet: x y\n1/0 x x\n", ["gsb"]),
+    "rational-zero-denominator": ("spec.hs", "n: 1\nchain 1: rational 1/0\n", ["hilbert"]),
+    "rational-zero-polynomial-denominator": (
+        "spec.hs", "n: 1\nchain 1: rational t/0*t\n", ["hilbert"],
+    ),
     "govorov-eps-basis": ("l1.lang", "eps\n", GOVOROV_1),
     "govorov-one-letter-basis": ("l1.lang", "x\n", GOVOROV_1),
     "chains-eps-basis": ("l1.lang", "eps\nx y\n", CHAINS),

@@ -24,7 +24,6 @@ from nchilbert.homology import (
 from nchilbert.examples import TRIPLE_L1
 from nchilbert.grammar import enumerate_words, parse_grammar
 from nchilbert.ratfunc import QPoly, RationalFunction
-from nchilbert.regular import RegularLanguageHandle
 from nchilbert.words import (
     Alphabet,
     FiniteLanguage,
@@ -187,12 +186,52 @@ def test_pattern_family_words():
 
 def test_overlap_language_single_letter():
     x = Alphabet(["x"])
-    r = RegularLanguageHandle.from_finite(FiniteLanguage.from_texts(x, ["x"]))
+    r = FiniteLanguage.from_texts(x, ["x"])
     q = overlap_language(r, r)
     # (xX* cap X*x) \ xX*x = {x}
-    assert q.accepts(bytes([0]))
-    assert not q.accepts(bytes([0, 0]))
-    assert not q.accepts(b"")
+    assert bytes([0]) in q
+    assert bytes([0, 0]) not in q
+    assert b"" not in q
+
+
+def _overlap_brute(R, Rp, length):
+    """(R X* cap X* R') minus R X* R', word by word up to the given length."""
+    out = set()
+    for n in range(length + 1):
+        for w in R.alphabet.all_words(n):
+            ends = [i for i in range(len(w) + 1) if w[:i] in R]
+            starts = [j for j in range(len(w) + 1) if w[j:] in Rp]
+            # in R X* and X* R', and no prefix in R and suffix in R' side by side
+            if ends and starts and not any(i <= j for i in ends for j in starts):
+                out.add(w)
+    return out
+
+
+def test_overlap_language_matches_definition():
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(300):
+        alphabet = Alphabet(["x", "y", "z"][: rng.randint(1, 3)])
+
+        def draw(lo):
+            return FiniteLanguage(alphabet, frozenset(
+                bytes(rng.randrange(alphabet.size) for _ in range(rng.randint(0, 3)))
+                for _ in range(rng.randint(lo, 3))
+            ))
+
+        R, Rp = draw(0), draw(1)
+        bound = max(map(len, R.words), default=0) + max(map(len, Rp.words)) + 1
+        q = overlap_language(R, Rp)
+        assert q.alphabet == alphabet
+        assert set(q.words) == _overlap_brute(R, Rp, bound)
+        seen.add("Q nonempty" if q.words else "Q empty")
+        if not R.words:
+            seen.add("R empty")
+        if b"" in R.words | Rp.words:
+            seen.add("eps")
+        if not (is_antichain(R) and is_antichain(Rp)):
+            seen.add("not an antichain")
+    assert seen == {"Q nonempty", "Q empty", "R empty", "eps", "not an antichain"}
 
 
 def test_parse_qpoly():
