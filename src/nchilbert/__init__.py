@@ -14,7 +14,6 @@ from .errors import (
     NchilbertError,
     ResourceCapError,
     RootMismatchError,
-    SingularSystemError,
 )
 from .words import (
     Alphabet,

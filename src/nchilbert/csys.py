@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from .errors import InputError
 from .grammar import count_derivations, certify_unambiguous, validate
 from .groebner import eliminate_univariate
-from .multipoly import MultiPolynomial, gaussian_solve
+from .multipoly import MultiPolynomial
 from .newton import root_series
-from .ratfunc import QPoly, RationalFunction, RF_ONE, RF_ZERO, TruncatedSeries
+from .ratfunc import QPoly, RationalFunction, RF_ONE, TruncatedSeries
 
 DEFAULT_CERT_DEG = 12
 
@@ -54,25 +54,22 @@ def build_system(g):
 
 
 def gamma_linear(g):
-    """Rational counting series of any grammar whose system is linear in the
-    unknowns (right-linear and general linear grammars alike)."""
+    """Rational counting series of a grammar whose system is linear in the
+    unknowns (right-linear and general linear grammars alike).
+
+    The start unknown is eliminated as in gamma_algebraic, so the result
+    passes assert_groebner and the run is bounded by Buchberger's pair cap
+    (2000).  A linear system leaves a monic S - c, and its root c is the
+    series; any other degree raises InputError.
+    """
     system = build_system(g)
-    names = system.unknowns
-    m = len(names)
-    matrix = [[RF_ZERO] * m for _ in range(m)]
-    rhs = [RF_ZERO] * m
-    for i, eq in enumerate(system.equations):
-        for exps, c in eq.terms.items():
-            total = sum(exps)
-            if total == 0:
-                rhs[i] = rhs[i] - c
-            elif total == 1:
-                j = next(k for k, e in enumerate(exps) if e)
-                matrix[i][j] = matrix[i][j] + c
-            else:
-                raise InputError("nonlinear term in a right-linear system")
-    sol = gaussian_solve(matrix, rhs)
-    return sol[g.start]
+    poly = eliminate_univariate(list(system.equations), system.unknowns[g.start])
+    if poly.degree != 1:
+        raise InputError(
+            "start unknown's polynomial has degree %d; a linear grammar gives 1"
+            % poly.degree
+        )
+    return -poly[0]
 
 
 @dataclass(frozen=True)

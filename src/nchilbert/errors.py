@@ -21,10 +21,6 @@ class ResourceCapError(NchilbertError):
     """A configured resource cap (states, words, terms) was exceeded."""
 
 
-class SingularSystemError(NchilbertError):
-    """Linear system over the rational function field is singular."""
-
-
 class EliminationError(NchilbertError):
     """No univariate member found in the elimination ideal."""
 

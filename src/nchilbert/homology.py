@@ -57,12 +57,6 @@ class ChainElement:
     word: bytes
     split: int
 
-    def prefix(self):
-        return self.word[: self.split]
-
-    def tail(self):
-        return self.word[self.split:]
-
 
 def _next_chains(current, basis_words):
     """One step of the overlap recursion: prechain tails, then prefix-minimal
@@ -286,19 +280,12 @@ def _descriptor_series(kind, payload, d):
         return TruncatedSeries.from_counts(
             count_derivations(payload, d)[payload.start], d
         )
-    if kind == "rational":
-        return payload.series(d)
-    if kind == "finite":
-        counts = [0] * (d + 1)
-        for w in payload.words:
-            if len(w) <= d:
-                counts[len(w)] += 1
-        return TruncatedSeries.from_counts(counts, d)
-    raise InputError("unknown chain descriptor %r" % (kind,))
+    return _descriptor_poly(kind, payload).series(d)
 
 
 def _descriptor_poly(kind, payload):
-    """Chain contribution as a polynomial in t when no grammar is involved."""
+    """Chain contribution as a rational function of t when no grammar is
+    involved."""
     if kind == "rational":
         return payload
     if kind == "finite":
@@ -309,7 +296,7 @@ def _descriptor_poly(kind, payload):
         return RationalFunction(
             QPoly(tuple(Fraction(coeffs.get(i, 0)) for i in range(deg + 1)))
         )
-    return None
+    raise InputError("unknown chain descriptor %r" % (kind,))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,10 @@
-"""Multivariate polynomials over Q(t), univariate polynomials over Q(t), and
-Gaussian elimination over the rational function field."""
+"""Multivariate and univariate polynomials over Q(t)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InputError, SingularSystemError
+from .errors import InputError
 from .ratfunc import QPoly, RationalFunction, RF_ONE, RF_ZERO, format_qpoly
 
 
@@ -90,24 +89,12 @@ class MultiPolynomial:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QPoly, RationalFunction)):
-            if not isinstance(other, RationalFunction):
-                other = RationalFunction(other)
-            return MultiPolynomial(
-                self.variables, {e: c * other for e, c in self.terms.items()}
-            )
-        self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, RF_ZERO) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return MultiPolynomial(self.variables, terms)
+    def __mul__(self, c):
+        """Scale every coefficient by a constant of Q(t)."""
+        c = _as_rational(c)
+        return MultiPolynomial(
+            self.variables, {e: a * c for e, a in self.terms.items()}
+        )
 
     __rmul__ = __mul__
 
@@ -284,23 +271,3 @@ class RatPoly(QPoly):
                 vp = self.var if k == 1 else "%s^%d" % (self.var, k)
                 parts.append(vp if cs == "1" else "%s*%s" % (cs, vp))
         return " + ".join(parts)
-
-
-def gaussian_solve(matrix, rhs):
-    """Solve M x = b exactly over Q(t); raises on singular systems."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise InputError("gaussian_solve needs a square system")
-    m = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise SingularSystemError("singular system over Q(t)")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col].inverse()
-        m[col] = [c * inv for c in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]

@@ -331,7 +331,6 @@ def _coerce(x):
 
 RF_ZERO = RationalFunction.const(0)
 RF_ONE = RationalFunction.const(1)
-RF_T = RationalFunction.t_power(1)
 
 
 class TruncatedSeries:

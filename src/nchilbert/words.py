@@ -150,9 +150,6 @@ class TruncatedLanguage:
     def __iter__(self):
         return iter(self.sorted_words())
 
-    def finite(self):
-        return FiniteLanguage(self.alphabet, self.words)
-
     def by_length(self):
         buckets = {}
         for w in self.words:
@@ -207,28 +204,25 @@ def is_normal(word, basis):
     return not any(contains_factor(word, v) for v in basis.words)
 
 
-def full_language(alphabet, d, min_length=0):
-    """All words of length min_length..d, as a truncated language."""
+def full_language(alphabet, d):
+    """All words of length <= d, as a truncated language."""
     words = set()
-    for k in range(min_length, d + 1):
+    for k in range(d + 1):
         words.update(alphabet.all_words(k))
     return TruncatedLanguage(alphabet, d, frozenset(words))
 
 
-def trunc_product(a, b, d, min_a=None, min_b=None):
+def trunc_product(a, b, d):
     """Bounded concatenation {uv : u in a, v in b, |uv| <= d}, exact to d.
 
     Exactness demands that no word of the true product of length <= d needs a
     factor longer than the operand's window: we require a.d >= d - min_b and
-    b.d >= d - min_a, where min_a/min_b are minimum word lengths of the true
-    factor languages (derived from the windows when not supplied).
+    b.d >= d - min_a, where min_a/min_b bound the minimum word lengths of the
+    true factor languages (min_length_bound of each window).
     """
     if a.alphabet != b.alphabet:
         raise InputError("product of languages over different alphabets")
-    if min_a is None:
-        min_a = a.min_length_bound()
-    if min_b is None:
-        min_b = b.min_length_bound()
+    min_a, min_b = a.min_length_bound(), b.min_length_bound()
     if a.d < d - min_b or b.d < d - min_a:
         raise BoundError(
             "product to degree %d needs factor windows of at least %d and %d "

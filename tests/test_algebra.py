@@ -1,5 +1,6 @@
-"""Multivariate layer: Gaussian solving, Buchberger, elimination, Newton."""
+"""Multivariate layer: linear and algebraic elimination, Buchberger, Newton."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from nchilbert.csys import build_system, gamma_algebraic, gamma_linear
 from nchilbert.errors import (
     EliminationError,
+    InputError,
+    NchilbertError,
     ResourceCapError,
     RootMismatchError,
-    SingularSystemError,
 )
 from nchilbert.examples import (
     DYCK,
@@ -30,29 +32,11 @@ from nchilbert.groebner import (
     ranking_keep_lowest,
 )
 from nchilbert.homology import HomologySpec, hilbert_from_homology
-from nchilbert.multipoly import MultiPolynomial, RatPoly, gaussian_solve
+from nchilbert.multipoly import MultiPolynomial, RatPoly
 from nchilbert.newton import newton_series, reciprocal_poly
-from nchilbert.ratfunc import RF_ONE, RF_ZERO, RationalFunction
-from nchilbert.regular import NFA, determinize, myhill_nerode_grammar
-from nchilbert.words import Alphabet
-
-
-def test_gaussian_solve_palindrome():
-    # S = 1 + 2t + 2t^2 S
-    t = RationalFunction.t_power(1)
-    matrix = [[RF_ONE - 2 * t * t]]
-    rhs = [RF_ONE + 2 * t]
-    sol = gaussian_solve(matrix, rhs)
-    assert sol[0] == RationalFunction(qp(1, 2), qp(1, 0, -2))
-
-
-def test_gaussian_solve_identity():
-    assert gaussian_solve([[RF_ONE]], [RF_ONE]) == [RF_ONE]
-
-
-def test_gaussian_solve_singular():
-    with pytest.raises(SingularSystemError):
-        gaussian_solve([[RF_ZERO]], [RF_ONE])
+from nchilbert.ratfunc import RF_ONE, RationalFunction
+from nchilbert.regular import NFA, determinize, ideal_automaton, myhill_nerode_grammar
+from nchilbert.words import Alphabet, FiniteLanguage, minimize_antichain
 
 
 def test_gamma_rational_xystar():
@@ -64,6 +48,42 @@ def test_gamma_rational_xystar():
 def test_gamma_linear_trivial():
     g = parse_grammar("terminals: a\nvariables: A\nstart: A\nA -> eps")
     assert gamma_linear(g) == RF_ONE
+
+
+def _random_antichain(rng):
+    n = rng.choice((2, 3))
+    alphabet = Alphabet(list("xyz"[:n]))
+    words = {
+        bytes(rng.randrange(n) for _ in range(rng.randint(2, 4)))
+        for _ in range(rng.randint(1, 4))
+    }
+    return minimize_antichain(FiniteLanguage(alphabet, frozenset(words)))
+
+
+def test_gamma_linear_matches_derivation_counts():
+    # Myhill-Nerode grammars of ideal automata have linear systems
+    rng = random.Random(20261018)
+    done = 0
+    while done < 30:
+        basis = _random_antichain(rng)
+        if not basis.words:
+            continue
+        done += 1
+        g = myhill_nerode_grammar(ideal_automaton(basis))
+        gamma = gamma_linear(g)
+        assert list(gamma.series(10).coeffs) == count_derivations(g, 10)[g.start]
+
+
+def test_gamma_linear_rejects_nonlinear_grammar():
+    with pytest.raises(InputError, match="degree 2"):
+        gamma_linear(parse_grammar(DYCK))
+
+
+def test_gamma_linear_singular_system():
+    # S - S = 0 leaves no relation for S
+    g = parse_grammar("terminals: a\nvariables: S\nstart: S\nS -> S")
+    with pytest.raises(NchilbertError):
+        gamma_linear(g)
 
 
 def ifthenelse_equations():
@@ -199,6 +219,15 @@ def test_newton_linear():
     q = ratpoly("H", [[-1, -1], [1]])  # H - (1 + t)
     out = newton_series(q, [1], 5)
     assert list(out.coeffs) == [1, 1, 0, 0, 0, 0]
+
+
+def test_newton_squarefree_fallback():
+    # ((1 - t) H - 1)^2: a double root at 1/(1 - t), where q' vanishes too
+    q = ratpoly("H", [[1], [-2, 2], [1, -2, 1]])
+    for seed in ([1] * 9, [1]):
+        assert list(newton_series(q, seed, 8).coeffs) == [1] * 9
+    with pytest.raises(RootMismatchError):
+        newton_series(q, [1, 1, 2], 8)
 
 
 def test_newton_dyck_catalan():

@@ -3,13 +3,21 @@
 import os
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
-from nchilbert import csys, homology
+from nchilbert import cli, csys, gsb, homology
 from nchilbert.cli import main
 from nchilbert.errors import NchilbertError
-from nchilbert.examples import DYCK, IFTHENELSE, LUKAS1_CHAINS
+from nchilbert.examples import (
+    DYCK,
+    FP_FAMILY,
+    FP_FINITE,
+    FP_PRESENTATION,
+    IFTHENELSE,
+    LUKAS1_CHAINS,
+)
 from nchilbert.grammar import parse_grammar
 from nchilbert.ratfunc import TruncatedSeries
 
@@ -142,6 +150,48 @@ def test_gsb_wrong_prediction_exits_1(tmp_path, capsys):
     assert "extra: x x" in out
 
 
+def test_hilbert_rational_chain_and_gldim(tmp_path, capsys):
+    spec = write(tmp_path, "spec.hs", "n: 2\nchain 1: rational t^2\ngldim: 2\n")
+    code, out, _ = run(capsys, ["hilbert", spec, "--max-deg", "8"])
+    assert code == 0
+    assert "series: 1,2,3,4,5,6,7,8,9" in out.splitlines()
+    assert "gldim: 2" in out.splitlines()
+
+
+def _fp_files(tmp_path):
+    pres = write(tmp_path, "fp.txt", FP_PRESENTATION)
+    fin = write(tmp_path, "fp.lang", "\n".join(FP_FINITE) + "\n")
+    fam = write(tmp_path, "fp.gf", FP_FAMILY)
+    return pres, fin, fam
+
+
+def test_gsb_grammar_prediction_confirmed(tmp_path, capsys):
+    pres, fin, fam = _fp_files(tmp_path)
+    argv = ["gsb", pres, "--max-deg", "6", "--finite", fin, "--predict", fam]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "prediction: confirmed to degree 6" in out.splitlines()
+
+
+def test_gsb_prediction_over_other_terminals_exits_2(tmp_path, capsys):
+    pres, fin, _ = _fp_files(tmp_path)
+    gf = write(tmp_path, "dyck.gf", DYCK)
+    argv = ["gsb", pres, "--max-deg", "6", "--finite", fin, "--predict", gf]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+
+
+def test_resource_cap_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gs_complete", partial(gsb.gs_complete, cap=1))
+    pres, _, _ = _fp_files(tmp_path)
+    code, out, err = run(capsys, ["gsb", pres, "--max-deg", "6"])
+    assert code == 3
+    assert out == ""
+    assert err == "resource cap: completion pair cap 1 exceeded\n"
+
+
 def test_verify_example(capsys):
     code, out, _ = run(capsys, ["verify-example", "xystar"])
     assert code == 0
@@ -154,6 +204,27 @@ def _lukas1_spec(tmp_path):
         write(tmp_path, "c%d.gf" % i, text)
         lines.append("chain %d: grammar c%d.gf" % (i, i))
     return write(tmp_path, "spec.hs", "\n".join(lines) + "\n")
+
+
+def test_hilbert_verifies_grammar_chains(tmp_path, capsys):
+    argv = ["hilbert", _lukas1_spec(tmp_path), "--max-deg", "4", "--verify-chains", "6"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "chain-2-verify: ok to degree 6" in out.splitlines()
+    assert "chain-3-verify: ok to degree 6" in out.splitlines()
+
+
+def test_hilbert_chain_mismatch_keeps_report(tmp_path, capsys):
+    # chain 2 given chain 1's grammar: the set formulas disagree with it
+    write(tmp_path, "c1.gf", LUKAS1_CHAINS[0])
+    write(tmp_path, "c3.gf", LUKAS1_CHAINS[2])
+    spec = write(
+        tmp_path, "spec.hs",
+        "n: 6\nchain 1: grammar c1.gf\nchain 2: grammar c1.gf\nchain 3: grammar c3.gf\n",
+    )
+    code, out, _ = run(capsys, ["hilbert", spec, "--verify-chains", "6"])
+    assert code == 1
+    assert "chain-2-verify: MISMATCH" in out.splitlines()
 
 
 def test_hilbert_below_derivative_valuation(tmp_path, capsys):
