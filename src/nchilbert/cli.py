@@ -1,7 +1,8 @@
 """Command-line front end for the nchilbert pipelines.
 
 Exit codes: 0 success, 1 mathematical failure (a mismatch or a failed
-verification), 2 input error, 3 resource cap.  Every numeric output line
+verification), 2 input error, 3 resource cap, 4 internal error (a bug: any
+other exception, reported in one line).  Every numeric output line
 carries its validity bound, and certification status is always printed.
 """
 
@@ -447,6 +448,9 @@ def main(argv=None):
     except NchilbertError as exc:
         print("mathematical failure: %s" % exc, file=sys.stderr)
         return 1
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

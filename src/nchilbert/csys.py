@@ -59,8 +59,9 @@ def gamma_linear(g):
 
     The start unknown is eliminated as in gamma_algebraic, so the result
     passes assert_groebner and the run is bounded by Buchberger's pair cap
-    (2000).  A linear system leaves a monic S - c, and its root c is the
-    series; any other degree raises InputError.
+    (2000 S-pairs reduced; the pairs its criteria skip are not counted).  A
+    linear system leaves a monic S - c, and its root c is the series; any
+    other degree raises InputError.
     """
     system = build_system(g)
     poly = eliminate_univariate(list(system.equations), system.unknowns[g.start])

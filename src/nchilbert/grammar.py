@@ -435,6 +435,10 @@ def parse_grammar(text):
         var = variables.index(lhs)
         for alt in rhs.split("|"):
             toks = alt.split()
+            if not toks:
+                raise InputError(
+                    "empty alternative for %s; write eps for the empty word" % lhs
+                )
             if toks == ["eps"]:
                 productions.append((var, ()))
             else:

@@ -1,6 +1,9 @@
 """Buchberger's algorithm over Q(t) for the lexicographic order, plus
 univariate elimination from the reduced lex basis.
 
+Lex order is plain tuple order on exponent vectors, the first variable
+highest: the leading monomial of p is `max(p.terms)`.
+
 The postcondition `assert_groebner` proves the same statement as reducing
 every S-pair: a pair whose leading monomials are coprime reduces to zero by
 Buchberger's first criterion (Gebauer & Moeller 1988), so only the other
@@ -14,25 +17,7 @@ import heapq
 
 from .errors import EliminationError, ResourceCapError
 from .multipoly import MultiPolynomial
-
-
-def lex_key(ranking):
-    """Monomial comparison key for lex with the given low-to-high ranking.
-
-    ranking[i] is the position of variable i in the order (0 = lowest).
-    The returned function maps an exponent vector to a key that compares
-    like the monomials themselves: bigger key = bigger monomial.
-    """
-    order = sorted(range(len(ranking)), key=lambda i: -ranking[i])
-    return lambda exps: tuple(exps[i] for i in order)
-
-
-def leading_term(p, key):
-    """(exponent vector, coefficient) of the lex-largest term; None for 0."""
-    if not p.terms:
-        return None
-    e = max(p.terms, key=key)
-    return e, p.terms[e]
+from .ratfunc import RF_ZERO
 
 
 def _divides(e1, e2):
@@ -47,61 +32,63 @@ def _coprime(e1, e2):
     return all(a == 0 or b == 0 for a, b in zip(e1, e2))
 
 
-def _monomial_mul(p, exps, coeff):
-    return MultiPolynomial(
-        p.variables,
-        {tuple(a + b for a, b in zip(e, exps)): c * coeff for e, c in p.terms.items()},
-    )
+def _sub_multiple(work, g, lead, shift, q):
+    """work -= q * x^shift * (g minus its leading term), in place."""
+    for v, cv in g.terms.items():
+        if v != lead:
+            u = tuple(a + b for a, b in zip(v, shift))
+            nu = work.get(u, RF_ZERO) - q * cv
+            if nu:
+                work[u] = nu
+            else:
+                work.pop(u, None)
 
 
-def reduce_poly(p, basis, key):
-    """Full multivariate division remainder of p modulo the basis."""
-    rem = MultiPolynomial.zero(p.variables)
-    work = p
-    lts = [(g, leading_term(g, key)) for g in basis if g]
+def reduce_poly(p, basis):
+    """Full multivariate division remainder of p modulo the basis, worked in
+    place on one dict of terms like `gsb.nc_reduce`."""
+    leads = [(max(g.terms), g) for g in basis if g]
+    done = {}
+    work = dict(p.terms)
     while work:
-        e, c = leading_term(work, key)
-        hit = None
-        for g, (ge, gc) in lts:
+        e = max(work)
+        c = work.pop(e)
+        for ge, g in leads:
             if _divides(ge, e):
-                hit = (g, ge, gc)
+                shift = tuple(a - b for a, b in zip(e, ge))
+                _sub_multiple(work, g, ge, shift, c / g.terms[ge])
                 break
-        if hit is None:
-            mono = MultiPolynomial.monomial(work.variables, e, c)
-            rem = rem + mono
-            work = work - mono
         else:
-            g, ge, gc = hit
-            factor = tuple(a - b for a, b in zip(e, ge))
-            work = work - _monomial_mul(g, factor, c / gc)
-    return rem
+            done[e] = c  # every later top term is smaller, so e never returns
+    return MultiPolynomial(p.variables, done)
 
 
-def s_polynomial(f, f_lt, g, g_lt):
-    """S-polynomial of f and g, given their leading terms."""
-    (fe, fc), (ge, gc) = f_lt, g_lt
+def s_polynomial(f, g):
+    """f and g made monic and shifted to the lcm of their leading monomials,
+    subtracted; the leading terms cancel and are never formed."""
+    fe, ge = max(f.terms), max(g.terms)
     lcm = _lcm(fe, ge)
-    mf = tuple(a - b for a, b in zip(lcm, fe))
-    mg = tuple(a - b for a, b in zip(lcm, ge))
-    return _monomial_mul(f, mf, fc.inverse()) - _monomial_mul(g, mg, gc.inverse())
+    work = {}
+    for h, he, q in ((f, fe, -f.terms[fe].inverse()), (g, ge, g.terms[ge].inverse())):
+        _sub_multiple(work, h, he, tuple(a - b for a, b in zip(lcm, he)), q)
+    return MultiPolynomial(f.variables, work)
 
 
-def buchberger_lex(gens, ranking, cap=2000):
-    """Reduced lex Groebner basis; ranking maps variable index to rank
-    (0 = lowest, eliminated last)."""
-    key = lex_key(ranking)
+def buchberger_lex(gens, cap=2000):
+    """Reduced lex Groebner basis, sorted by leading monomial.  The cap
+    counts the S-pairs that are reduced, not those the criteria skip."""
     basis = [g for g in gens if g]
     if not basis:
         return []
-    lts = [leading_term(g, key) for g in basis]
+    lts = [max(g.terms) for g in basis]
     # normal selection: smallest lcm of leading monomials first, ties in
     # pair order; `pending` is the same pairs as a set, for the chain test
     heap = []
     pending = set()
 
     def add_pair(i, j):
-        lcm = _lcm(lts[i][0], lts[j][0])
-        heapq.heappush(heap, (sum(lcm), key(lcm), i, j))
+        lcm = _lcm(lts[i], lts[j])
+        heapq.heappush(heap, (sum(lcm), lcm, i, j))
         pending.add((i, j))
 
     for i in range(len(basis)):
@@ -109,96 +96,75 @@ def buchberger_lex(gens, ranking, cap=2000):
             add_pair(i, j)
     steps = 0
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, lcm, i, j = heapq.heappop(heap)
         pending.discard((i, j))
-        steps += 1
-        if steps > cap:
-            raise ResourceCapError("Buchberger pair cap %d exceeded" % cap)
-        ei, ej = lts[i][0], lts[j][0]
-        if _coprime(ei, ej):
+        if _coprime(lts[i], lts[j]):
             continue
-        lcm = _lcm(ei, ej)
         # chain criterion: some k with lt(k) | lcm and both mixed pairs done
         if any(
-            k != i and k != j and _divides(lts[k][0], lcm)
+            k != i and k != j and _divides(lts[k], lcm)
             and (max(i, k), min(i, k)) not in pending
             and (max(j, k), min(j, k)) not in pending
             for k in range(len(basis))
         ):
             continue
-        r = reduce_poly(s_polynomial(basis[i], lts[i], basis[j], lts[j]), basis, key)
+        steps += 1
+        if steps > cap:
+            raise ResourceCapError("Buchberger pair cap %d exceeded" % cap)
+        r = reduce_poly(s_polynomial(basis[i], basis[j]), basis)
         if r:
             basis.append(r)
-            lts.append(leading_term(r, key))
+            lts.append(max(r.terms))
             for k in range(len(basis) - 1):
                 add_pair(len(basis) - 1, k)
-    return _reduce_basis(basis, [e for e, _ in lts], key)
-
-
-def _reduce_basis(basis, lead, key):
     # minimal: drop elements whose leading monomial is divisible by another's
-    keep = []
-    for i, g in enumerate(basis):
+    keep = [
+        g for i, g in enumerate(basis)
         if not any(
-            j != i and _divides(lead[j], lead[i])
-            and (not _divides(lead[i], lead[j]) or j < i)
+            j != i and _divides(lts[j], lts[i])
+            and (not _divides(lts[i], lts[j]) or j < i)
             for j in range(len(basis))
-        ):
-            keep.append(g)
+        )
+    ]
     # fully reduce each against the others; normalize leading coefficient to 1
     out = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        r = reduce_poly(g, others, key) if others else g
+        r = reduce_poly(g, others) if others else g
         if r:
-            _, c = leading_term(r, key)
-            out.append(r * c.inverse())
-    out.sort(key=lambda p: key(leading_term(p, key)[0]))
-    return out
+            out.append(r * r.terms[max(r.terms)].inverse())
+    return sorted(out, key=lambda p: max(p.terms))
 
 
-def assert_groebner(basis, gens, ranking):
+def assert_groebner(basis, gens):
     """Postconditions: every input reduces to zero modulo the basis, and every
     S-pair does too.  Pairs with coprime leading monomials are not reduced:
     Buchberger's first criterion proves they reduce to zero."""
-    key = lex_key(ranking)
     for g in gens:
-        if reduce_poly(g, basis, key):
+        if reduce_poly(g, basis):
             raise EliminationError("input does not reduce to zero modulo the basis")
-    lts = [leading_term(g, key) for g in basis]
+    lts = [max(g.terms) for g in basis]
     for i in range(len(basis)):
         for j in range(i):
-            if _coprime(lts[i][0], lts[j][0]):
+            if _coprime(lts[i], lts[j]):
                 continue
-            s = s_polynomial(basis[i], lts[i], basis[j], lts[j])
-            if reduce_poly(s, basis, key):
+            if reduce_poly(s_polynomial(basis[i], basis[j]), basis):
                 raise EliminationError("S-polynomial fails to reduce to zero")
 
 
-def ranking_keep_lowest(variables, keep):
-    """Keep-variable ranked lowest; the rest keep declaration order above it."""
-    order = [keep] + [v for v in variables if v != keep]
-    pos = {v: i for i, v in enumerate(order)}
-    return [pos[v] for v in variables]
-
-
 def eliminate_univariate(gens, keep):
-    """Lowest-degree univariate relation in `keep` from the reduced lex basis,
-    checked by `assert_groebner` before it is read off."""
+    """Monic generator of the elimination ideal in `keep`: the unknowns are
+    renamed to the others in reverse declaration order, then `keep` lowest, so
+    the checked reduced basis has it first, if it has one."""
     if not gens:
         raise EliminationError("empty generating set")
     variables = gens[0].variables
     if keep not in variables:
         raise EliminationError("unknown variable %r" % (keep,))
-    ranking = ranking_keep_lowest(variables, keep)
-    basis = buchberger_lex(gens, ranking)
-    assert_groebner(basis, gens, ranking)
-    idx = variables.index(keep)
-    found = []
-    for g in basis:
-        if all(all(k == 0 for j, k in enumerate(e) if j != idx) for e in g.terms):
-            found.append(g.restrict_univariate(keep))
-    if not found:
+    order = tuple(v for v in reversed(variables) if v != keep) + (keep,)
+    gens = [g.rename({}, order) for g in gens]
+    basis = buchberger_lex(gens)
+    assert_groebner(basis, gens)
+    if not basis or any(max(basis[0].terms)[:-1]):
         raise EliminationError("elimination ideal contains no univariate relation")
-    best = min(found, key=lambda p: p.degree)
-    return best.monic()
+    return basis[0].restrict_univariate(keep)

@@ -392,6 +392,11 @@ def hilbert_from_homology(spec, d, cert_deg=12, check_oracle=None):
         return e_series.inverse()
 
     series = root_series(poly_h, h_series, d)
+    for k, c in enumerate(series.coeffs):
+        if c.denominator != 1 or not (0 <= c <= spec.n ** k) or (k == 0 and c != 1):
+            raise MismatchError(
+                "series coefficient %d is %s, not a Hilbert series value" % (k, c)
+            )
     if check_oracle is not None:
         bound = min(d, check_oracle.d)
         if not series.prefix_equals(check_oracle, bound):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 
 from .errors import InputError
 from .ratfunc import QPoly, RationalFunction, RF_ONE, RF_ZERO, format_qpoly
@@ -24,10 +26,6 @@ class MultiPolynomial:
             if c:
                 clean[tuple(exps)] = c
         self.terms = clean
-
-    @classmethod
-    def zero(cls, variables):
-        return cls(variables)
 
     @classmethod
     def const(cls, variables, c):
@@ -203,35 +201,17 @@ class RatPoly(QPoly):
         polynomials with no common polynomial factor, lex-leading one positive."""
         if not self:
             return self
-        den = QPoly.const(1)
-        for c in self.coeffs:
-            den = den * (c.den // c.den.gcd(den))
+        den = reduce(lambda a, b: a * (b // a.gcd(b)), (c.den for c in self.coeffs))
         polys = [(c * RationalFunction(den)).num for c in self.coeffs]
-        g = QPoly()
-        for p in polys:
-            g = g.gcd(p) if g else p
-        if g and g.degree >= 0 and g != QPoly.const(1):
-            polys = [p // g for p in polys]
-        # scalar content
-        from math import gcd as int_gcd
-
-        denom = 1
-        for p in polys:
-            for c in p.coeffs:
-                denom = denom * c.denominator // int_gcd(denom, c.denominator)
-        content = 0
-        for p in polys:
-            for c in p.coeffs:
-                content = int_gcd(content, abs(int(c * denom)))
-        if content == 0:
-            content = 1
-        lead = polys[-1]
-        if lead.coeffs[-1] < 0:
-            content = -content
-        factor = Fraction(denom, content)
-        return RatPoly(
-            self.var, [RationalFunction(p * factor) for p in polys]
+        g = reduce(QPoly.gcd, polys)
+        polys = [p // g for p in polys]
+        fracs = [c for p in polys for c in p.coeffs]
+        scale = Fraction(
+            lcm(*(c.denominator for c in fracs)), gcd(*(c.numerator for c in fracs))
         )
+        if polys[-1].coeffs[-1] < 0:
+            scale = -scale
+        return RatPoly(self.var, [RationalFunction(p * scale) for p in polys])
 
     def proportional_to(self, other):
         """Equal up to a nonzero scalar in Q(t)."""

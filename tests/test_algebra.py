@@ -29,7 +29,6 @@ from nchilbert.groebner import (
     assert_groebner,
     buchberger_lex,
     eliminate_univariate,
-    ranking_keep_lowest,
 )
 from nchilbert.homology import HomologySpec, hilbert_from_homology
 from nchilbert.multipoly import MultiPolynomial, RatPoly
@@ -109,13 +108,27 @@ def test_eliminate_trivial_binding():
     assert out.proportional_to(RatPoly("A", [-f, RF_ONE]))
 
 
+def keep_lowest(gens, keep):
+    """gens renamed into eliminate_univariate's lex order: keep lowest."""
+    order = tuple(v for v in reversed(gens[0].variables) if v != keep) + (keep,)
+    return [g.rename({}, order) for g in gens]
+
+
 def test_buchberger_postconditions():
-    gens = ifthenelse_equations()
-    names = gens[0].variables
-    for keep in names:
-        ranking = ranking_keep_lowest(names, keep)
-        basis = buchberger_lex(gens, ranking)
-        assert_groebner(basis, gens, ranking)
+    for keep in ifthenelse_equations()[0].variables:
+        gens = keep_lowest(ifthenelse_equations(), keep)
+        assert_groebner(buchberger_lex(gens), gens)
+
+
+def test_buchberger_cap_counts_reduced_pairs():
+    # ideal of {x^12}: 13 unknowns, 78 initial pairs, 11 of them reduced
+    basis = FiniteLanguage(Alphabet(["x", "y"]), frozenset({bytes(12)}))
+    g = myhill_nerode_grammar(ideal_automaton(basis))
+    gens = list(build_system(g).equations)
+    assert len(gens) == 13
+    assert_groebner(buchberger_lex(gens, 11), gens)
+    with pytest.raises(ResourceCapError, match="pair cap 10 exceeded"):
+        buchberger_lex(gens, 10)
 
 
 def _fp_completion(cap):
@@ -124,8 +137,7 @@ def _fp_completion(cap):
 
 
 def _ifthenelse_buchberger(cap):
-    gens = ifthenelse_equations()
-    buchberger_lex(gens, ranking_keep_lowest(gens[0].variables, "S"), cap)
+    buchberger_lex(keep_lowest(ifthenelse_equations(), "S"), cap)
 
 
 def _x_determinize(cap):
@@ -156,11 +168,10 @@ def test_cap_message_names_cap_and_value(case):
     assert str(info.value) == message
 
 
-def xy_poly(terms):
+def xy_poly(terms):  # lex with x > y
     return MultiPolynomial(("x", "y"), terms)
 
 
-X_OVER_Y = [1, 0]  # lex with x > y
 X_1, Y_2 = xy_poly({(1, 0): 1, (0, 0): -1}), xy_poly({(0, 1): 1, (0, 0): -2})
 # lt = xy and x^2 share x; S = x(xy - 1) - y(x^2 - y) = y^2 - x is irreducible
 SHARED = [xy_poly({(1, 1): 1, (0, 0): -1}), xy_poly({(2, 0): 1, (0, 1): -1})]
@@ -177,10 +188,10 @@ GROEBNER_CASES = {  # (basis, inputs, expected failure)
 def test_assert_groebner_postcondition(case):
     basis, gens, failure = GROEBNER_CASES[case]
     if failure is None:
-        assert_groebner(basis, gens, X_OVER_Y)
+        assert_groebner(basis, gens)
     else:
         with pytest.raises(EliminationError, match=failure):
-            assert_groebner(basis, gens, X_OVER_Y)
+            assert_groebner(basis, gens)
 
 
 @pytest.mark.parametrize("d", [0, 1, 2])

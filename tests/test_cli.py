@@ -1,11 +1,15 @@
 """Command-line entry point: exit codes and output contract."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nchilbert import cli, csys, gsb, homology
 from nchilbert.cli import main
@@ -158,6 +162,19 @@ def test_hilbert_rational_chain_and_gldim(tmp_path, capsys):
     assert "gldim: 2" in out.splitlines()
 
 
+def test_hilbert_rejects_non_hilbert_series(tmp_path, capsys):
+    # E = 1 - t + 1 gives H = 1/(2 - t) = 1/2 + t/4 + ...
+    write(tmp_path, "c1.lang", "eps\n")
+    spec = write(tmp_path, "spec.hs", "n: x\nchain 1: finite c1.lang\n")
+    code, out, err = run(capsys, ["hilbert", spec, "--max-deg", "4"])
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "mathematical failure: series coefficient 0 is 1/2, "
+        "not a Hilbert series value\n"
+    )
+
+
 def _fp_files(tmp_path):
     pres = write(tmp_path, "fp.txt", FP_PRESENTATION)
     fin = write(tmp_path, "fp.lang", "\n".join(FP_FINITE) + "\n")
@@ -190,6 +207,18 @@ def test_resource_cap_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "resource cap: completion pair cap 1 exceeded\n"
+
+
+def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "gs_complete", broken)
+    pres, _, _ = _fp_files(tmp_path)
+    code, out, err = run(capsys, ["gsb", pres, "--max-deg", "6"])
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_verify_example(capsys):
@@ -335,6 +364,8 @@ PARSE_TIME = {
     "govorov-one-letter-basis",
     "chains-eps-basis",
     "chains-one-letter-basis",
+    "gamma-empty-alternative",
+    "gamma-empty-right-hand-side",
 }
 GOVOROV_1 = ["govorov-chains", "--alphabet", "x y", "--index", "1"]
 CHAINS = ["chains", "--alphabet", "x y"]
@@ -353,6 +384,12 @@ MALFORMED = {
     "govorov-one-letter-basis": ("l1.lang", "x\n", GOVOROV_1),
     "chains-eps-basis": ("l1.lang", "eps\nx y\n", CHAINS),
     "chains-one-letter-basis": ("l1.lang", "x\n", CHAINS),
+    "gamma-empty-alternative": (
+        "g.gf", "terminals: x\nvariables: S\nstart: S\nS -> x S S |\n", ["gamma"],
+    ),
+    "gamma-empty-right-hand-side": (
+        "g.gf", "terminals: x\nvariables: S\nstart: S\nS -> x\nS ->\n", ["gamma"],
+    ),
     "gamma-unknown-keep": ("g.gf", DYCK, ["gamma", "--keep", "Z"]),
     "gamma-unproductive-start": (
         "g.gf", "terminals: a\nvariables: S\nstart: S\nS -> S\n", ["gamma"],
@@ -380,6 +417,48 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in err
     if case in PARSE_TIME:
         assert path in err
+
+
+FUZZ_BASES = {  # file name, text, command; dyck.gf and c1.lang sit beside it
+    "grammar": ("g.gf", IFTHENELSE, "gamma"),
+    "presentation": ("p.txt", FP_PRESENTATION, "gsb"),
+    "relations": ("rels.txt", "alphabet: x a b\nx x a\nfamily: x @dyck.gf x\n", "oracle"),
+    "spec": ("spec.hs", "n: x y\nchain 1: finite c1.lang\nchain 2: rational t^3\n", "hilbert"),
+    "grammar-spec": ("spec.hs", "n: 2\nchain 1: grammar dyck.gf\n", "hilbert"),
+}
+FUZZ_TOKENS = [
+    " ", "\n", "|", "->", "eps", "x", "y", "a", "S", "A", "#", ":", "0", "-",
+    "1/0", "t", "@", "^", "*", "/", "2", "'", "(", "chain 3:", "family:",
+]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(sorted(FUZZ_BASES)),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(("delete", "insert", "replace")),
+            st.integers(0, 400),
+            st.sampled_from(FUZZ_TOKENS),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_mutated_inputs_never_exit_4(tmp_path_factory, kind, edits):
+    name, text, command = FUZZ_BASES[kind]
+    for op, pos, tok in edits:
+        pos %= len(text) + 1
+        cut = len(tok) if op != "insert" else 0
+        text = text[:pos] + (tok if op != "delete" else "") + text[pos + cut:]
+    tmp = tmp_path_factory.mktemp("fuzz")
+    write(tmp, "dyck.gf", DYCK)
+    write(tmp, "c1.lang", "x x\n")
+    path = write(tmp, name, text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, path, "--max-deg", "6"])
+    assert code in (0, 1, 2, 3), err.getvalue()
 
 
 def test_python_m_nchilbert_help():
