@@ -126,14 +126,15 @@ def buchberger_lex(gens, cap=2000):
             for j in range(len(basis))
         )
     ]
-    # fully reduce each against the others; normalize leading coefficient to 1
+    # reduced, bottom up: in increasing leading-monomial order, each element
+    # is reduced against the ones already reduced and made monic.  A tail term
+    # lies below its own leading monomial, so no larger leading monomial
+    # divides it.
     out = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = reduce_poly(g, others) if others else g
-        if r:
-            out.append(r * r.terms[max(r.terms)].inverse())
-    return sorted(out, key=lambda p: max(p.terms))
+    for g in sorted(keep, key=lambda p: max(p.terms)):
+        r = reduce_poly(g, out)
+        out.append(r * r.terms[max(r.terms)].inverse())
+    return out
 
 
 def assert_groebner(basis, gens):

@@ -190,7 +190,7 @@ class PatternFamily:
 
     parts: tuple  # items: ("word", bytes) | ("grammar", CFGrammar)
 
-    def words_upto(self, alphabet, d):
+    def words_upto(self, d):
         langs = []
         fixed = sum(len(p) for kind, p in self.parts if kind == "word")
         for kind, p in self.parts:
@@ -221,7 +221,7 @@ class RelationSet:
     def words_upto(self, d):
         words = {w for w in self.finite.words if len(w) <= d}
         for fam in self.families:
-            words |= fam.words_upto(self.alphabet, d)
+            words |= fam.words_upto(d)
         return words
 
     def basis_upto(self, d):
@@ -264,7 +264,6 @@ class HomologySpec:
     n: int
     descriptors: tuple  # per chain degree i >= 1: (kind, payload)
     gldim: int = None
-    alphabet: object = None
     uchain2: object = None
 
 
@@ -666,4 +665,4 @@ def parse_homology_spec(text, loader):
     descriptors = tuple(chains[i] for i in sorted(chains))
     if sorted(chains) != list(range(1, len(chains) + 1)):
         raise InputError("chain indices must be 1..k without gaps")
-    return HomologySpec(n, descriptors, gldim, alphabet, uspec)
+    return HomologySpec(n, descriptors, gldim, uspec)

@@ -2,6 +2,11 @@
 of right-linear grammars, right quotients and the Myhill-Nerode grammar
 construction.
 
+Every automaton is built by one breadth-first search over a deterministic
+transition function (`_explore`), and every `RegularLanguageHandle` holds the
+minimal DFA with its states numbered in breadth-first order from the initial
+state 0, so equal languages give equal automata.
+
 No closure operations (concatenation, products) are needed: the sandwich
 relations R * L(G) * R' take finite R and R', which homology treats as
 word sets.
@@ -9,29 +14,13 @@ word sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError, ResourceCapError
 from .grammar import CFGrammar, validate
 from .words import Alphabet, is_antichain
 
 DEFAULT_STATE_CAP = 10**5
-
-
-@dataclass(frozen=True)
-class QuotientState:
-    """Canonical right-quotient state of an ideal language X* B X*.
-
-    ``suffixes`` are the proper nonempty prefixes of basis words currently
-    matched as suffixes of the read word; ``absorbed`` marks the full ideal.
-    """
-
-    absorbed: bool
-    suffixes: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.absorbed and self.suffixes:
-            raise InputError("absorbed state carries no suffixes")
 
 
 @dataclass(frozen=True)
@@ -57,47 +46,50 @@ class DFA:
         return self.run(word) in self.accepting
 
 
-def _reachable(dfa):
-    seen = [dfa.initial]
-    index = {dfa.initial: 0}
-    for s in seen:
-        for t in dfa.transitions[s]:
+def _explore(start, step, n_sym, cap=None):
+    """Breadth-first search from `start` over `step(state, sym)`: the reachable
+    states in discovery order, and each one's row of successor indices.  A
+    `cap` bounds the number of states (determinization's cap)."""
+    states = [start]
+    index = {start: 0}
+    rows = []
+    for s in states:  # the list grows while it is walked: a FIFO queue
+        row = []
+        for i in range(n_sym):
+            t = step(s, i)
             if t not in index:
-                index[t] = len(seen)
-                seen.append(t)
-    return seen, index
+                if cap is not None and len(index) >= cap:
+                    raise ResourceCapError("determinization state cap %d exceeded" % cap)
+                index[t] = len(states)
+                states.append(t)
+            row.append(index[t])
+        rows.append(tuple(row))
+    return states, rows
 
 
 def minimize(dfa):
-    """Moore partition refinement over the reachable part."""
-    order, index = _reachable(dfa)
-    cls = {s: (s in dfa.accepting) for s in order}
-    n_sym = dfa.alphabet.size
+    """Moore partition refinement over the reachable part.  Classes are
+    numbered by their first state in breadth-first order, which is the
+    breadth-first order of the minimal DFA, with the initial class 0."""
+    states, rows = _explore(
+        dfa.initial, lambda s, i: dfa.transitions[s][i], dfa.alphabet.size
+    )
+    cls = [int(s in dfa.accepting) for s in states]
+    n_classes = len(set(cls))
     while True:
-        sig = {
-            s: (cls[s],) + tuple(cls[dfa.transitions[s][i]] for i in range(n_sym))
-            for s in order
-        }
         renum = {}
-        new_cls = {}
-        for s in order:  # deterministic class ids by first occurrence
-            if sig[s] not in renum:
-                renum[sig[s]] = len(renum)
-            new_cls[s] = renum[sig[s]]
-        if len(set(new_cls.values())) == len(set(cls.values())):
-            cls = new_cls
+        cls = [
+            renum.setdefault((c,) + tuple(cls[t] for t in row), len(renum))
+            for c, row in zip(cls, rows)
+        ]
+        if len(renum) == n_classes:
             break
-        cls = new_cls
-    n_classes = len(set(cls.values()))
-    rows = [None] * n_classes
-    accepting = set()
-    for s in order:
-        c = cls[s]
-        if rows[c] is None:
-            rows[c] = tuple(cls[dfa.transitions[s][i]] for i in range(n_sym))
-        if s in dfa.accepting:
-            accepting.add(c)
-    return DFA(dfa.alphabet, tuple(rows), frozenset(accepting), cls[dfa.initial])
+        n_classes = len(renum)
+    class_rows = {}
+    for c, row in zip(cls, rows):
+        class_rows.setdefault(c, tuple(cls[t] for t in row))
+    accepting = frozenset(c for c, s in zip(cls, states) if s in dfa.accepting)
+    return DFA(dfa.alphabet, tuple(class_rows[c] for c in range(n_classes)), accepting, 0)
 
 
 class NFA:
@@ -119,27 +111,14 @@ class NFA:
 
 
 def determinize(nfa, cap=DEFAULT_STATE_CAP):
-    n_sym = nfa.alphabet.size
-    start = frozenset(nfa.initial)
-    index = {start: 0}
-    queue = [start]
-    rows = []
-    accepting = set()
-    while queue:
-        cur = queue.pop(0)
-        if cur & nfa.accepting:
-            accepting.add(index[cur])
-        row = []
-        for i in range(n_sym):
-            nxt = frozenset(t for s in cur for t in nfa.moves.get((s, i), ()))
-            if nxt not in index:
-                if len(index) >= cap:
-                    raise ResourceCapError("determinization state cap %d exceeded" % cap)
-                index[nxt] = len(index)
-                queue.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
-    return DFA(nfa.alphabet, tuple(rows), frozenset(accepting), 0)
+    """Subset construction; states are the reachable frozensets of NFA states."""
+
+    def step(cur, i):
+        return frozenset(t for s in cur for t in nfa.moves.get((s, i), ()))
+
+    states, rows = _explore(frozenset(nfa.initial), step, nfa.alphabet.size, cap)
+    accepting = frozenset(k for k, s in enumerate(states) if s & nfa.accepting)
+    return DFA(nfa.alphabet, tuple(rows), accepting, 0)
 
 
 class RegularLanguageHandle:
@@ -161,8 +140,6 @@ class RegularLanguageHandle:
         if not report.is_right_linear:
             raise InputError("grammar is not right linear")
         nfa = NFA(g.terminals)
-        for _ in range(g.variables.size):
-            nfa.new_state()
         for var, rhs in g.productions:
             if rhs == ():
                 nfa.accepting.add(var)
@@ -173,50 +150,27 @@ class RegularLanguageHandle:
 
 
 def ideal_automaton(basis):
-    """Deterministic suffix-tracking automaton for X* basis X*."""
+    """Deterministic suffix-tracking automaton for X* basis X*.
+
+    A state is the frozenset of proper nonempty basis prefixes matched as
+    suffixes of the read word, or None once the word contains a basis word
+    (the accepting sink; the start state when the basis holds eps).
+    """
     if not is_antichain(basis):
         raise InputError("ideal automaton needs an antichain basis")
-    alphabet = basis.alphabet
-    n_sym = alphabet.size
     bwords = basis.words
-    prefixes = set()
-    for w in bwords:
-        for k in range(1, len(w)):
-            prefixes.add(w[:k])
-
-    start = QuotientState(False, frozenset())
-    absorbed = QuotientState(True, frozenset())
+    prefixes = {w[:k] for w in bwords for k in range(1, len(w))}
 
     def step(state, sym):
-        if state.absorbed:
-            return absorbed
-        ext = {s + bytes([sym]) for s in state.suffixes} | {bytes([sym])}
-        if ext & bwords or b"" in bwords:
-            return absorbed
-        return QuotientState(False, frozenset(ext & prefixes))
+        if state is None:
+            return None
+        ext = {s + bytes([sym]) for s in state} | {bytes([sym])}
+        return None if ext & bwords else frozenset(ext & prefixes)
 
-    index = {start: 0}
-    order = [start]
-    rows = []
-    queue = [start]
-    while queue:
-        st = queue.pop(0)
-        row = []
-        for i in range(n_sym):
-            nxt = step(st, i)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
-    dfa = DFA(
-        alphabet,
-        tuple(rows),
-        frozenset(index[s] for s in order if s.absorbed),
-        0,
-    )
-    return RegularLanguageHandle(dfa)
+    start = None if b"" in bwords else frozenset()
+    states, rows = _explore(start, step, basis.alphabet.size)
+    accepting = frozenset(k for k, s in enumerate(states) if s is None)
+    return RegularLanguageHandle(DFA(basis.alphabet, tuple(rows), accepting, 0))
 
 
 def right_quotient(handle, word):
@@ -228,30 +182,20 @@ def right_quotient(handle, word):
 
 
 def myhill_nerode_grammar(handle, cap=DEFAULT_STATE_CAP):
-    """Minimal right-linear grammar via FIFO BFS over right quotients.
+    """Minimal right-linear grammar read off the handle's minimal DFA.
 
-    Variables are named by discovery order A1, A2, ...; each accepting quotient
+    The DFA's states are numbered breadth-first from the initial state 0, so
+    variable A(k+1) is state k and A1 is the start; each accepting state
     contributes an eps production and every symbol one A_k -> x_i A_l rule.
     """
     dfa = handle.dfa
     if dfa.n_states > cap:
         raise ResourceCapError("quotient automaton state cap %d exceeded" % cap)
     n_sym = dfa.alphabet.size
-    index = {dfa.initial: 0}
-    order = [dfa.initial]
-    queue = [dfa.initial]
     productions = []
-    while queue:
-        s = queue.pop(0)
-        k = index[s]
-        if s in dfa.accepting:
+    for k, row in enumerate(dfa.transitions):
+        if k in dfa.accepting:
             productions.append((k, ()))
-        for i in range(n_sym):
-            t = dfa.transitions[s][i]
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-                queue.append(t)
-            productions.append((k, (i, n_sym + index[t])))
-    variables = Alphabet(["A%d" % (k + 1) for k in range(len(order))])
+        productions.extend((k, (i, n_sym + t)) for i, t in enumerate(row))
+    variables = Alphabet(["A%d" % (k + 1) for k in range(dfa.n_states)])
     return CFGrammar(dfa.alphabet, variables, 0, productions)

@@ -84,11 +84,6 @@ class Alphabet:
         return Alphabet(self.symbols + other.symbols)
 
 
-def contains_factor(word, factor):
-    """True iff factor occurs contiguously inside word (eps is a factor of all)."""
-    return factor in word
-
-
 @dataclass(frozen=True)
 class FiniteLanguage:
     """Finite set of words with deterministic canonical iteration order."""
@@ -201,7 +196,7 @@ def is_antichain(lang):
 
 def is_normal(word, basis):
     """True iff no basis element occurs as a contiguous factor of word."""
-    return not any(contains_factor(word, v) for v in basis.words)
+    return not any(v in word for v in basis.words)
 
 
 def full_language(alphabet, d):

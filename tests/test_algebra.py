@@ -120,11 +120,29 @@ def test_buchberger_postconditions():
         assert_groebner(buchberger_lex(gens), gens)
 
 
+def x12_equations():
+    """Myhill-Nerode system of the ideal of {x^12} over {x, y}."""
+    basis = FiniteLanguage(Alphabet(["x", "y"]), frozenset({bytes(12)}))
+    return list(build_system(myhill_nerode_grammar(ideal_automaton(basis))).equations)
+
+
+def test_buchberger_basis_is_reduced():
+    # monic, and no term of an element is divisible by another's leading monomial
+    systems = [keep_lowest(ifthenelse_equations(), keep) for keep in "SAB"]
+    for gens in systems + [x12_equations()]:
+        basis = buchberger_lex(gens)
+        leads = [max(g.terms) for g in basis]
+        for i, g in enumerate(basis):
+            assert g.terms[leads[i]] == RF_ONE
+            for j, lead in enumerate(leads):
+                assert j == i or not any(
+                    all(a <= b for a, b in zip(lead, e)) for e in g.terms
+                )
+
+
 def test_buchberger_cap_counts_reduced_pairs():
     # ideal of {x^12}: 13 unknowns, 78 initial pairs, 11 of them reduced
-    basis = FiniteLanguage(Alphabet(["x", "y"]), frozenset({bytes(12)}))
-    g = myhill_nerode_grammar(ideal_automaton(basis))
-    gens = list(build_system(g).equations)
+    gens = x12_equations()
     assert len(gens) == 13
     assert_groebner(buchberger_lex(gens, 11), gens)
     with pytest.raises(ResourceCapError, match="pair cap 10 exceeded"):

@@ -90,9 +90,18 @@ def test_quotient_grammar(tmp_path, capsys):
         "terminals: x y\nvariables: A1 A2 A3\nstart: A1\n"
         "A1 -> eps | x A1 | y A2\nA2 -> eps | x A3 | y A2\nA3 -> x A3 | y A3\n",
     )
+    code, out, _ = run(capsys, ["quotient-grammar", gf])
+    assert code == 0
+    assert out == (
+        "states: 3\nterminals: x y\nvariables: A1 A2 A3\nstart: A1\n"
+        "A1 -> eps | x A1 | y A2\nA2 -> eps | x A3 | y A2\nA3 -> x A3 | y A3\n"
+    )
     code, out, _ = run(capsys, ["quotient-grammar", gf, "--quotient", "y"])
     assert code == 0
-    assert "terminals: x y" in out
+    assert out == (
+        "states: 2\nterminals: x y\nvariables: A1 A2\nstart: A1\n"
+        "A1 -> eps | x A2 | y A1\nA2 -> x A2 | y A2\n"
+    )
 
 
 def test_chains_and_govorov(tmp_path, capsys):
@@ -114,6 +123,14 @@ def test_oracle(tmp_path, capsys):
     code, out, _ = run(capsys, ["oracle", rf, "--max-deg", "6"])
     assert code == 0
     assert "series: 1,2,3,5,8,13,21" in out
+
+
+def test_oracle_eps_relation_gives_zero_algebra(tmp_path, capsys):
+    # eps in the relations puts 1 in the ideal: no word is normal
+    rf = write(tmp_path, "rels.txt", "alphabet: x y\neps\n")
+    code, out, _ = run(capsys, ["oracle", rf, "--max-deg", "3"])
+    assert code == 0
+    assert "series: 0,0,0,0" in out
 
 
 def test_hilbert_spec_with_chain_verification(tmp_path, capsys):

@@ -180,7 +180,7 @@ def test_pattern_family_words():
         "terminals: x a b\nvariables: S\nstart: S\nS -> eps | a S b S"
     )
     fam = PatternFamily((("word", bytes([0])), ("grammar", dyck), ("word", bytes([0]))))
-    got = {dyck.terminals.text(w) for w in fam.words_upto(dyck.terminals, 4)}
+    got = {dyck.terminals.text(w) for w in fam.words_upto(4)}
     assert got == {"x x", "x a b x"}
 
 

@@ -6,10 +6,11 @@ from functools import reduce
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nchilbert.grammar import count_derivations, enumerate_words
+from nchilbert.homology import count_normal
 from nchilbert.ratfunc import QPoly, RationalFunction
 from nchilbert.regular import (
     ideal_automaton,
@@ -63,6 +64,16 @@ def test_normal_plus_ideal_is_total(lang, d):
         )
         inside = sum(1 for w in ideal.words if len(w) == k)
         assert normal + inside == 2 ** k
+
+
+@given(st.frozensets(short_word_st, max_size=6))
+@example(frozenset({b""}))
+def test_count_normal_matches_brute_force(words):
+    # the word set may hold eps, whose ideal is everything
+    basis = minimize_antichain(FiniteLanguage(XY, words))
+    assert count_normal(basis, 6) == [
+        sum(1 for w in XY.all_words(k) if is_normal(w, basis)) for k in range(7)
+    ]
 
 
 @settings(max_examples=40)

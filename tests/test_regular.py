@@ -1,8 +1,11 @@
 """Regular-language engine: quotients, Algorithm-1 grammars, ideal automata."""
 
+import random
+
 from nchilbert.examples import xystar_handle
 from nchilbert.grammar import enumerate_words, parse_grammar
 from nchilbert.regular import (
+    DFA,
     RegularLanguageHandle,
     ideal_automaton,
     myhill_nerode_grammar,
@@ -58,8 +61,6 @@ def test_myhill_nerode_xystar():
 
 
 def test_myhill_nerode_empty_language():
-    from nchilbert.regular import DFA
-
     dfa = DFA(XY, ((0, 0),), frozenset(), 0)
     g = myhill_nerode_grammar(RegularLanguageHandle(dfa))
     assert g.variables.symbols == ("A1",)
@@ -113,3 +114,32 @@ def test_from_right_linear_roundtrip():
     lang = set(enumerate_words(g, 7).words)
     for w in full_language(XY, 7).words:
         assert (w in lang) == h.accepts(w)
+
+
+def _relabelled(dfa, perm):
+    """The same automaton with state s renamed perm[s]."""
+    rows = [None] * dfa.n_states
+    for s, row in enumerate(dfa.transitions):
+        rows[perm[s]] = tuple(perm[t] for t in row)
+    accepting = frozenset(perm[s] for s in dfa.accepting)
+    return DFA(dfa.alphabet, tuple(rows), accepting, perm[dfa.initial])
+
+
+def test_handle_dfa_is_canonical():
+    # myhill_nerode_grammar reads variable A(k+1) off state k
+    rng = random.Random(20261018)
+    for _ in range(200):
+        n_sym, k = rng.randint(1, 3), rng.randint(1, 8)
+        rows = tuple(tuple(rng.randrange(k) for _ in range(n_sym)) for _ in range(k))
+        accepting = frozenset(s for s in range(k) if rng.random() < 0.4)
+        dfa = DFA(Alphabet(list("xyz"[:n_sym])), rows, accepting, rng.randrange(k))
+        perm = list(range(k))
+        rng.shuffle(perm)
+        canon = RegularLanguageHandle(dfa).dfa
+        assert RegularLanguageHandle(_relabelled(dfa, perm)).dfa == canon
+        seen = [canon.initial]  # breadth-first discovery order
+        for s in seen:
+            for t in canon.transitions[s]:
+                if t not in seen:
+                    seen.append(t)
+        assert seen == list(range(canon.n_states))
