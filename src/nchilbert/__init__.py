@@ -32,7 +32,6 @@ from .grammar import (
     CFGrammar,
     certify_unambiguous,
     count_derivations,
-    cyk_member,
     enumerate_words,
     format_grammar,
     parse_grammar,

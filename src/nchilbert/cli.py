@@ -27,7 +27,6 @@ from .grammar import (
     enumerate_words,
     format_grammar,
     parse_grammar,
-    validate,
 )
 from .gsb import (
     compare_leading,
@@ -111,7 +110,7 @@ def _common(sub, max_deg=True, cert=False):
 
 
 def _check_degrees(args):
-    for name in ("max_deg", "cert_deg", "kmax", "index"):
+    for name in ("max_deg", "cert_deg", "kmax", "index", "verify_chains"):
         v = getattr(args, name, None)
         if v is not None and v < 0:
             raise InputError("%s must be >= 0" % name.replace("_", "-"))
@@ -140,7 +139,6 @@ def cmd_gamma(args):
 
 def cmd_ambiguity(args):
     g = _parse(args.grammar, parse_grammar)
-    validate(g)
     ok, witness = certify_unambiguous(g, args.max_deg)
     rep = Report(args.format)
     _cert_line(rep, ok, args.max_deg, witness, g.terminals)
@@ -209,7 +207,7 @@ def _descriptor_words(kind, payload, c):
 def _verify_chains(spec, c, rep):
     """One chain-i-verify line per chain i >= 2; False if any disagrees with
     the set formulas."""
-    kind1, payload1 = spec.descriptors[0]
+    kind1, payload1 = spec.descriptors[0] if spec.descriptors else (None, None)
     w1 = _descriptor_words(kind1, payload1, c)
     if w1 is None:
         raise InputError("chain 1 must be finite or a grammar to verify")

@@ -24,7 +24,6 @@ DEFAULT_CERT_DEG = 12
 class AlgebraicSystem:
     unknowns: tuple
     equations: tuple  # MultiPolynomial, one per unknown, A_i - sum of images
-    grammar: object = None
 
 
 def production_image(g, rhs, variables):
@@ -50,7 +49,7 @@ def build_system(g):
         for rhs in by_var[j]:
             eq = eq - production_image(g, rhs, names)
         equations.append(eq)
-    return AlgebraicSystem(tuple(names), tuple(equations), g)
+    return AlgebraicSystem(tuple(names), tuple(equations))
 
 
 def gamma_linear(g):
@@ -80,12 +79,6 @@ class GammaResult:
     cert_bound: int
     certified: bool
     counterexample: object = None
-
-    @property
-    def status(self):
-        if self.certified:
-            return "certified to degree %d" % self.cert_bound
-        return "unverified: grammar ambiguity not certified"
 
 
 def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .csys import gamma_algebraic, gamma_linear
 from .errors import InputError, MismatchError
-from .grammar import CFGrammar, enumerate_words, parse_grammar
+from .grammar import enumerate_words, parse_grammar
 from .gsb import compare_leading, gs_complete, leading_language, parse_presentation
 from .homology import (
     HomologySpec,

@@ -1,5 +1,5 @@
-"""Context-free grammars: validation, bounded enumeration, derivation counting,
-bounded unambiguity certificates and membership tests.
+"""Context-free grammars: validation, bounded enumeration, derivation counting
+and bounded unambiguity certificates.
 
 Enumeration, derivation counts and per-word parse counts are three modes of
 one kernel, `_layers`, which builds the words of length k of every variable
@@ -91,7 +91,6 @@ class GrammarReport:
     productive: frozenset
     reachable: frozenset
     nullable: frozenset
-    has_unit_or_epsilon_cycle: bool
     is_right_linear: bool
 
 
@@ -160,7 +159,7 @@ def _layer_plan(g, variables, nullable):
 
 
 def validate(g):
-    """Productive/reachable/nullable sets plus flags."""
+    """Productive/reachable/nullable sets plus the right-linear flag."""
     nullable = _deriving(g, terminals=False)
     productive = _deriving(g, terminals=True)
 
@@ -180,17 +179,10 @@ def validate(g):
         or (len(rhs) == 2 and not g.is_var(rhs[0]) and g.is_var(rhs[1]))
         for _, rhs in g.productions
     )
-
-    try:
-        _layer_plan(g, range(g.variables.size), nullable)
-        cyclic = False
-    except DivergenceError:
-        cyclic = True
     return GrammarReport(
         frozenset(productive),
         frozenset(reachable),
         frozenset(nullable),
-        cyclic,
         right_linear,
     )
 
@@ -293,103 +285,6 @@ def certify_unambiguous(g, d):
     k = next(k for k, (a, b) in enumerate(zip(derivations, per_len)) if a != b)
     parses = _layers(g, k, _live(g), _PARSES)[g.start][k]
     return False, min((w for w, c in parses.items() if c >= 2), key=WORD_KEY)
-
-
-def _to_cnf(g):
-    """Binary/terminal normal form (eps and unit productions removed)."""
-    nullable = _deriving(g, terminals=False)
-    prods = set()
-    for var, rhs in g.productions:
-        null_pos = [
-            i for i, s in enumerate(rhs) if g.is_var(s) and g.var_of(s) in nullable
-        ]
-        for mask in range(1 << len(null_pos)):
-            drop = {null_pos[i] for i in range(len(null_pos)) if mask >> i & 1}
-            new = tuple(s for i, s in enumerate(rhs) if i not in drop)
-            if new:
-                prods.add((var, new))
-
-    # unit closure over single-variable bodies
-    unit = {j: {j} for j in range(g.variables.size)}
-    changed = True
-    while changed:
-        changed = False
-        for var, rhs in prods:
-            if len(rhs) == 1 and g.is_var(rhs[0]):
-                tgt = g.var_of(rhs[0])
-                for a in list(unit):
-                    if var in unit[a] and not unit[a] >= unit[tgt]:
-                        unit[a] |= unit[tgt]
-                        changed = True
-    base = [(var, rhs) for var, rhs in prods if not (len(rhs) == 1 and g.is_var(rhs[0]))]
-    expanded = set()
-    for a, members in unit.items():
-        for var, rhs in base:
-            if var in members:
-                expanded.add((a, rhs))
-
-    # binarize; fresh nonterminals get negative ids
-    fresh = {}
-    binary = []
-    unary = []
-
-    def fresh_for(seq):
-        if seq not in fresh:
-            fresh[seq] = -(len(fresh) + 1)
-        return fresh[seq]
-
-    def var_for_terminal(t):
-        return fresh_for(("T", t))
-
-    todo = []
-    for var, rhs in expanded:
-        if len(rhs) == 1:
-            unary.append((var, rhs[0]))  # rhs[0] is a terminal here
-        else:
-            todo.append((var, rhs))
-    seen_fresh = set()
-    while todo:
-        var, rhs = todo.pop()
-        parts = [
-            g.var_of(s) if g.is_var(s) else var_for_terminal(s) for s in rhs
-        ]
-        for t, s in zip(parts, rhs):
-            if not g.is_var(s) and t not in seen_fresh:
-                seen_fresh.add(t)
-                unary.append((t, s))
-        while len(parts) > 2:
-            tail = tuple(parts[-2:])
-            tv = fresh_for(("B", tail))
-            if tv not in seen_fresh:
-                seen_fresh.add(tv)
-                binary.append((tv, tail[0], tail[1]))
-            parts = parts[:-2] + [tv]
-        binary.append((var, parts[0], parts[1]))
-    return unary, binary, g.start in nullable
-
-
-def cyk_member(g, w):
-    """True iff w is generated by g (CYK on an internal normal form)."""
-    if w == EMPTY:
-        return g.start in _deriving(g, terminals=False)
-    unary, binary, _ = _to_cnf(g)
-    n = len(w)
-    table = [[set() for _ in range(n + 1)] for _ in range(n)]
-    for i in range(n):
-        for var, t in unary:
-            if t == w[i]:
-                table[i][i + 1].add(var)
-    for span in range(2, n + 1):
-        for i in range(n - span + 1):
-            j = i + span
-            cell = table[i][j]
-            for k in range(i + 1, j):
-                left, right = table[i][k], table[k][j]
-                if left and right:
-                    for var, b, c in binary:
-                        if b in left and c in right:
-                            cell.add(var)
-    return g.start in table[0][n]
 
 
 def parse_grammar(text):

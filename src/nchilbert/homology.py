@@ -28,7 +28,6 @@ from .grammar import (
     count_derivations,
     enumerate_words,
     parse_grammar,
-    validate,
 )
 from .groebner import eliminate_univariate
 from .multipoly import MultiPolynomial
@@ -376,7 +375,6 @@ def hilbert_from_homology(spec, d, cert_deg=12, check_oracle=None):
     certs = []
     for i, (kind, payload) in enumerate(spec.descriptors, start=1):
         if kind == "grammar":
-            validate(payload)
             ok, witness = certify_unambiguous(payload, cert_deg)
             certs.append((i, ok, witness))
     _, equations = assemble_system(spec)
@@ -416,7 +414,6 @@ class Uchain2Result:
     gamma_Rp: RationalFunction
     gamma_Q: RationalFunction
     gamma_L: object  # GammaResult for the inner language
-    nm: int
     series: TruncatedSeries
     closed_form: str = ""
 
@@ -505,7 +502,7 @@ def hilbert_uchain2(R, Rp, Lg, nm, d, cert_deg=12):
     closed = "HS^-1 = 1 - %d*t + (%r)*(%r)*gL / (1 + (%r)*gL)" % (
         nm, g_r, g_rp, g_q
     )
-    return Uchain2Result(g_r, g_rp, g_q, gamma_l, nm, series, closed)
+    return Uchain2Result(g_r, g_rp, g_q, gamma_l, series, closed)
 
 
 # ---------------------------------------------------------------------------

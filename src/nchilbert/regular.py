@@ -97,14 +97,9 @@ class NFA:
 
     def __init__(self, alphabet):
         self.alphabet = alphabet
-        self.n = 0
         self.moves = {}  # (state, sym) -> set
         self.initial = set()
         self.accepting = set()
-
-    def new_state(self):
-        self.n += 1
-        return self.n - 1
 
     def add(self, s, sym, t):
         self.moves.setdefault((s, sym), set()).add(t)

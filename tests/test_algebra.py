@@ -159,10 +159,9 @@ def _ifthenelse_buchberger(cap):
 
 
 def _x_determinize(cap):
-    nfa = NFA(Alphabet(["x", "y"]))  # three subsets: {a}, {b}, {}
-    a, b = nfa.new_state(), nfa.new_state()
-    nfa.add(a, 0, b)
-    nfa.initial, nfa.accepting = {a}, {b}
+    nfa = NFA(Alphabet(["x", "y"]))  # three subsets: {0}, {1}, {}
+    nfa.add(0, 0, 1)
+    nfa.initial, nfa.accepting = {0}, {1}
     determinize(nfa, cap)
 
 

@@ -67,6 +67,14 @@ def test_gamma_negative_degree(tmp_path, capsys):
     assert code == 2
 
 
+def test_hilbert_negative_verify_chains(tmp_path, capsys):
+    write(tmp_path, "g.gf", DYCK)
+    spec = write(tmp_path, "spec.hs", "n: 2\nchain 1: grammar g.gf\n")
+    code, _, err = run(capsys, ["hilbert", spec, "--verify-chains", "-1"])
+    assert code == 2
+    assert err == "input error: verify-chains must be >= 0\n"
+
+
 def test_ambiguity_detects_planted_grammar(tmp_path, capsys):
     gf = write(
         tmp_path, "amb.gf",
@@ -393,6 +401,7 @@ MALFORMED = {
         "spec.hs", "n: x\ngldim: infinite-uchain2 R=r.lang L=g.gf\n", ["hilbert"],
     ),
     "gsb-zero-denominator": ("p.txt", "alphabet: x y\n1/0 x x\n", ["gsb"]),
+    "verify-chains-without-chains": ("spec.hs", "n: 2\n", ["hilbert", "--verify-chains", "3"]),
     "rational-zero-denominator": ("spec.hs", "n: 1\nchain 1: rational 1/0\n", ["hilbert"]),
     "rational-zero-polynomial-denominator": (
         "spec.hs", "n: 1\nchain 1: rational t/0*t\n", ["hilbert"],
@@ -442,6 +451,7 @@ FUZZ_BASES = {  # file name, text, command; dyck.gf and c1.lang sit beside it
     "relations": ("rels.txt", "alphabet: x a b\nx x a\nfamily: x @dyck.gf x\n", "oracle"),
     "spec": ("spec.hs", "n: x y\nchain 1: finite c1.lang\nchain 2: rational t^3\n", "hilbert"),
     "grammar-spec": ("spec.hs", "n: 2\nchain 1: grammar dyck.gf\n", "hilbert"),
+    "verify-spec": ("spec.hs", "n: x y\nchain 1: finite c1.lang\n", "hilbert --verify-chains 4"),
 }
 FUZZ_TOKENS = [
     " ", "\n", "|", "->", "eps", "x", "y", "a", "S", "A", "#", ":", "0", "-",
@@ -464,6 +474,7 @@ FUZZ_TOKENS = [
 )
 def test_mutated_inputs_never_exit_4(tmp_path_factory, kind, edits):
     name, text, command = FUZZ_BASES[kind]
+    command, *options = command.split()
     for op, pos, tok in edits:
         pos %= len(text) + 1
         cut = len(tok) if op != "insert" else 0
@@ -474,7 +485,7 @@ def test_mutated_inputs_never_exit_4(tmp_path_factory, kind, edits):
     path = write(tmp, name, text)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([command, path, "--max-deg", "6"])
+        code = main([command, path, *options, "--max-deg", "6"])
     assert code in (0, 1, 2, 3), err.getvalue()
 
 

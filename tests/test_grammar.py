@@ -11,7 +11,6 @@ from nchilbert.grammar import (
     CFGrammar,
     certify_unambiguous,
     count_derivations,
-    cyk_member,
     enumerate_words,
     format_grammar,
     parse_grammar,
@@ -49,13 +48,11 @@ def test_validate_dyck():
     rep = validate(g)
     assert rep.productive == {0} and rep.reachable == {0}
     assert rep.nullable == {0}
-    assert not rep.has_unit_or_epsilon_cycle
     assert not rep.is_right_linear
 
 
 def test_validate_flags_unit_cycle():
     g = parse_grammar("terminals: a\nvariables: S\nstart: S\nS -> S | a")
-    assert validate(g).has_unit_or_epsilon_cycle
     with pytest.raises(DivergenceError):
         count_derivations(g, 4)
 
@@ -128,17 +125,16 @@ def test_certify_palindromes():
     assert ok
 
 
-def test_cyk_member_dyck():
+def test_enumerate_membership():
     g = parse_grammar(DYCK)
-    assert cyk_member(g, g.terminals.word("a a b b"))
-    assert not cyk_member(g, g.terminals.word("a b a"))
-
-
-def test_cyk_member_destar():
+    words = enumerate_words(g, 4).words
+    assert g.terminals.word("a a b b") in words
+    assert g.terminals.word("a b a") not in words
     g = parse_grammar(DESTAR)
-    assert cyk_member(g, g.terminals.word("e"))
-    assert cyk_member(g, g.terminals.word("a b e"))
-    assert not cyk_member(g, g.terminals.word("a e"))
+    words = enumerate_words(g, 3).words
+    assert g.terminals.word("e") in words
+    assert g.terminals.word("a b e") in words
+    assert g.terminals.word("a e") not in words
 
 
 def test_enumeration_bounded_by_derivation_counts():
@@ -152,11 +148,12 @@ def test_enumeration_bounded_by_derivation_counts():
         assert all(per_len[k] <= counts[k] for k in range(9))
 
 
-def test_enumeration_agrees_with_cyk():
+def test_enumeration_agrees_with_parse_counts():
     g = parse_grammar(DYCK)
     lang = set(enumerate_words(g, 6).words)
+    count, _ = parse_counter(g)
     for w in full_language(g.terminals, 6).words:
-        assert (w in lang) == cyk_member(g, w)
+        assert (w in lang) == (count(g.n + g.start, w) >= 1)
 
 
 def test_grammar_format_roundtrip():
@@ -287,7 +284,7 @@ def test_kernel_against_independent_routes():
             seen.add("unit rule")
         try:
             lang = set(enumerate_words(g, d).words)
-            assert lang == {w for w in words if cyk_member(g, w)}
+            assert lang == {w for w in words if count(g.n + g.start, w) >= 1}
         except DivergenceError:
             assert cyclic
         if cyclic:
