@@ -125,11 +125,16 @@ def test_certify_palindromes():
     assert ok
 
 
-def test_enumerate_membership():
+def test_cyk_member_dyck():
+    # membership is answered by the enumeration kernel; the name is kept
+    # from the deleted CYK route
     g = parse_grammar(DYCK)
     words = enumerate_words(g, 4).words
     assert g.terminals.word("a a b b") in words
     assert g.terminals.word("a b a") not in words
+
+
+def test_cyk_member_destar():
     g = parse_grammar(DESTAR)
     words = enumerate_words(g, 3).words
     assert g.terminals.word("e") in words
