@@ -35,7 +35,6 @@ from .grammar import (
     enumerate_words,
     format_grammar,
     parse_grammar,
-    validate,
 )
 from .regular import (
     DFA,

@@ -234,13 +234,13 @@ def cmd_hilbert(args):
     spec = _parse(args.spec, parse_homology_spec, _loader_for(args.spec))
     rep = Report(args.format)
     d = args.max_deg
+    if args.verify_chains and not _verify_chains(spec, args.verify_chains, rep):
+        rep.flush()
+        return 1
     if spec.uchain2 is not None:
         u = spec.uchain2
         rep.add("gldim", "infinite")
         return _uchain2_report(rep, u.R, u.Rp, u.grammar, spec.n + u.grammar.n, args)
-    if args.verify_chains and not _verify_chains(spec, args.verify_chains, rep):
-        rep.flush()
-        return 1
     res = hilbert_from_homology(spec, d, cert_deg=args.cert_deg)
     rep.add("euler-polynomial", repr(res.poly_e.cleared()))
     rep.add("hilbert-polynomial", repr(res.poly_h.cleared()))

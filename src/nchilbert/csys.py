@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .grammar import count_derivations, certify_unambiguous, validate
+from .grammar import count_derivations, certify_unambiguous
 from .groebner import eliminate_univariate
 from .multipoly import MultiPolynomial
 from .newton import root_series
@@ -88,7 +88,7 @@ def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None):
     them against the eliminated polynomial by one residual test, which fails
     if elimination returned a polynomial that does not annihilate them.
     """
-    if g.start not in validate(g).productive:
+    if g.start not in g.productive:
         raise InputError(
             "start variable %s derives no word" % g.variables.symbols[g.start]
         )

@@ -1,17 +1,19 @@
-"""Context-free grammars: validation, bounded enumeration, derivation counting
-and bounded unambiguity certificates.
+"""Context-free grammars: bounded enumeration, derivation counting and
+bounded unambiguity certificates.
 
 Enumeration, derivation counts and per-word parse counts are three modes of
 one kernel, `_layers`, which builds the words of length k of every variable
-from the shorter ones.  Symbols on production right-hand sides are ints:
-``0..n-1`` are terminal positions, ``n+j`` is variable ``j``.
+from the shorter ones.  The facts it needs about a grammar (nullable,
+productive and live variables) are computed once per grammar, as cached
+properties.  Symbols on production right-hand sides are ints: ``0..n-1``
+are terminal positions, ``n+j`` is variable ``j``.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import DivergenceError, InputError, ResourceCapError
@@ -79,19 +81,43 @@ class CFGrammar:
             out[var].append(rhs)
         return out
 
+    @cached_property
+    def nullable(self):
+        """Variables that derive the empty word."""
+        return _deriving(self, terminals=False)
+
+    @cached_property
+    def productive(self):
+        """Variables that derive some terminal word."""
+        return _deriving(self, terminals=True)
+
+    @cached_property
+    def live(self):
+        """Productive variables reachable from the start."""
+        reachable, stack = {self.start}, [self.start]
+        by_var = self.by_variable()
+        while stack:
+            for rhs in by_var[stack.pop()]:
+                for s in rhs:
+                    if self.is_var(s) and self.var_of(s) not in reachable:
+                        reachable.add(self.var_of(s))
+                        stack.append(self.var_of(s))
+        return self.productive & reachable
+
+    @property
+    def is_right_linear(self):
+        """Every body is eps or a terminal followed by a variable."""
+        return all(
+            rhs == ()
+            or (len(rhs) == 2 and not self.is_var(rhs[0]) and self.is_var(rhs[1]))
+            for _, rhs in self.productions
+        )
+
     def __repr__(self):
         return "CFGrammar(start=%s, %d productions)" % (
             self.variables.symbols[self.start],
             len(self.productions),
         )
-
-
-@dataclass(frozen=True)
-class GrammarReport:
-    productive: frozenset
-    reachable: frozenset
-    nullable: frozenset
-    is_right_linear: bool
 
 
 def _deriving(g, terminals):
@@ -107,10 +133,10 @@ def _deriving(g, terminals):
             ):
                 found.add(var)
                 changed = True
-    return found
+    return frozenset(found)
 
 
-def _layer_plan(g, variables, nullable):
+def _layer_plan(g, variables):
     """The steps that build one length layer of `variables`, in order.
 
     Only productions of `variables` whose body variables all lie in
@@ -119,15 +145,16 @@ def _layer_plan(g, variables, nullable):
     of symbols), whose layer k sums, over the splits k = j + l, layer j of the
     prefix one symbol shorter times layer l of its last symbol.  Inside layer
     k a split reads a layer-k value only when l = 0 (the last symbol is
-    nullable) or j = 0 (the shorter prefix is nullable); those reads order the
-    steps, and a cycle among them is a unit/epsilon cycle.
+    nullable, by `g.nullable`) or j = 0 (the shorter prefix is nullable);
+    those reads order the steps, and a cycle among them is a unit/epsilon
+    cycle.
 
     Returns (order, steps): a variable's step lists its bodies, a prefix's is
     (shorter prefix, last symbol, least l, k - greatest l).
     """
 
     def null(s):
-        return g.is_var(s) and g.var_of(s) in nullable
+        return g.is_var(s) and g.var_of(s) in g.nullable
 
     steps, reads = {}, {}
     for var, rhs in g.productions:
@@ -156,35 +183,6 @@ def _layer_plan(g, variables, nullable):
             "unit/epsilon cycle through %s" % " ".join(names)
         ) from None
     return order, steps
-
-
-def validate(g):
-    """Productive/reachable/nullable sets plus the right-linear flag."""
-    nullable = _deriving(g, terminals=False)
-    productive = _deriving(g, terminals=True)
-
-    reachable = {g.start}
-    stack = [g.start]
-    by_var = g.by_variable()
-    while stack:
-        v = stack.pop()
-        for rhs in by_var[v]:
-            for s in rhs:
-                if g.is_var(s) and g.var_of(s) not in reachable:
-                    reachable.add(g.var_of(s))
-                    stack.append(g.var_of(s))
-
-    right_linear = all(
-        rhs == ()
-        or (len(rhs) == 2 and not g.is_var(rhs[0]) and g.is_var(rhs[1]))
-        for _, rhs in g.productions
-    )
-    return GrammarReport(
-        frozenset(productive),
-        frozenset(reachable),
-        frozenset(nullable),
-        right_linear,
-    )
 
 
 # What a length layer holds, as (empty word, one letter, product, sum of an
@@ -226,8 +224,7 @@ def _layers(g, d, variables, mode, cap=None):
     """
     unit, letter, mul, total = mode
     zero = total(())
-    nullable = _deriving(g, terminals=False)
-    order, steps = _layer_plan(g, variables, nullable)
+    order, steps = _layer_plan(g, variables)
     vals = {(): [unit] + [zero] * d}
     vals.update((a, [zero, letter(a)]) for a in range(g.n))
     vals.update((key, []) for key in order)
@@ -254,21 +251,17 @@ def _layers(g, d, variables, mode, cap=None):
     return {key - g.n: vals[key] for key in order if isinstance(key, int)}
 
 
-def _live(g):
-    report = validate(g)
-    return report.productive & report.reachable
-
-
 def enumerate_words(g, d, cap=DEFAULT_WORD_CAP):
     """Distinct generated words of length <= d."""
-    layers = _layers(g, d, _live(g), _WORDS, cap).get(g.start, ())
+    layers = _layers(g, d, g.live, _WORDS, cap).get(g.start, ())
     return TruncatedLanguage(g.terminals, d, frozenset().union(*layers))
 
 
 def count_derivations(g, d):
     """c[A][k] = number of leftmost derivations (= parse trees) from A of words
-    of length k, for k <= d, for every variable A (zero when unproductive)."""
-    layers = _layers(g, d, _deriving(g, terminals=True), _COUNTS)
+    of length k, for k <= d, for every variable A (zero when A is not in
+    `g.productive`)."""
+    layers = _layers(g, d, g.productive, _COUNTS)
     return {j: layers.get(j, [0] * (d + 1)) for j in range(g.variables.size)}
 
 
@@ -283,7 +276,7 @@ def certify_unambiguous(g, d):
     if derivations == per_len:
         return True, None
     k = next(k for k, (a, b) in enumerate(zip(derivations, per_len)) if a != b)
-    parses = _layers(g, k, _live(g), _PARSES)[g.start][k]
+    parses = _layers(g, k, g.live, _PARSES)[g.start][k]
     return False, min((w for w, c in parses.items() if c >= 2), key=WORD_KEY)
 
 

@@ -36,6 +36,7 @@ from .ratfunc import QPoly, RationalFunction, TruncatedSeries
 from .regular import ideal_automaton
 from .words import (
     EMPTY,
+    Alphabet,
     FiniteLanguage,
     TruncatedLanguage,
     WORD_KEY,
@@ -551,8 +552,6 @@ def parse_rational(text):
 def parse_relation_file(text, loader):
     """Relation set file: `alphabet:` line, one relation word per line, and
     `family:` lines whose tokens are symbols or `@file` grammar references."""
-    from .words import Alphabet
-
     alphabet = None
     words = set()
     families = []
@@ -597,15 +596,15 @@ def parse_homology_spec(text, loader):
     """Spec file with sections `n:`, `chain i: ...`, `gldim: ...`.
 
     `n:` takes either a count or the symbol list; `loader(path)` returns the
-    text of a referenced grammar or language file.
+    text of a referenced grammar or language file.  Each line appears at most
+    once, and a `gldim: infinite-uchain2` spec has no chain lines.
     """
-    from .words import Alphabet
-
     n = None
     alphabet = None
     chains = {}
     gldim = None
     uspec = None
+    seen = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -613,6 +612,14 @@ def parse_homology_spec(text, loader):
         key, _, value = line.partition(":")
         key = key.strip().lower()
         value = value.strip()
+        if key.startswith("chain"):
+            toks = key.split()
+            if len(toks) != 2 or not toks[1].isdigit():
+                raise InputError("spec line %r needs `chain <index>:`" % raw)
+            key = int(toks[1])  # the chain index
+        if key in seen:
+            raise InputError("repeated spec line %r" % raw)
+        seen.add(key)
         if key == "n":
             toks = value.split()
             if len(toks) == 1 and toks[0].isdigit():
@@ -620,21 +627,17 @@ def parse_homology_spec(text, loader):
             else:
                 alphabet = Alphabet(toks)
                 n = alphabet.size
-        elif key.startswith("chain"):
-            toks = key.split()
-            if len(toks) != 2 or not toks[1].isdigit():
-                raise InputError("spec line %r needs `chain <index>:`" % raw)
-            idx = int(toks[1])
+        elif isinstance(key, int):
             kind, _, rest = value.partition(" ")
             rest = rest.strip()
             if kind == "grammar":
-                chains[idx] = ("grammar", parse_grammar(loader(rest)))
+                chains[key] = ("grammar", parse_grammar(loader(rest)))
             elif kind == "finite":
                 if alphabet is None:
                     raise InputError("finite descriptors need named symbols in n:")
-                chains[idx] = ("finite", parse_language_file(alphabet, loader(rest)))
+                chains[key] = ("finite", parse_language_file(alphabet, loader(rest)))
             elif kind == "rational":
-                chains[idx] = ("rational", parse_rational(rest))
+                chains[key] = ("rational", parse_rational(rest))
             else:
                 raise InputError("unknown chain descriptor %r" % kind)
         elif key == "gldim":
@@ -659,6 +662,8 @@ def parse_homology_spec(text, loader):
             raise InputError("unknown spec line %r" % raw)
     if n is None:
         raise InputError("spec is missing the n: line")
+    if uspec is not None and chains:
+        raise InputError("an infinite-uchain2 spec takes no chain lines")
     descriptors = tuple(chains[i] for i in sorted(chains))
     if sorted(chains) != list(range(1, len(chains) + 1)):
         raise InputError("chain indices must be 1..k without gaps")

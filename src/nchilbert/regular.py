@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceCapError
-from .grammar import CFGrammar, validate
+from .grammar import CFGrammar
 from .words import Alphabet, is_antichain
 
 DEFAULT_STATE_CAP = 10**5
@@ -49,7 +49,7 @@ class DFA:
 def _explore(start, step, n_sym, cap=None):
     """Breadth-first search from `start` over `step(state, sym)`: the reachable
     states in discovery order, and each one's row of successor indices.  A
-    `cap` bounds the number of states (determinization's cap)."""
+    `cap` bounds the number of states (the subset construction's cap)."""
     states = [start]
     index = {start: 0}
     rows = []
@@ -92,30 +92,6 @@ def minimize(dfa):
     return DFA(dfa.alphabet, tuple(class_rows[c] for c in range(n_classes)), accepting, 0)
 
 
-class NFA:
-    """Nondeterministic automaton without epsilon moves (construction helper)."""
-
-    def __init__(self, alphabet):
-        self.alphabet = alphabet
-        self.moves = {}  # (state, sym) -> set
-        self.initial = set()
-        self.accepting = set()
-
-    def add(self, s, sym, t):
-        self.moves.setdefault((s, sym), set()).add(t)
-
-
-def determinize(nfa, cap=DEFAULT_STATE_CAP):
-    """Subset construction; states are the reachable frozensets of NFA states."""
-
-    def step(cur, i):
-        return frozenset(t for s in cur for t in nfa.moves.get((s, i), ()))
-
-    states, rows = _explore(frozenset(nfa.initial), step, nfa.alphabet.size, cap)
-    accepting = frozenset(k for k, s in enumerate(states) if s & nfa.accepting)
-    return DFA(nfa.alphabet, tuple(rows), accepting, 0)
-
-
 class RegularLanguageHandle:
     """A regular language, normalized internally to its minimal total DFA."""
 
@@ -130,18 +106,24 @@ class RegularLanguageHandle:
         return self.dfa.accepts(word)
 
     @classmethod
-    def from_right_linear(cls, g):
-        report = validate(g)
-        if not report.is_right_linear:
+    def from_right_linear(cls, g, cap=DEFAULT_STATE_CAP):
+        """Subset construction over the grammar's variables: A -> x B is a move
+        from A to B on x and A -> eps makes A accepting.  A `cap` bounds the
+        number of subsets."""
+        if not g.is_right_linear:
             raise InputError("grammar is not right linear")
-        nfa = NFA(g.terminals)
+        moves = {}
         for var, rhs in g.productions:
-            if rhs == ():
-                nfa.accepting.add(var)
-            else:
-                nfa.add(var, rhs[0], g.var_of(rhs[1]))
-        nfa.initial = {g.start}
-        return cls(determinize(nfa))
+            if rhs:
+                moves.setdefault((var, rhs[0]), set()).add(g.var_of(rhs[1]))
+        accepting = {var for var, rhs in g.productions if not rhs}
+
+        def step(cur, i):
+            return frozenset(t for s in cur for t in moves.get((s, i), ()))
+
+        states, rows = _explore(frozenset({g.start}), step, g.n, cap)
+        final = frozenset(k for k, s in enumerate(states) if s & accepting)
+        return cls(DFA(g.terminals, tuple(rows), final, 0))
 
 
 def ideal_automaton(basis):

@@ -34,7 +34,7 @@ from nchilbert.homology import HomologySpec, hilbert_from_homology
 from nchilbert.multipoly import MultiPolynomial, RatPoly
 from nchilbert.newton import newton_series, reciprocal_poly
 from nchilbert.ratfunc import RF_ONE, RationalFunction
-from nchilbert.regular import NFA, determinize, ideal_automaton, myhill_nerode_grammar
+from nchilbert.regular import RegularLanguageHandle, ideal_automaton, myhill_nerode_grammar
 from nchilbert.words import Alphabet, FiniteLanguage, minimize_antichain
 
 
@@ -159,10 +159,9 @@ def _ifthenelse_buchberger(cap):
 
 
 def _x_determinize(cap):
-    nfa = NFA(Alphabet(["x", "y"]))  # three subsets: {0}, {1}, {}
-    nfa.add(0, 0, 1)
-    nfa.initial, nfa.accepting = {0}, {1}
-    determinize(nfa, cap)
+    # three subsets: {S}, {T}, {}
+    g = parse_grammar("terminals: x y\nvariables: S T\nstart: S\nS -> x T\nT -> eps")
+    RegularLanguageHandle.from_right_linear(g, cap)
 
 
 CAPPED = {  # run with a cap -> message with that cap

@@ -382,6 +382,10 @@ PARSE_TIME = {
     "chain-without-index",
     "gldim-not-a-number",
     "uchain2-without-Rp",
+    "uchain2-with-chain-line",
+    "uchain2-with-gldim",
+    "repeated-chain-line",
+    "repeated-n-line",
     "gsb-zero-denominator",
     "rational-zero-denominator",
     "rational-zero-polynomial-denominator",
@@ -394,12 +398,24 @@ PARSE_TIME = {
 }
 GOVOROV_1 = ["govorov-chains", "--alphabet", "x y", "--index", "1"]
 CHAINS = ["chains", "--alphabet", "x y"]
+UCHAIN2_GLDIM = "gldim: infinite-uchain2 R=r.lang Rp=r.lang L=g.gf\n"
 MALFORMED = {
     "chain-without-index": ("spec.hs", "n: x y\nchain: grammar g.gf\n", ["hilbert"]),
     "gldim-not-a-number": ("spec.hs", "n: x y\ngldim: abc\n", ["hilbert"]),
     "uchain2-without-Rp": (
         "spec.hs", "n: x\ngldim: infinite-uchain2 R=r.lang L=g.gf\n", ["hilbert"],
     ),
+    "uchain2-verify-chains": (
+        "spec.hs", "n: x\n" + UCHAIN2_GLDIM, ["hilbert", "--verify-chains", "4"],
+    ),
+    "uchain2-with-chain-line": (
+        "spec.hs", "n: x\n" + UCHAIN2_GLDIM + "chain 1: grammar g.gf\n", ["hilbert"],
+    ),
+    "uchain2-with-gldim": ("spec.hs", "n: x\n" + UCHAIN2_GLDIM + "gldim: 2\n", ["hilbert"]),
+    "repeated-chain-line": (
+        "spec.hs", "n: x\nchain 1: rational t^3\nchain 1: finite r.lang\n", ["hilbert"],
+    ),
+    "repeated-n-line": ("spec.hs", "n: x\nn: 2\n", ["hilbert"]),
     "gsb-zero-denominator": ("p.txt", "alphabet: x y\n1/0 x x\n", ["gsb"]),
     "verify-chains-without-chains": ("spec.hs", "n: 2\n", ["hilbert", "--verify-chains", "3"]),
     "rational-zero-denominator": ("spec.hs", "n: 1\nchain 1: rational 1/0\n", ["hilbert"]),

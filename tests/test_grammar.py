@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from nchilbert import grammar
 from nchilbert.errors import DivergenceError
 from nchilbert.examples import DYCK, IFTHENELSE, LUKASIEWICZ, palindrome_grammar
 from nchilbert.grammar import (
@@ -14,7 +15,6 @@ from nchilbert.grammar import (
     enumerate_words,
     format_grammar,
     parse_grammar,
-    validate,
 )
 from nchilbert.words import WORD_KEY, Alphabet, full_language
 
@@ -45,10 +45,9 @@ T -> eps | a T b T
 
 def test_validate_dyck():
     g = parse_grammar(DYCK)
-    rep = validate(g)
-    assert rep.productive == {0} and rep.reachable == {0}
-    assert rep.nullable == {0}
-    assert not rep.is_right_linear
+    assert g.productive == {0} and g.live == {0}
+    assert g.nullable == {0}
+    assert not g.is_right_linear
 
 
 def test_validate_flags_unit_cycle():
@@ -59,9 +58,22 @@ def test_validate_flags_unit_cycle():
 
 def test_validate_xystar_report():
     g = parse_grammar(XYSTAR)
-    rep = validate(g)
-    assert rep.is_right_linear
-    assert g.variables.index("A3") not in rep.productive
+    assert g.is_right_linear
+    assert g.variables.index("A3") not in g.productive
+    assert g.live == {0, 1}
+
+
+def test_certificate_computes_grammar_facts_once(monkeypatch):
+    calls = []
+    deriving = grammar._deriving
+
+    def counted(g, terminals):
+        calls.append(terminals)
+        return deriving(g, terminals)
+
+    monkeypatch.setattr(grammar, "_deriving", counted)
+    assert certify_unambiguous(parse_grammar(IFTHENELSE), 12) == (True, None)
+    assert sorted(calls) == [False, True]
 
 
 def test_enumerate_dyck():
