@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 
 from .csys import DEFAULT_CERT_DEG, gamma_algebraic
 from .errors import (
@@ -91,12 +90,12 @@ def _parse(path, parse, *args):
 
 
 def _loader_for(path):
+    """load(name, parse, *args) for the files a spec or relation file at
+    `path` refers to: `name` is taken relative to the directory of `path`
+    (an absolute name stays as it is), and the file goes through `_parse`,
+    so an input error in it names that file."""
     base = os.path.dirname(os.path.abspath(path))
-
-    def load(rel):
-        return _read(rel if os.path.isabs(rel) else os.path.join(base, rel))
-
-    return load
+    return lambda name, parse, *args: _parse(os.path.join(base, name), parse, *args)
 
 
 def _common(sub, max_deg=True, cert=False):
@@ -172,7 +171,7 @@ def cmd_chains(args):
 
 
 def _parse_basis(text, alphabet):
-    basis = parse_language_file(alphabet, text)
+    basis = parse_language_file(text, alphabet)
     if any(len(w) < 2 for w in basis.words):
         raise InputError("basis words must have length >= 2")
     return basis
@@ -293,8 +292,8 @@ def _uchain2_report(rep, r, rp, g, nm, args):
 
 def cmd_uchain2(args):
     alphabet = Alphabet(args.alphabet.split())
-    r = _parse(args.r, partial(parse_language_file, alphabet))
-    rp = _parse(args.rp, partial(parse_language_file, alphabet))
+    r = _parse(args.r, parse_language_file, alphabet)
+    rp = _parse(args.rp, parse_language_file, alphabet)
     g = _parse(args.grammar, parse_grammar)
     return _uchain2_report(Report(args.format), r, rp, g, alphabet.size + g.n, args)
 
@@ -317,7 +316,7 @@ def cmd_gsb(args):
     code = 0
     if args.predict or args.finite:
         finite = (
-            _parse(args.finite, partial(parse_language_file, alphabet))
+            _parse(args.finite, parse_language_file, alphabet)
             if args.finite
             else FiniteLanguage(alphabet, frozenset())
         )

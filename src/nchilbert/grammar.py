@@ -17,7 +17,7 @@ from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import DivergenceError, InputError, ResourceCapError
-from .words import EMPTY, Alphabet, TruncatedLanguage, WORD_KEY
+from .words import EMPTY, Alphabet, TruncatedLanguage, WORD_KEY, content_lines
 
 DEFAULT_WORD_CAP = 10**7
 
@@ -289,26 +289,27 @@ def parse_grammar(text):
         variables: S T
         start: S
         S -> eps | x S y S
+
+    Each of the three header lines appears exactly once.
     """
-    terminals = variables = start_name = None
+    headers = {}
     rules = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("terminals:"):
-            terminals = Alphabet(line.split(":", 1)[1].split())
-        elif line.startswith("variables:"):
-            variables = Alphabet(line.split(":", 1)[1].split())
-        elif line.startswith("start:"):
-            start_name = line.split(":", 1)[1].strip()
+    for line in content_lines(text):
+        key, _, value = line.partition(":")
+        if key in ("terminals", "variables", "start"):
+            if key in headers:
+                raise InputError("repeated grammar line %r" % line)
+            headers[key] = value
         elif "->" in line:
             lhs, rhs = line.split("->", 1)
             rules.append((lhs.strip(), rhs))
         else:
             raise InputError("bad grammar line: %r" % line)
-    if terminals is None or variables is None or start_name is None:
+    if len(headers) < 3:
         raise InputError("grammar file needs terminals:, variables: and start:")
+    terminals = Alphabet(headers["terminals"].split())
+    variables = Alphabet(headers["variables"].split())
+    start_name = headers["start"].strip()
     n = terminals.size
 
     def sym(tok):

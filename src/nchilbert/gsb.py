@@ -14,7 +14,7 @@ import heapq
 from fractions import Fraction
 
 from .errors import InputError, MismatchError, ResourceCapError
-from .words import Alphabet, FiniteLanguage, WORD_KEY, is_antichain
+from .words import Alphabet, FiniteLanguage, WORD_KEY, alphabet_file, is_antichain
 
 
 class MonomialOrder:
@@ -247,22 +247,11 @@ class CompareReport:
 
 
 def parse_presentation(text):
-    """`alphabet:` line (priority order, highest first), then one relation
-    per line as a signed sum of words, e.g. `a' x - x a'`."""
-    alphabet = None
-    relations = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.lower().startswith("alphabet:"):
-            alphabet = Alphabet(line.split(":", 1)[1].split())
-            continue
-        if alphabet is None:
-            raise InputError("presentation must start with an alphabet: line")
-        relations.append(_parse_relation(alphabet, line))
-    if alphabet is None:
-        raise InputError("presentation has no alphabet: line")
+    """One `alphabet:` line (priority order, highest first), then one
+    relation per line as a signed sum of words with optional rational
+    coefficients, e.g. `a' x - x a'` or `2 x y - 1/2 y x`."""
+    alphabet, lines = alphabet_file(text, "presentation")
+    relations = [_parse_relation(alphabet, line) for line in lines]
     return alphabet, MonomialOrder(alphabet), relations
 
 

@@ -40,6 +40,8 @@ from .words import (
     FiniteLanguage,
     TruncatedLanguage,
     WORD_KEY,
+    alphabet_file,
+    content_lines,
     full_language,
     is_antichain,
     minimize_antichain,
@@ -550,20 +552,14 @@ def parse_rational(text):
 
 
 def parse_relation_file(text, loader):
-    """Relation set file: `alphabet:` line, one relation word per line, and
-    `family:` lines whose tokens are symbols or `@file` grammar references."""
-    alphabet = None
+    """Relation set file: one `alphabet:` line first, then one relation word
+    per line and `family:` lines whose tokens are symbols or `@file` grammar
+    references.  `loader(name, parse, *args)` parses the file `name` with
+    `parse(text, *args)`, and an input error in it names that file."""
+    alphabet, lines = alphabet_file(text, "relation file")
     words = set()
     families = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.lower().startswith("alphabet:"):
-            alphabet = Alphabet(line.split(":", 1)[1].split())
-            continue
-        if alphabet is None:
-            raise InputError("relation file must start with an alphabet: line")
+    for line in lines:
         if line.lower().startswith("family:"):
             parts = []
             pending = []
@@ -572,7 +568,7 @@ def parse_relation_file(text, loader):
                     if pending:
                         parts.append(("word", bytes(pending)))
                         pending = []
-                    g = parse_grammar(loader(tok[1:]))
+                    g = loader(tok[1:], parse_grammar)
                     if g.terminals != alphabet:
                         raise InputError(
                             "family grammar terminals must match the alphabet"
@@ -585,8 +581,6 @@ def parse_relation_file(text, loader):
             families.append(PatternFamily(tuple(parts)))
         else:
             words.add(alphabet.word(line))
-    if alphabet is None:
-        raise InputError("relation file has no alphabet: line")
     return RelationSet(
         alphabet, FiniteLanguage(alphabet, frozenset(words)), tuple(families)
     )
@@ -595,9 +589,11 @@ def parse_relation_file(text, loader):
 def parse_homology_spec(text, loader):
     """Spec file with sections `n:`, `chain i: ...`, `gldim: ...`.
 
-    `n:` takes either a count or the symbol list; `loader(path)` returns the
-    text of a referenced grammar or language file.  Each line appears at most
-    once, and a `gldim: infinite-uchain2` spec has no chain lines.
+    `n:` takes either a count or the symbol list.  `loader(name, parse,
+    *args)` parses a referenced grammar or language file with `parse(text,
+    *args)`, and an input error in it names that file.  Each line appears at
+    most once, a chain key is exactly `chain <index>`, and a `gldim:
+    infinite-uchain2` spec has no chain lines.
     """
     n = None
     alphabet = None
@@ -605,24 +601,21 @@ def parse_homology_spec(text, loader):
     gldim = None
     uspec = None
     seen = set()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         key, _, value = line.partition(":")
         key = key.strip().lower()
         value = value.strip()
         if key.startswith("chain"):
             toks = key.split()
-            if len(toks) != 2 or not toks[1].isdigit():
-                raise InputError("spec line %r needs `chain <index>:`" % raw)
+            if len(toks) != 2 or toks[0] != "chain" or not toks[1].isdecimal():
+                raise InputError("spec line %r needs `chain <index>:`" % line)
             key = int(toks[1])  # the chain index
         if key in seen:
-            raise InputError("repeated spec line %r" % raw)
+            raise InputError("repeated spec line %r" % line)
         seen.add(key)
         if key == "n":
             toks = value.split()
-            if len(toks) == 1 and toks[0].isdigit():
+            if len(toks) == 1 and toks[0].isdecimal():
                 n = int(toks[0])
             else:
                 alphabet = Alphabet(toks)
@@ -631,11 +624,11 @@ def parse_homology_spec(text, loader):
             kind, _, rest = value.partition(" ")
             rest = rest.strip()
             if kind == "grammar":
-                chains[key] = ("grammar", parse_grammar(loader(rest)))
+                chains[key] = ("grammar", loader(rest, parse_grammar))
             elif kind == "finite":
                 if alphabet is None:
                     raise InputError("finite descriptors need named symbols in n:")
-                chains[key] = ("finite", parse_language_file(alphabet, loader(rest)))
+                chains[key] = ("finite", loader(rest, parse_language_file, alphabet))
             elif kind == "rational":
                 chains[key] = ("rational", parse_rational(rest))
             else:
@@ -648,9 +641,9 @@ def parse_homology_spec(text, loader):
                     raise InputError("uchain2 spec needs %s" % " ".join(missing))
                 if alphabet is None:
                     raise InputError("uchain2 specs need named symbols in n:")
-                r = parse_language_file(alphabet, loader(opts["R"]))
-                rp = parse_language_file(alphabet, loader(opts["Rp"]))
-                uspec = Uchain2Spec(r, rp, parse_grammar(loader(opts["L"])))
+                r = loader(opts["R"], parse_language_file, alphabet)
+                rp = loader(opts["Rp"], parse_language_file, alphabet)
+                uspec = Uchain2Spec(r, rp, loader(opts["L"], parse_grammar))
             else:
                 try:
                     gldim = int(value)
@@ -659,7 +652,7 @@ def parse_homology_spec(text, loader):
                         "gldim must be an integer or infinite-uchain2, not %r" % value
                     ) from None
         else:
-            raise InputError("unknown spec line %r" % raw)
+            raise InputError("unknown spec line %r" % line)
     if n is None:
         raise InputError("spec is missing the n: line")
     if uspec is not None and chains:

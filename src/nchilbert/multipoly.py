@@ -7,7 +7,7 @@ from functools import reduce
 from math import gcd, lcm
 
 from .errors import InputError
-from .ratfunc import QPoly, RationalFunction, RF_ONE, RF_ZERO, format_qpoly
+from .ratfunc import QPoly, RationalFunction, RF_ONE, RF_ZERO, TruncatedSeries, format_qpoly
 
 
 class MultiPolynomial:
@@ -109,8 +109,6 @@ class MultiPolynomial:
 
     def eval_series(self, assignment, d):
         """Substitute a truncated series for every variable."""
-        from .ratfunc import TruncatedSeries
-
         out = TruncatedSeries([0] * (d + 1), d)
         for e, c in self.terms.items():
             term = c.series(d)
@@ -181,8 +179,6 @@ class RatPoly(QPoly):
 
     def eval_series(self, h, d):
         """Evaluate at a truncated series argument (coefficients expanded)."""
-        from .ratfunc import TruncatedSeries
-
         acc = TruncatedSeries([0] * (d + 1), d)
         for c in reversed(self.coeffs):
             acc = acc * h + c.series(d)

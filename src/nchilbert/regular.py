@@ -98,10 +98,6 @@ class RegularLanguageHandle:
     def __init__(self, dfa):
         self.dfa = minimize(dfa)
 
-    @property
-    def alphabet(self):
-        return self.dfa.alphabet
-
     def accepts(self, word):
         return self.dfa.accepts(word)
 

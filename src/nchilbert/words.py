@@ -267,12 +267,27 @@ def trunc_boolean(a, b, op):
     return TruncatedLanguage(a.alphabet, d, frozenset(res))
 
 
-def parse_language_file(alphabet, text):
-    """One word per line; ``#`` starts a comment; ``eps`` is the empty word."""
-    words = set()
+def content_lines(text):
+    """Each line of text with its ``#`` comment cut and its ends stripped;
+    blank lines are skipped.  Every input format reads its lines this way."""
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        words.add(alphabet.word(line))
-    return FiniteLanguage(alphabet, frozenset(words))
+        if line:
+            yield line
+
+
+def alphabet_file(text, what):
+    """(Alphabet, the other content lines) of a file whose first content line
+    is its one ``alphabet:`` line; `what` names the format in the error."""
+    first, *rest = list(content_lines(text)) or [""]
+    if not first.lower().startswith("alphabet:"):
+        raise InputError("%s must start with an alphabet: line" % what)
+    for line in rest:
+        if line.lower().startswith("alphabet:"):
+            raise InputError("repeated alphabet: line %r" % line)
+    return Alphabet(first.split(":", 1)[1].split()), rest
+
+
+def parse_language_file(text, alphabet):
+    """One word per line; ``#`` starts a comment; ``eps`` is the empty word."""
+    return FiniteLanguage.from_texts(alphabet, content_lines(text))

@@ -158,6 +158,21 @@ def test_hilbert_spec_with_chain_verification(tmp_path, capsys):
     assert "chain-3-verify: ok to degree 6" in out
 
 
+@pytest.mark.parametrize(
+    "chain2, code, verdict", [("t^3", 0, "ok to degree 6"), ("t^4", 1, "MISMATCH")]
+)
+def test_hilbert_verifies_rational_chain_counts(tmp_path, capsys, chain2, code, verdict):
+    # chain 2 of {x x} is {x x x}: one word, of degree 3
+    write(tmp_path, "c1.lang", "x x\n")
+    spec = write(
+        tmp_path, "spec.hs",
+        "n: x y\nchain 1: finite c1.lang\nchain 2: rational %s\n" % chain2,
+    )
+    got, out, _ = run(capsys, ["hilbert", spec, "--verify-chains", "6"])
+    assert got == code
+    assert "chain-2-verify: " + verdict in out.splitlines()
+
+
 def test_gsb_with_prediction(tmp_path, capsys):
     pres = write(tmp_path, "p.txt", "alphabet: x y\nx x\n")
     fin = write(tmp_path, "f.lang", "x x\n")
@@ -395,6 +410,21 @@ PARSE_TIME = {
     "chains-one-letter-basis",
     "gamma-empty-alternative",
     "gamma-empty-right-hand-side",
+    "gamma-duplicate-production",
+    "gamma-terminal-is-variable",
+    "gamma-variable-without-rule",
+    "gamma-repeated-terminals",
+    "relations-second-alphabet",
+    "relations-family-unknown-symbol",
+    "gsb-second-alphabet",
+    "chains-key",
+    "chain-non-ascii-index",
+    "spec-grammar-unknown-symbol",
+}
+# parse-time cases whose error lies in a file that the named file refers to
+REFERENCED = {
+    "relations-family-unknown-symbol": "bad.gf",
+    "spec-grammar-unknown-symbol": "bad.gf",
 }
 GOVOROV_1 = ["govorov-chains", "--alphabet", "x y", "--index", "1"]
 CHAINS = ["chains", "--alphabet", "x y"]
@@ -443,6 +473,35 @@ MALFORMED = {
         "terminals: x\nvariables: S A B\nstart: S\nS -> x\nA -> A A | eps\nB -> x\n",
         ["gamma"],
     ),
+    "gamma-duplicate-production": (
+        "g.gf", "terminals: x\nvariables: S\nstart: S\nS -> x | x\n", ["gamma"],
+    ),
+    "gamma-terminal-is-variable": (
+        "g.gf", "terminals: x S\nvariables: S\nstart: S\nS -> x\n", ["gamma"],
+    ),
+    "gamma-variable-without-rule": (
+        "g.gf", "terminals: x\nvariables: S T\nstart: S\nS -> x\n", ["gamma"],
+    ),
+    "gamma-repeated-terminals": (
+        "g.gf", "terminals: x\nterminals: x y\nvariables: S\nstart: S\nS -> x\n",
+        ["gamma"],
+    ),
+    # the second line used to switch the alphabet: the oracle printed 1,3,8,22
+    "relations-second-alphabet": (
+        "rels.txt", "alphabet: x y\nx x\nalphabet: x y z\n", ["oracle", "--max-deg", "3"],
+    ),
+    "relations-family-unknown-symbol": (
+        "rels.txt", "alphabet: x\nfamily: x @bad.gf\n", ["oracle"],
+    ),
+    "gsb-second-alphabet": (
+        "p.txt", "alphabet: x y\nx y - y x\nalphabet: x y z\nz x\n", ["gsb"],
+    ),
+    "chains-key": ("spec.hs", "n: x y\nchains 1: rational t^2\n", ["hilbert"]),
+    "chain-non-ascii-index": ("spec.hs", "n: 1\nchain \u00b2: rational t\n", ["hilbert"]),
+    "spec-grammar-unknown-symbol": ("spec.hs", "n: 1\nchain 1: grammar bad.gf\n", ["hilbert"]),
+    "gldim-beside-one-chain": (
+        "spec.hs", "n: x y\nchain 1: rational t^2\ngldim: 3\n", ["hilbert"],
+    ),
 }
 
 
@@ -451,6 +510,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     name, text, argv = MALFORMED[case]
     write(tmp_path, "r.lang", "x\n")
     write(tmp_path, "g.gf", DYCK)
+    write(tmp_path, "bad.gf", "terminals: x\nvariables: S\nstart: S\nS -> x y\n")
     path = write(tmp_path, name, text)
     code, _, err = run(capsys, argv[:1] + [path] + argv[1:])
     assert code == 2
@@ -459,6 +519,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in err
     if case in PARSE_TIME:
         assert path in err
+    if case in REFERENCED:
+        assert str(tmp_path / REFERENCED[case]) in err
 
 
 FUZZ_BASES = {  # file name, text, command; dyck.gf and c1.lang sit beside it

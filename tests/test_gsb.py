@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,14 @@ def test_commutative_toy_stays_put():
     basis = gs_complete(rels, order, 5)
     assert len(basis) == 1
     assert basis[0] == poly(alphabet, (1, "x y"), (-1, "y x"))
+
+
+def test_presentation_coefficients_complete_to_monic():
+    alphabet, order, rels = parse_presentation("alphabet: x y\n2 x y - 1/2 y x\n")
+    assert rels == [poly(alphabet, (2, "x y"), (Fraction(-1, 2), "y x"))]
+    basis = gs_complete(rels, order, 5)
+    assert basis == [poly(alphabet, (1, "x y"), (Fraction(-1, 4), "y x"))]
+    assert basis[0].text() == "x y - 1/4 y x"
 
 
 def test_rejects_inhomogeneous():

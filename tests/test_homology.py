@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from nchilbert.errors import InputError
+from nchilbert.errors import InputError, MismatchError
 from nchilbert.homology import (
     HomologySpec,
     PatternFamily,
@@ -23,7 +23,7 @@ from nchilbert.homology import (
 )
 from nchilbert.examples import TRIPLE_L1
 from nchilbert.grammar import enumerate_words, parse_grammar
-from nchilbert.ratfunc import QPoly, RationalFunction
+from nchilbert.ratfunc import QPoly, RationalFunction, TruncatedSeries
 from nchilbert.words import (
     Alphabet,
     FiniteLanguage,
@@ -175,6 +175,17 @@ def test_trivial_spec_free_on_one_letter():
     assert list(res.series.coeffs) == [1] * 9
 
 
+def test_hilbert_check_oracle_catches_one_coefficient_off():
+    # relations {x y}: one chain, so gldim 2; both routes give 1, 2, 3, ...
+    spec = HomologySpec(2, (("finite", flang("x y")),), gldim=2)
+    oracle = hilbert_oracle(RelationSet(XY, flang("x y")), 6)
+    assert hilbert_from_homology(spec, 6, check_oracle=oracle).series == oracle
+    off = list(oracle.coeffs)
+    off[4] += 1
+    with pytest.raises(MismatchError, match="disagrees with the oracle"):
+        hilbert_from_homology(spec, 6, check_oracle=TruncatedSeries(off, 6))
+
+
 def test_pattern_family_words():
     dyck = parse_grammar(
         "terminals: x a b\nvariables: S\nstart: S\nS -> eps | a S b S"
@@ -252,7 +263,7 @@ def test_parse_homology_spec(tmp_path):
     (tmp_path / "c1.lang").write_text("x x\n")
     spec_text = "n: x y\nchain 1: finite c1.lang\ngldim: 2\n"
     spec = parse_homology_spec(
-        spec_text, lambda p: (tmp_path / p).read_text()
+        spec_text, lambda p, parse, *args: parse((tmp_path / p).read_text(), *args)
     )
     assert spec.n == 2
     assert spec.gldim == 2
@@ -265,7 +276,7 @@ def test_parse_relation_file(tmp_path):
         "terminals: x a b\nvariables: S\nstart: S\nS -> eps | a S b S\n"
     )
     text = "alphabet: x a b\nx x\nfamily: x @dyck.gf x\n"
-    rels = parse_relation_file(text, lambda p: (tmp_path / p).read_text())
+    rels = parse_relation_file(text, lambda p, parse, *args: parse((tmp_path / p).read_text(), *args))
     got = {rels.alphabet.text(w) for w in rels.words_upto(4)}
     assert got == {"x x", "x a b x"}
 
@@ -274,4 +285,4 @@ def test_spec_rejects_gapped_chains(tmp_path):
     (tmp_path / "c.lang").write_text("x x\n")
     text = "n: x y\nchain 2: finite c.lang\n"
     with pytest.raises(InputError):
-        parse_homology_spec(text, lambda p: (tmp_path / p).read_text())
+        parse_homology_spec(text, lambda p, parse, *args: parse((tmp_path / p).read_text(), *args))

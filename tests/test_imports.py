@@ -70,3 +70,34 @@ def test_no_dead_definitions():
         p.read_text() for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")
     ]
     assert dead_definitions(defining, referencing) == []
+
+
+def comment_splits(source):
+    """Line numbers of `.split("#", ...)` and `.partition("#")` calls: each
+    one cuts a `#` comment off a line."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("split", "partition")
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == "#"
+    )
+
+
+def test_comment_splits_are_detected():
+    source = "a = s.split('#', 1)[0]\nb = s.split(':')\nc = s.partition('#')\n"
+    assert comment_splits(source) == [1, 3]
+
+
+def test_one_comment_rule():
+    """`words.content_lines` is the only place that cuts `#` comments: every
+    input format reads its lines through it."""
+    forks = {
+        p.name: comment_splits(p.read_text())
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "words.py"
+    }
+    assert {name: lines for name, lines in forks.items() if lines} == {}

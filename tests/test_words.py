@@ -147,7 +147,7 @@ def test_trunc_ideal_matches_factor_scan():
 
 def test_language_file_roundtrip():
     text = "# comment\nx y\neps\ny y y\n"
-    out = parse_language_file(XY, text)
+    out = parse_language_file(text, XY)
     assert out.texts() == ["eps", "x y", "y y y"]
 
 
