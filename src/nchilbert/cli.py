@@ -76,7 +76,7 @@ def _read(path):
     try:
         with open(path, "r") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # a NUL in the name; undecodable text
         raise InputError("cannot read %s: %s" % (path, exc)) from None
 
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
 
 from .errors import InputError
-from .ratfunc import QPoly, RationalFunction, RF_ONE, RF_ZERO, TruncatedSeries, format_qpoly
+from .ratfunc import QPoly, RationalFunction, RF_ONE, RF_ZERO, TruncatedSeries
+from .ratfunc import format_qpoly, primitive_part
 
 
 class MultiPolynomial:
@@ -184,6 +184,13 @@ class RatPoly(QPoly):
             acc = acc * h + c.series(d)
         return acc
 
+    def gcd(self, other):
+        """Monic gcd by the Euclidean algorithm over the field Q(t)."""
+        a, b = self, other
+        while b:
+            a, b = b, a % b
+        return a.monic()
+
     def squarefree_part(self):
         if self.degree <= 1:
             return self
@@ -201,13 +208,10 @@ class RatPoly(QPoly):
         polys = [(c * RationalFunction(den)).num for c in self.coeffs]
         g = reduce(QPoly.gcd, polys)
         polys = [p // g for p in polys]
-        fracs = [c for p in polys for c in p.coeffs]
-        scale = Fraction(
-            lcm(*(c.denominator for c in fracs)), gcd(*(c.numerator for c in fracs))
+        ints = iter(primitive_part([c for p in polys for c in p.coeffs]))
+        return RatPoly(
+            self.var, [RationalFunction(QPoly([next(ints) for _ in p.coeffs])) for p in polys]
         )
-        if polys[-1].coeffs[-1] < 0:
-            scale = -scale
-        return RatPoly(self.var, [RationalFunction(p * scale) for p in polys])
 
     def proportional_to(self, other):
         """Equal up to a nonzero scalar in Q(t)."""

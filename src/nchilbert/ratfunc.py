@@ -4,6 +4,7 @@ degree-truncated power series over Q."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -16,7 +17,8 @@ class QPoly:
 
     The arithmetic works over any coefficient field: a subclass sets the
     zero element `_zero`, the coefficient coercion `_coeff` and `_new`,
-    which builds a result of its own type.
+    which builds a result of its own type.  `gcd` alone is specific to Q:
+    it runs over Z, and `RatPoly` keeps the field Euclid for Q(t).
     """
 
     __slots__ = ("coeffs",)
@@ -119,16 +121,42 @@ class QPoly:
         return self._new(tuple(c / lead for c in self.coeffs))
 
     def gcd(self, other):
-        a, b = self, other
-        while b:
-            a, b = b, a % b
-        return a.monic()
+        """Monic gcd by the primitive pseudo-remainder sequence over Z (Collins
+        1967; Brown & Traub 1971): only the result is turned into Fractions."""
+        if not self or not other:
+            return (self or other).monic()
+        a, b = primitive_part(self.coeffs), primitive_part(other.coeffs)
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            n = len(b) - 1
+            while len(a) > n:  # a becomes an integer multiple of a mod b
+                c = a.pop()
+                g = gcd(c, b[-1])
+                m, c, k = b[-1] // g, c // g, len(a) - n
+                a = [x * m for x in a]
+                for i in range(n):
+                    a[k + i] -= c * b[i]
+                while a and not a[-1]:
+                    a.pop()
+            a, b = b, primitive_part(a) if a else []
+        g = b or a  # a nonzero constant remainder is [1]: the gcd is 1
+        return self._new(tuple(Fraction(c, g[-1]) for c in g))
 
     def derivative(self):
         return self._new(tuple(i * self.coeffs[i] for i in range(1, len(self.coeffs))))
 
     def __repr__(self):
         return "QPoly(%s)" % format_qpoly(self)
+
+
+def primitive_part(coeffs):
+    """The primitive integer coefficients, leading one positive, of a
+    nonzero polynomial that the rational `coeffs` give up to a scalar."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return [c // g for c in ints]
 
 
 def format_qpoly(p, var="t"):
@@ -312,7 +340,7 @@ class RationalFunction:
 
 def _gcd(p, q):
     """Monic gcd of p and q (q nonzero), or None when it is 1.  A nonzero
-    constant shares no factor with anything, so it needs no Euclidean run."""
+    constant shares no factor with anything, so it needs no remainder sequence."""
     if p.degree == 0 or q.degree == 0:
         return None
     g = p.gcd(q)

@@ -257,6 +257,21 @@ def test_newton_squarefree_fallback():
         newton_series(q, [1, 1, 2], 8)
 
 
+def test_ratpoly_squarefree_part():
+    # (E - r)^2 (E - s) over Q(t) goes through RatPoly's field Euclid
+    r = RationalFunction(qp(1), qp(1, -1))
+    s = RationalFunction(qp(0, 2), qp(3, 0, 1))
+    e_r, e_s = RatPoly("E", [-r, RF_ONE]), RatPoly("E", [-s, RF_ONE])
+    assert (e_r * e_r * e_s).squarefree_part() == e_r * e_s
+
+
+def test_ratpoly_cleared_primitive_and_positive():
+    # (2 + 4t)/(1 - t) + (-6/5) E  ->  (5 + 10t) + (3t - 3) E
+    c0 = RationalFunction(qp(2, 4), qp(1, -1))
+    p = RatPoly("E", [c0, RationalFunction.const(Fraction(-6, 5))])
+    assert p.cleared() == ratpoly("E", [[5, 10], [-3, 3]])
+
+
 def test_newton_dyck_catalan():
     q = ratpoly("T", [[1], [-1], [0, 0, 1]])  # t^2 T^2 - T + 1
     out = newton_series(q, [1], 6)

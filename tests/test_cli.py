@@ -61,6 +61,15 @@ def test_gamma_missing_file(capsys):
     assert "input error" in err
 
 
+def test_undecodable_file_exits_2(tmp_path, capsys):
+    # reading raises UnicodeDecodeError, a ValueError like a NUL in a name
+    path = tmp_path / "spec.hs"
+    path.write_bytes(b"n: 1\nchain 1: rational t\xff\n")
+    code, _, err = run(capsys, ["hilbert", str(path)])
+    assert code == 2
+    assert err.startswith("input error: ") and str(path) in err
+
+
 def test_gamma_negative_degree(tmp_path, capsys):
     gf = write(tmp_path, "g.gf", DYCK)
     code, _, _ = run(capsys, ["gamma", gf, "--max-deg", "-1"])
@@ -420,11 +429,13 @@ PARSE_TIME = {
     "chains-key",
     "chain-non-ascii-index",
     "spec-grammar-unknown-symbol",
+    "spec-grammar-nul-name",
 }
 # parse-time cases whose error lies in a file that the named file refers to
 REFERENCED = {
     "relations-family-unknown-symbol": "bad.gf",
     "spec-grammar-unknown-symbol": "bad.gf",
+    "spec-grammar-nul-name": "a\0b",
 }
 GOVOROV_1 = ["govorov-chains", "--alphabet", "x y", "--index", "1"]
 CHAINS = ["chains", "--alphabet", "x y"]
@@ -499,6 +510,8 @@ MALFORMED = {
     "chains-key": ("spec.hs", "n: x y\nchains 1: rational t^2\n", ["hilbert"]),
     "chain-non-ascii-index": ("spec.hs", "n: 1\nchain \u00b2: rational t\n", ["hilbert"]),
     "spec-grammar-unknown-symbol": ("spec.hs", "n: 1\nchain 1: grammar bad.gf\n", ["hilbert"]),
+    # open() raises ValueError, not OSError, for a name holding a NUL byte
+    "spec-grammar-nul-name": ("spec.hs", "n: 1\nchain 1: grammar a\0b\n", ["hilbert"]),
     "gldim-beside-one-chain": (
         "spec.hs", "n: x y\nchain 1: rational t^2\ngldim: 3\n", ["hilbert"],
     ),

@@ -198,3 +198,63 @@ def test_ratfunc_results_match_sympy():
             assert list(got.den.coeffs) == coeffs(sden, lead)
 
     check()
+
+
+def _field_gcd(a, b):
+    """Reference: the Euclidean algorithm over Q, made monic at the end."""
+    while b:
+        a, b = b, a % b
+    return a.monic()
+
+
+# large denominators, both signs of leading coefficient, and (through the
+# t-power) factors with a zero constant term
+big_frac_st = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
+big_poly_st = st.lists(big_frac_st, max_size=4).map(QPoly)
+planted_st = st.builds(
+    lambda h, k: h * QPoly.t_power(k),
+    big_poly_st.filter(bool),
+    st.integers(0, 2),
+)
+NEG_LEAD = QPoly((Fraction(1, 999983), 0, Fraction(-7, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_st, big_poly_st, big_poly_st)
+@example(QPoly.t_power(1), NEG_LEAD, NEG_LEAD * QPoly((1, 1)))
+@example(NEG_LEAD, QPoly.const(-3), QPoly((0, Fraction(-5, 8))))
+def test_qpoly_gcd_matches_field_euclid(h, p, q):
+    a, b = h * p, h * q
+    g = a.gcd(b)
+    assert g == _field_gcd(a, b)
+    if g:
+        assert g.coeffs[-1] == 1
+        assert not a % g and not b % g and not g % h
+
+
+def test_qpoly_gcd_edge_cases():
+    zero, p = QPoly(), NEG_LEAD * QPoly((0, 2))
+    assert zero.gcd(zero) == zero
+    assert p.gcd(zero) == zero.gcd(p) == p.monic()
+    assert p.gcd(QPoly.const(Fraction(-5, 3))) == QPoly.const(1)
+    assert QPoly.const(Fraction(7, 2)).gcd(p) == QPoly.const(1)
+
+
+def test_qpoly_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def to_sympy(p):
+        cs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+        return sympy.Poly(cs or [0], t, domain="QQ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_st, big_poly_st, big_poly_st)
+    def check(h, p, q):
+        a, b = h * p, h * q
+        want = to_sympy(a).gcd(to_sympy(b))
+        if not want.is_zero:
+            want = want.monic()
+        assert to_sympy(a.gcd(b)) == want
+
+    check()
