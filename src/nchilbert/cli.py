@@ -72,12 +72,17 @@ class Report:
             print("%s%s%s" % (k, sep, v), file=stream or sys.stdout)
 
 
+def _shown(path):
+    """The path with its non-printable characters (NUL, newline) escaped."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in path)
+
+
 def _read(path):
     try:
         with open(path, "r") as fh:
             return fh.read()
     except (OSError, ValueError) as exc:  # a NUL in the name; undecodable text
-        raise InputError("cannot read %s: %s" % (path, exc)) from None
+        raise InputError("cannot read %s: %s" % (_shown(path), exc)) from None
 
 
 def _parse(path, parse, *args):
@@ -86,7 +91,7 @@ def _parse(path, parse, *args):
     try:
         return parse(text, *args)
     except InputError as exc:
-        raise InputError("%s: %s" % (path, exc)) from None
+        raise InputError("%s: %s" % (_shown(path), exc)) from None
 
 
 def _loader_for(path):
@@ -204,8 +209,9 @@ def _descriptor_words(kind, payload, c):
 
 
 def _verify_chains(spec, c, rep):
-    """One chain-i-verify line per chain i >= 2; False if any disagrees with
-    the set formulas."""
+    """One chain-i-verify line per chain i >= 2, then one for the chain after
+    the last given one, which must be empty to degree c; False if any line
+    disagrees with the set formulas."""
     kind1, payload1 = spec.descriptors[0] if spec.descriptors else (None, None)
     w1 = _descriptor_words(kind1, payload1, c)
     if w1 is None:
@@ -226,7 +232,10 @@ def _verify_chains(spec, c, rep):
             ok = want == set(got.words)
         rep.add("chain-%d-verify" % i, "ok to degree %d" % c if ok else "MISMATCH")
         all_ok = all_ok and ok
-    return all_ok
+    nxt = len(spec.descriptors) + 1
+    empty = not govorov_chains_trunc(l1, nxt, c).words
+    rep.add("chain-%d-verify" % nxt, "empty to degree %d" % c if empty else "NOT EMPTY")
+    return all_ok and empty
 
 
 def cmd_hilbert(args):

@@ -14,7 +14,7 @@ from .errors import InputError
 from .grammar import count_derivations, certify_unambiguous
 from .groebner import eliminate_univariate
 from .multipoly import MultiPolynomial
-from .newton import root_series
+from .newton import newton_series
 from .ratfunc import QPoly, RationalFunction, RF_ONE, TruncatedSeries
 
 DEFAULT_CERT_DEG = 12
@@ -74,7 +74,7 @@ def gamma_linear(g):
 
 @dataclass(frozen=True)
 class GammaResult:
-    poly: object  # RatPoly in the start unknown over Q(t), monic
+    poly: object  # the elimination ideal's monic generator in the start unknown
     series: TruncatedSeries
     cert_bound: int
     certified: bool
@@ -82,11 +82,11 @@ class GammaResult:
 
 
 def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None):
-    """Minimal polynomial of the start unknown plus its certified series.
+    """The eliminant of the start unknown and its certified series.
 
-    The series is the derivation counts to degree d.  root_series checks
-    them against the eliminated polynomial by one residual test, which fails
-    if elimination returned a polynomial that does not annihilate them.
+    The eliminant generates the elimination ideal; it annihilates the series
+    but can be reducible.  The series is the derivation counts to degree d,
+    checked against the eliminant by newton_series's one residual test.
     """
     if g.start not in g.productive:
         raise InputError(
@@ -97,7 +97,7 @@ def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None):
     certified, witness = certify_unambiguous(g, cert_deg)
     system = build_system(g)
     poly = eliminate_univariate(list(system.equations), name)
-    series = root_series(
+    series = newton_series(
         poly,
         lambda D: TruncatedSeries(count_derivations(g, D)[index], D),
         d,

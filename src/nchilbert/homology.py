@@ -11,7 +11,7 @@ agree, and the acceptance suite leans on that.
 The series pipelines assemble the Euler characteristic equation
 E = 1 - n*t + E_1 - E_2 + ... from per-chain descriptors, eliminate down to
 a univariate polynomial, and check the Hilbert series, the inverse of the
-E-series, as a root of the reciprocal polynomial (root_series).
+E-series, as a root of the reciprocal polynomial (newton_series).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .csys import build_system, gamma_algebraic
+from .csys import DEFAULT_CERT_DEG, build_system, gamma_algebraic
 from .errors import InputError, MismatchError
 from .grammar import (
     CFGrammar,
@@ -31,7 +31,7 @@ from .grammar import (
 )
 from .groebner import eliminate_univariate
 from .multipoly import MultiPolynomial
-from .newton import reciprocal_poly, root_series
+from .newton import newton_series, reciprocal_poly
 from .ratfunc import QPoly, RationalFunction, TruncatedSeries
 from .regular import ideal_automaton
 from .words import (
@@ -302,7 +302,7 @@ def _descriptor_poly(kind, payload):
 
 @dataclass(frozen=True)
 class HilbertResult:
-    poly_e: object  # monic RatPoly annihilating the Euler characteristic
+    poly_e: object  # monic eliminant annihilating the Euler characteristic
     poly_h: object  # its reciprocal, annihilating the Hilbert series
     series: TruncatedSeries
     closed_form: str = None
@@ -371,8 +371,9 @@ def assemble_system(spec):
     return names, equations
 
 
-def hilbert_from_homology(spec, d, cert_deg=12, check_oracle=None):
-    """Minimal polynomial and series of HS(A) from a chain-language spec."""
+def hilbert_from_homology(spec, d, cert_deg=DEFAULT_CERT_DEG, check_oracle=None):
+    """Eliminant and series of HS(A) from a chain-language spec.  The
+    eliminant generates the elimination ideal of E; it need not be minimal."""
     if spec.gldim is not None and spec.gldim != len(spec.descriptors) + 1:
         raise InputError("declared global dimension does not match descriptors")
     certs = []
@@ -391,7 +392,7 @@ def hilbert_from_homology(spec, d, cert_deg=12, check_oracle=None):
             e_series = e_series + (term if i % 2 == 1 else -term)
         return e_series.inverse()
 
-    series = root_series(poly_h, h_series, d)
+    series = newton_series(poly_h, h_series, d)
     for k, c in enumerate(series.coeffs):
         if c.denominator != 1 or not (0 <= c <= spec.n ** k) or (k == 0 and c != 1):
             raise MismatchError(
@@ -473,7 +474,7 @@ def _sandwich_oracle(R, Rp, Lg, d):
     return hilbert_oracle(rels, d)
 
 
-def hilbert_uchain2(R, Rp, Lg, nm, d, cert_deg=12):
+def hilbert_uchain2(R, Rp, Lg, nm, d, cert_deg=DEFAULT_CERT_DEG):
     """HS of the algebra with relations R * L(Lg) * R', R and R' finite word
     sets, by the closed form 1 / (1 - nm*t + gR*gRp*gL / (1 + gQ*gL)).
 

@@ -330,6 +330,8 @@ class RationalFunction:
         if self.den[0] == 0:
             raise InputError("pole at t = 0; no power series expansion")
         num = TruncatedSeries.from_counts(self.num.coeffs, d)
+        if self.den.degree == 0:  # monic, so the denominator is 1
+            return num
         return num / TruncatedSeries.from_counts(self.den.coeffs, d)
 
     def __repr__(self):

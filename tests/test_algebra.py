@@ -2,11 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 from nchilbert.csys import build_system, gamma_algebraic, gamma_linear
 from nchilbert.errors import (
+    DivergenceError,
     EliminationError,
     InputError,
     NchilbertError,
@@ -23,7 +27,7 @@ from nchilbert.examples import (
     ratpoly,
     xystar_handle,
 )
-from nchilbert.grammar import count_derivations, parse_grammar
+from nchilbert.grammar import CFGrammar, _layer_plan, count_derivations, parse_grammar
 from nchilbert.gsb import gs_complete, parse_presentation
 from nchilbert.groebner import (
     assert_groebner,
@@ -33,7 +37,7 @@ from nchilbert.groebner import (
 from nchilbert.homology import HomologySpec, hilbert_from_homology
 from nchilbert.multipoly import MultiPolynomial, RatPoly
 from nchilbert.newton import newton_series, reciprocal_poly
-from nchilbert.ratfunc import RF_ONE, RationalFunction
+from nchilbert.ratfunc import RF_ONE, RationalFunction, TruncatedSeries
 from nchilbert.regular import RegularLanguageHandle, ideal_automaton, myhill_nerode_grammar
 from nchilbert.words import Alphabet, FiniteLanguage, minimize_antichain
 
@@ -236,25 +240,39 @@ def test_reciprocal_involution():
     assert back.proportional_to(p)
 
 
+def _series(coeff, bump=None):
+    """series_at(D) for the series whose coefficient k is coeff(k), with the
+    one at degree `bump` raised by 1."""
+    return lambda D: TruncatedSeries([coeff(k) + (k == bump) for k in range(D + 1)], D)
+
+
+def _central_binomial(k):
+    return comb(k, k // 2)
+
+
+def _dyck(k):
+    # Catalan numbers at the even degrees
+    return 0 if k % 2 else comb(k, k // 2) // (k // 2 + 1)
+
+
 def test_newton_ifthenelse():
     q = eliminate_univariate(ifthenelse_equations(), "S")
-    out = newton_series(q, [1, 1], 7)
+    out = newton_series(q, _series(_central_binomial), 7)
     assert list(out.coeffs) == [1, 1, 2, 3, 6, 10, 20, 35]
 
 
 def test_newton_linear():
     q = ratpoly("H", [[-1, -1], [1]])  # H - (1 + t)
-    out = newton_series(q, [1], 5)
+    out = newton_series(q, _series(lambda k: int(k < 2)), 5)
     assert list(out.coeffs) == [1, 1, 0, 0, 0, 0]
 
 
 def test_newton_squarefree_fallback():
     # ((1 - t) H - 1)^2: a double root at 1/(1 - t), where q' vanishes too
     q = ratpoly("H", [[1], [-2, 2], [1, -2, 1]])
-    for seed in ([1] * 9, [1]):
-        assert list(newton_series(q, seed, 8).coeffs) == [1] * 9
+    assert list(newton_series(q, _series(lambda k: 1), 8).coeffs) == [1] * 9
     with pytest.raises(RootMismatchError):
-        newton_series(q, [1, 1, 2], 8)
+        newton_series(q, _series(lambda k: 1, bump=2), 8)  # 1, 1, 2, 1, 1, ...
 
 
 def test_ratpoly_squarefree_part():
@@ -274,45 +292,105 @@ def test_ratpoly_cleared_primitive_and_positive():
 
 def test_newton_dyck_catalan():
     q = ratpoly("T", [[1], [-1], [0, 0, 1]])  # t^2 T^2 - T + 1
-    out = newton_series(q, [1], 6)
+    out = newton_series(q, _series(_dyck), 6)
     assert list(out.coeffs) == [1, 0, 1, 0, 2, 0, 5]
 
 
-def _lukas1_h_seed():
+def _lukas1_h():
     chains = tuple(("grammar", parse_grammar(t)) for t in LUKAS1_CHAINS)
     res = hilbert_from_homology(HomologySpec(6, chains), 10)
-    return res.poly_h, list(res.series.coeffs), 10  # val q'(H) = 3
+    return res.poly_h, lambda k: res.series[k], 10, 10  # val q'(H) = 3
 
 
+# (q, coefficient k of its root, d, the degree that is put off by one)
 SEEDS = {
-    "catalan-short": lambda: (ratpoly("T", [[1], [-1], [0, 0, 1]]), [5], 6),
+    "catalan-short": lambda: (ratpoly("T", [[1], [-1], [0, 0, 1]]), _dyck, 6, 0),
     "ifthenelse-S": lambda: (
-        eliminate_univariate(ifthenelse_equations(), "S"),
-        [1, 1, 2, 3, 6, 10, 20, 35, 70, 126, 252],
-        10,
+        eliminate_univariate(ifthenelse_equations(), "S"), _central_binomial, 10, 10
     ),
-    "lukas1-H": _lukas1_h_seed,
+    "lukas1-H": _lukas1_h,
 }
 
 
 @pytest.mark.parametrize("case", sorted(SEEDS))
 def test_newton_rejects_bad_seed(case):
-    q, seed, d = SEEDS[case]()
-    if len(seed) == d + 1:
-        # a full root prefix comes back unchanged; with its top coefficient
-        # off by one it is caught only by a residual taken past degree d
-        assert list(newton_series(q, seed, d).coeffs) == seed
-        seed[-1] += 1
+    # the root comes back unchanged; with one coefficient off by one it is
+    # caught, at degree d only by a residual taken past degree d
+    q, coeff, d, k = SEEDS[case]()
+    want = [coeff(i) for i in range(d + 1)]
+    assert list(newton_series(q, _series(coeff), d).coeffs) == want
     with pytest.raises(RootMismatchError):
-        newton_series(q, seed, d)
+        newton_series(q, _series(coeff, bump=k), d)
 
 
 def test_newton_annihilates():
+    g = parse_grammar(IFTHENELSE)
     q = eliminate_univariate(ifthenelse_equations(), "B")
-    seed = [Fraction(0), Fraction(1)]
-    out = newton_series(q, seed, 9)
+    b = g.variables.index("B")
+    out = newton_series(q, lambda D: TruncatedSeries(count_derivations(g, D)[b], D), 9)
+    assert list(out.coeffs[:2]) == [0, 1]
     res = q.cleared().eval_series(out, 9)
     assert all(res[i] == 0 for i in range(10))
+
+
+def test_newton_accepts_another_root():
+    # A = A^2 has the roots 0 and 1, so S = t + A has the roots t and 1 + t:
+    # 1 + t is the derivation counts with the constant raised by one, and it
+    # passes, being exact for the other root
+    g = parse_grammar("terminals: a\nvariables: S A\nstart: S\nS -> a | A\nA -> A A")
+    q = eliminate_univariate(list(build_system(g).equations), "S")
+    assert q.proportional_to(ratpoly("S", [[0, 1, 1], [-1, -2], [1]]))
+    assert list(newton_series(q, _series(lambda k: int(k == 1)), 5).coeffs) == [0, 1, 0, 0, 0, 0]
+    assert list(newton_series(q, _series(lambda k: int(k < 2)), 5).coeffs) == [1, 1, 0, 0, 0, 0]
+
+
+@st.composite
+def proper_grammars(draw):
+    """1-2 letters, 1-3 variables, each with 1-3 bodies of length 0-2 (longer
+    bodies make some eliminations run for minutes); a grammar with a
+    unit/epsilon cycle, or whose start derives no word, is skipped."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    body = st.lists(st.integers(0, n + m - 1), max_size=2).map(tuple)
+    prods = {
+        (var, rhs)
+        for var in range(m)
+        for rhs in draw(st.lists(body, min_size=1, max_size=3))
+    }
+    g = CFGrammar(Alphabet(list("ab"[:n])), Alphabet(list("SAB"[:m])), 0, sorted(prods))
+    try:
+        _layer_plan(g, g.productive)
+    except DivergenceError:
+        reject()
+    assume(g.start in g.productive)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(proper_grammars())
+def test_newton_check_catches_each_bump(g):
+    def at(bump):
+        def series_at(D):
+            counts = count_derivations(g, D)[g.start]
+            return TruncatedSeries([c + (i == bump) for i, c in enumerate(counts)], D)
+
+        return series_at
+
+    d = 6
+    try:
+        q = eliminate_univariate(list(build_system(g).equations), "S")
+    except EliminationError:
+        # e.g. S = t + B, B = A B, A = A A: B, so S, is free where A = 1
+        reject()
+    f = newton_series(q, at(None), d)
+    assert list(f.coeffs) == count_derivations(g, d)[g.start]
+    # a power-series root r != f of q has val(f - r) <= v = val p'(f) for the
+    # cleared squarefree part p of q: the check can accept the series with
+    # coefficient k raised by one only for k <= v, where it can be r's
+    p = q.squarefree_part().cleared()
+    v = p.derivative().eval_series(f, d).valuation()
+    for k in range(d + 1 if v is None else v + 1, d + 1):
+        with pytest.raises(RootMismatchError):
+            newton_series(q, at(k), d)
 
 
 def test_build_system_images():

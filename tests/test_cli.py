@@ -151,6 +151,8 @@ def test_oracle_eps_relation_gives_zero_algebra(tmp_path, capsys):
 
 
 def test_hilbert_spec_with_chain_verification(tmp_path, capsys):
+    # {x x} has the chains x^(m+1) for every m: a spec that stops at chain 3
+    # leaves out chain 4 = {x x x x x}
     write(tmp_path, "c1.lang", "x x\n")
     write(tmp_path, "c2.lang", "x x x\n")
     write(tmp_path, "c3.lang", "x x x x\n")
@@ -162,24 +164,28 @@ def test_hilbert_spec_with_chain_verification(tmp_path, capsys):
     code, out, _ = run(
         capsys, ["hilbert", spec, "--max-deg", "4", "--verify-chains", "6"]
     )
-    assert code == 0
-    assert "chain-2-verify: ok to degree 6" in out
-    assert "chain-3-verify: ok to degree 6" in out
+    assert code == 1
+    assert out.splitlines() == [
+        "chain-2-verify: ok to degree 6",
+        "chain-3-verify: ok to degree 6",
+        "chain-4-verify: NOT EMPTY",
+    ]
 
 
 @pytest.mark.parametrize(
     "chain2, code, verdict", [("t^3", 0, "ok to degree 6"), ("t^4", 1, "MISMATCH")]
 )
 def test_hilbert_verifies_rational_chain_counts(tmp_path, capsys, chain2, code, verdict):
-    # chain 2 of {x x} is {x x x}: one word, of degree 3
-    write(tmp_path, "c1.lang", "x x\n")
+    # chain 2 of {x y, y z} is {x y z}: one word, of degree 3; chain 3 is empty
+    write(tmp_path, "c1.lang", "x y\ny z\n")
     spec = write(
         tmp_path, "spec.hs",
-        "n: x y\nchain 1: finite c1.lang\nchain 2: rational %s\n" % chain2,
+        "n: x y z\nchain 1: finite c1.lang\nchain 2: rational %s\n" % chain2,
     )
     got, out, _ = run(capsys, ["hilbert", spec, "--verify-chains", "6"])
     assert got == code
     assert "chain-2-verify: " + verdict in out.splitlines()
+    assert "chain-3-verify: empty to degree 6" in out.splitlines()
 
 
 def test_gsb_with_prediction(tmp_path, capsys):
@@ -290,6 +296,24 @@ def test_hilbert_verifies_grammar_chains(tmp_path, capsys):
     assert code == 0
     assert "chain-2-verify: ok to degree 6" in out.splitlines()
     assert "chain-3-verify: ok to degree 6" in out.splitlines()
+    assert "chain-4-verify: empty to degree 6" in out.splitlines()
+
+
+def test_hilbert_dropped_chain_exits_1(tmp_path, capsys):
+    # without chain 3 the series is wrong from degree 8 on, and exits 0
+    # unless the chain after the last given one is computed
+    write(tmp_path, "c1.gf", LUKAS1_CHAINS[0])
+    write(tmp_path, "c2.gf", LUKAS1_CHAINS[1])
+    spec = write(
+        tmp_path, "spec.hs",
+        "n: 6\nchain 1: grammar c1.gf\nchain 2: grammar c2.gf\ngldim: 3\n",
+    )
+    code, out, _ = run(capsys, ["hilbert", spec, "--verify-chains", "8"])
+    assert code == 1
+    assert out.splitlines() == [
+        "chain-2-verify: ok to degree 8",
+        "chain-3-verify: NOT EMPTY",
+    ]
 
 
 def test_hilbert_chain_mismatch_keeps_report(tmp_path, capsys):
@@ -430,6 +454,7 @@ PARSE_TIME = {
     "chain-non-ascii-index",
     "spec-grammar-unknown-symbol",
     "spec-grammar-nul-name",
+    "grammar-newline-name",
 }
 # parse-time cases whose error lies in a file that the named file refers to
 REFERENCED = {
@@ -512,6 +537,10 @@ MALFORMED = {
     "spec-grammar-unknown-symbol": ("spec.hs", "n: 1\nchain 1: grammar bad.gf\n", ["hilbert"]),
     # open() raises ValueError, not OSError, for a name holding a NUL byte
     "spec-grammar-nul-name": ("spec.hs", "n: 1\nchain 1: grammar a\0b\n", ["hilbert"]),
+    # a name is escaped in the message, so the message stays one line
+    "grammar-newline-name": (
+        "g\nx.gf", "terminals: x\nvariables: S\nstart: S\nS -> x y\n", ["gamma"],
+    ),
     "gldim-beside-one-chain": (
         "spec.hs", "n: x y\nchain 1: rational t^2\ngldim: 3\n", ["hilbert"],
     ),
@@ -529,11 +558,20 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert code == 2
     assert err.startswith("input error: ")
     assert len(err.splitlines()) == 1
+    assert "\0" not in err
     assert "Traceback" not in err
     if case in PARSE_TIME:
-        assert path in err
+        assert escaped(path) in err
     if case in REFERENCED:
-        assert str(tmp_path / REFERENCED[case]) in err
+        assert escaped(str(tmp_path / REFERENCED[case])) in err
+
+
+def escaped(path):
+    return path.replace("\0", "\\x00").replace("\n", "\\n")
+
+
+def test_shown_escapes_only_unprintable_characters():
+    assert cli._shown("a\0b\nc\x1bd/\u00e9\u03b1 '\\") == "a\\x00b\\nc\\x1bd/\u00e9\u03b1 '\\"
 
 
 FUZZ_BASES = {  # file name, text, command; dyck.gf and c1.lang sit beside it

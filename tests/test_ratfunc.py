@@ -27,6 +27,13 @@ def test_palindrome_series():
     assert list(f.series(5).coeffs) == [1, 2, 2, 4, 4, 8]
 
 
+def test_polynomial_series_cut_and_padded():
+    f = RationalFunction(qp(1, -2, 0, 5, 7))
+    assert f.series(2) == TruncatedSeries((1, -2, 0), 2)
+    assert f.series(6) == TruncatedSeries((1, -2, 0, 5, 7, 0, 0), 6)
+    assert RationalFunction(qp()).series(1) == TruncatedSeries((0, 0), 1)
+
+
 def test_rational_eval_series_pole():
     f = RationalFunction(qp(1), qp(0, 1))
     with pytest.raises(InputError):
