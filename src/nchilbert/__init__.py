@@ -58,11 +58,11 @@ from .homology import (
     HomologySpec,
     PatternFamily,
     RelationSet,
+    Uchain2Spec,
     chains_finite,
     govorov_chains_trunc,
     hilbert_from_homology,
     hilbert_oracle,
-    hilbert_uchain2,
     overlap_language,
     parse_homology_spec,
     parse_relation_file,

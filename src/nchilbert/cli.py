@@ -34,13 +34,15 @@ from .gsb import (
     parse_presentation,
 )
 from .homology import (
+    HomologySpec,
     PatternFamily,
     RelationSet,
+    Uchain2Spec,
+    chain_relations,
     chains_finite,
     govorov_chains_trunc,
     hilbert_from_homology,
     hilbert_oracle,
-    hilbert_uchain2,
     parse_homology_spec,
     parse_relation_file,
 )
@@ -212,12 +214,10 @@ def _verify_chains(spec, c, rep):
     """One chain-i-verify line per chain i >= 2, then one for the chain after
     the last given one, which must be empty to degree c; False if any line
     disagrees with the set formulas."""
-    kind1, payload1 = spec.descriptors[0] if spec.descriptors else (None, None)
-    w1 = _descriptor_words(kind1, payload1, c)
-    if w1 is None:
+    rels = chain_relations(*spec.descriptors[0]) if spec.descriptors else None
+    if rels is None:
         raise InputError("chain 1 must be finite or a grammar to verify")
-    alphabet = payload1.alphabet if kind1 == "finite" else payload1.terminals
-    l1 = TruncatedLanguage(alphabet, c, frozenset(w1))
+    l1 = TruncatedLanguage(rels.alphabet, c, frozenset(rels.words_upto(c)))
     all_ok = True
     for i in range(2, len(spec.descriptors) + 1):
         got = govorov_chains_trunc(l1, i, c)
@@ -241,29 +241,51 @@ def _verify_chains(spec, c, rep):
 def cmd_hilbert(args):
     spec = _parse(args.spec, parse_homology_spec, _loader_for(args.spec))
     rep = Report(args.format)
-    d = args.max_deg
     if args.verify_chains and not _verify_chains(spec, args.verify_chains, rep):
         rep.flush()
         return 1
-    if spec.uchain2 is not None:
-        u = spec.uchain2
+    return _hilbert_report(rep, spec, args)
+
+
+def _chain_oracle(spec, k):
+    """(hilbert_oracle to degree k on chain 1's relations, None), or (None,
+    why the oracle cannot count this algebra)."""
+    rels = chain_relations(*spec.descriptors[0]) if spec.descriptors else None
+    if rels is None:
+        why = "rational" if spec.descriptors else "absent"
+        return None, "skipped: chain 1 is %s" % why
+    size = rels.alphabet.size
+    if size != spec.n:
+        return None, "skipped: chain 1 has %d letters, n is %d" % (size, spec.n)
+    return hilbert_oracle(rels, k), None
+
+
+def _hilbert_report(rep, spec, args):
+    """The series of a chain or sandwich spec, its eliminant and its checks."""
+    d = args.max_deg
+    u = spec.uchain2
+    k = d if u is not None else min(d, args.cert_deg)
+    oracle, skipped = (None, None) if u is not None else _chain_oracle(spec, k)
+    res = hilbert_from_homology(spec, d, cert_deg=args.cert_deg, check_oracle=oracle)
+    if u is not None:
         rep.add("gldim", "infinite")
-        return _uchain2_report(rep, u.R, u.Rp, u.grammar, spec.n + u.grammar.n, args)
-    res = hilbert_from_homology(spec, d, cert_deg=args.cert_deg)
+        for key, gamma in zip(("gamma-R", "gamma-Rp", "gamma-Q"), u.gammas()):
+            rep.add(key, repr(gamma))
     rep.add("euler-polynomial", repr(res.poly_e.cleared()))
     rep.add("hilbert-polynomial", repr(res.poly_h.cleared()))
     if res.closed_form:
         rep.add("closed-form", res.closed_form)
     rep.series("series", res.series)
-    if res.gldim is not None:
-        rep.add("gldim", res.gldim)
+    if spec.gldim is not None:
+        rep.add("gldim", spec.gldim)
     for i, ok, witness in res.certifications:
-        rep.add(
-            "chain-%d-grammar" % i,
-            "unambiguous to degree %d" % args.cert_deg
-            if ok
-            else "ambiguity counterexample found",
-        )
+        if u is not None:
+            _cert_line(rep, ok, args.cert_deg, witness, u.grammar.terminals)
+        elif ok:
+            rep.add("chain-%d-grammar" % i, "unambiguous to degree %d" % args.cert_deg)
+        else:
+            rep.add("chain-%d-grammar" % i, "ambiguity counterexample found")
+    rep.add("series-vs-oracle", skipped or "ok to degree %d" % k)
     rep.flush()
     return 0
 
@@ -280,31 +302,13 @@ def cmd_oracle(args):
     return 0
 
 
-def _uchain2_report(rep, r, rp, g, nm, args):
-    """Closed-form series for relations R * L(g) * R' with finite R, R'."""
-    res = hilbert_uchain2(r, rp, g, nm, args.max_deg, cert_deg=args.cert_deg)
-    rep.add("gamma-R", repr(res.gamma_R))
-    rep.add("gamma-Rp", repr(res.gamma_Rp))
-    rep.add("gamma-Q", repr(res.gamma_Q))
-    rep.add("closed-form", res.closed_form)
-    rep.series("series", res.series)
-    _cert_line(
-        rep,
-        res.gamma_L.certified,
-        res.gamma_L.cert_bound,
-        res.gamma_L.counterexample,
-        g.terminals,
-    )
-    rep.flush()
-    return 0
-
-
 def cmd_uchain2(args):
     alphabet = Alphabet(args.alphabet.split())
     r = _parse(args.r, parse_language_file, alphabet)
     rp = _parse(args.rp, parse_language_file, alphabet)
     g = _parse(args.grammar, parse_grammar)
-    return _uchain2_report(Report(args.format), r, rp, g, alphabet.size + g.n, args)
+    spec = HomologySpec(alphabet.size + g.n, (), uchain2=Uchain2Spec(r, rp, g))
+    return _hilbert_report(Report(args.format), spec, args)
 
 
 def cmd_gsb(args):

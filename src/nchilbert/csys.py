@@ -33,7 +33,7 @@ def production_image(g, rhs, variables):
     t_deg = 0
     for s in rhs:
         if g.is_var(s):
-            exps[g.var_of(s)] += 1
+            exps[variables.index(g.sym_text(s))] += 1
         else:
             t_deg += 1
     coeff = RationalFunction(QPoly.t_power(t_deg)) if t_deg else RF_ONE
@@ -41,15 +41,24 @@ def production_image(g, rhs, variables):
 
 
 def build_system(g):
-    names = g.variables.symbols
+    """One unknown per productive variable.  An unproductive variable's
+    series is 0, so it is no unknown and a body that uses it is dropped; an
+    unproductive start is an InputError."""
+    if g.start not in g.productive:
+        raise InputError(
+            "start variable %s derives no word" % g.variables.symbols[g.start]
+        )
+    productive = sorted(g.productive)
+    names = tuple(g.variables.symbols[j] for j in productive)
     by_var = g.by_variable()
     equations = []
-    for j, name in enumerate(names):
+    for j, name in zip(productive, names):
         eq = MultiPolynomial.var(names, name)
         for rhs in by_var[j]:
-            eq = eq - production_image(g, rhs, names)
+            if all(not g.is_var(s) or g.var_of(s) in g.productive for s in rhs):
+                eq = eq - production_image(g, rhs, names)
         equations.append(eq)
-    return AlgebraicSystem(tuple(names), tuple(equations))
+    return AlgebraicSystem(names, tuple(equations))
 
 
 def gamma_linear(g):
@@ -63,7 +72,7 @@ def gamma_linear(g):
     other degree raises InputError.
     """
     system = build_system(g)
-    poly = eliminate_univariate(list(system.equations), system.unknowns[g.start])
+    poly = eliminate_univariate(list(system.equations), g.variables.symbols[g.start])
     if poly.degree != 1:
         raise InputError(
             "start unknown's polynomial has degree %d; a linear grammar gives 1"
@@ -88,14 +97,12 @@ def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None):
     but can be reducible.  The series is the derivation counts to degree d,
     checked against the eliminant by newton_series's one residual test.
     """
-    if g.start not in g.productive:
-        raise InputError(
-            "start variable %s derives no word" % g.variables.symbols[g.start]
-        )
+    system = build_system(g)
     name = keep or g.variables.symbols[g.start]
     index = g.variables.index(name)  # InputError for an unknown variable
+    if name not in system.unknowns:
+        raise InputError("variable %s derives no word" % name)
     certified, witness = certify_unambiguous(g, cert_deg)
-    system = build_system(g)
     poly = eliminate_univariate(list(system.equations), name)
     series = newton_series(
         poly,

@@ -19,10 +19,11 @@ from .homology import (
     HomologySpec,
     PatternFamily,
     RelationSet,
+    Uchain2Spec,
+    chain_relations,
     govorov_chains_trunc,
     hilbert_from_homology,
     hilbert_oracle,
-    hilbert_uchain2,
 )
 from .multipoly import RatPoly
 from .ratfunc import QPoly, RationalFunction, TruncatedSeries
@@ -199,12 +200,7 @@ def example_triple(d_chain=12, d_series=10):
     )
     hs_inv = RationalFunction(qp(1, -3)) + gamma1 - gamma2
     hs = hs_inv.inverse().series(d_series)
-    rels = RelationSet(
-        g.terminals,
-        FiniteLanguage(g.terminals, frozenset()),
-        (PatternFamily((("grammar", g),)),),
-    )
-    oracle = hilbert_oracle(rels, d_series)
+    oracle = hilbert_oracle(chain_relations("grammar", g), d_series)
     report.check("series_vs_oracle", hs == oracle, repr(hs))
     report.info("series", ",".join(str(c) for c in oracle.coeffs))
     return report
@@ -273,19 +269,10 @@ def _chain_spec(chain_texts, n):
     return HomologySpec(n, descriptors, gldim=len(descriptors) + 1)
 
 
-def _chain_relations(chain1):
-    """Relations of the algebra = words of the first chain grammar."""
-    return RelationSet(
-        chain1.terminals,
-        FiniteLanguage(chain1.terminals, frozenset()),
-        (PatternFamily((("grammar", chain1),)),),
-    )
-
-
 def _run_homology_example(name, chain_texts, n, series, quad, d):
     report = ExampleReport(name)
     spec = _chain_spec(chain_texts, n)
-    oracle = hilbert_oracle(_chain_relations(spec.descriptors[0][1]), d)
+    oracle = hilbert_oracle(chain_relations(*spec.descriptors[0]), d)
     result = hilbert_from_homology(spec, d, check_oracle=oracle)
     report.check(
         "series",
@@ -317,15 +304,17 @@ def example_dyck_sandwich(d=10):
     report = ExampleReport("dyck-sandwich")
     x_alpha = Alphabet(["x"])
     r = FiniteLanguage(x_alpha, frozenset([bytes([0])]))
+    sandwich = Uchain2Spec(r, r, parse_grammar(DYCK))
     try:
         # compares its series with the normal-word count of x L(Dyck) x
-        result = hilbert_uchain2(r, r, parse_grammar(DYCK), 3, d)
+        result = hilbert_from_homology(HomologySpec(3, (), uchain2=sandwich), d)
     except MismatchError as exc:
         report.check("series_vs_oracle", False, str(exc))
         return report
     t = RationalFunction.t_power(1)
-    report.check("gamma_R", result.gamma_R == t, repr(result.gamma_R))
-    report.check("gamma_Q", result.gamma_Q == t, repr(result.gamma_Q))
+    gamma_r, _, gamma_q = sandwich.gammas()
+    report.check("gamma_R", gamma_r == t, repr(gamma_r))
+    report.check("gamma_Q", gamma_q == t, repr(gamma_q))
     report.check("series_vs_oracle", True)
     report.info("series", ",".join(str(c) for c in result.series.coeffs))
     report.info("closed_form", result.closed_form)

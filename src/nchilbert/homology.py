@@ -8,10 +8,11 @@ a basis word, is tested against the ideal by prefix, suffix and greedy-cut
 counts, so no power or product of the ideal is built.  The routes must
 agree, and the acceptance suite leans on that.
 
-The series pipelines assemble the Euler characteristic equation
-E = 1 - n*t + E_1 - E_2 + ... from per-chain descriptors, eliminate down to
-a univariate polynomial, and check the Hilbert series, the inverse of the
-E-series, as a root of the reciprocal polynomial (newton_series).
+The series pipeline assembles the Euler characteristic equation,
+E = 1 - n*t + E_1 - E_2 + ... from per-chain descriptors or one equation for
+a sandwich R * L * R', eliminates down to a univariate polynomial, and
+checks the Hilbert series, the inverse of the E-series, as a root of the
+reciprocal polynomial (newton_series) and against the normal-word oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .csys import DEFAULT_CERT_DEG, build_system, gamma_algebraic
+from .csys import DEFAULT_CERT_DEG, build_system
 from .errors import InputError, MismatchError
 from .grammar import (
     CFGrammar,
@@ -257,23 +258,53 @@ def hilbert_oracle(rels, d):
     return TruncatedSeries.from_counts(count_normal(basis, d), d)
 
 
+def chain_relations(kind, payload):
+    """The relation set whose words are chain 1's: a finite descriptor's
+    words, or a grammar's language as one family; None for a rational one."""
+    if kind == "finite":
+        return RelationSet(payload.alphabet, payload)
+    if kind == "grammar":
+        return RelationSet(
+            payload.terminals,
+            FiniteLanguage(payload.terminals, frozenset()),
+            (PatternFamily((("grammar", payload),)),),
+        )
+    return None
+
+
 # ---------------------------------------------------------------------------
 # homology specs and the assembled pipeline
 
 
 @dataclass(frozen=True)
 class HomologySpec:
-    n: int
+    n: int  # the number of generators, a sandwich grammar's terminals included
     descriptors: tuple  # per chain degree i >= 1: (kind, payload)
     gldim: int = None
-    uchain2: object = None
+    uchain2: object = None  # a Uchain2Spec, with no descriptors
+
+    @property
+    def terms(self):
+        """The descriptor of each unknown E1, E2, ...: a sandwich has one."""
+        if self.uchain2 is not None:
+            return (("grammar", self.uchain2.grammar),)
+        return self.descriptors
 
 
 @dataclass(frozen=True)
 class Uchain2Spec:
+    """Relations R * L(grammar) * R' for finite word sets R and R'."""
+
     R: FiniteLanguage
     Rp: FiniteLanguage
     grammar: CFGrammar
+
+    def gammas(self):
+        """The length polynomials of R, R' and Q = overlap_language(R, R')."""
+        return tuple(
+            _descriptor_poly("finite", lang)
+            for lang in (self.R, self.Rp, overlap_language(self.R, self.Rp))
+        )
 
 
 def _descriptor_series(kind, payload, d):
@@ -307,7 +338,6 @@ class HilbertResult:
     series: TruncatedSeries
     closed_form: str = None
     certifications: tuple = ()
-    gldim: int = None
 
 
 def _radical_closed_form(q):
@@ -319,21 +349,25 @@ def _radical_closed_form(q):
 
 
 def assemble_system(spec):
-    """Joint unknown list and equations for the Euler characteristic system.
+    """The equations of the Euler characteristic system, in the unknowns E,
+    E1, E2, ... and the grammars' other productive variables.
 
-    Auxiliary grammar variables sharing a name across chains are merged and
-    must carry identical production sets (the usual shared-counter pattern).
+    For chains, E = 1 - n*t + E1 - E2 + ...; for a sandwich, with gR, gR'
+    and gQ from Uchain2Spec.gammas, (E - 1 + n*t)(1 + gQ*E1) = gR*gR'*E1.
+    A grammar's start unknown is renamed to its E_i.  Auxiliary grammar
+    variables sharing a name across chains are merged and must carry
+    identical production sets (the usual shared-counter pattern).
     """
     names = ["E"]
-    chain_names = []
-    aux_sources = {}
-    for i, (kind, payload) in enumerate(spec.descriptors, start=1):
-        e_name = "E%d" % i
-        chain_names.append(e_name)
-        names.append(e_name)
+    systems = {}
+    for i, (kind, payload) in enumerate(spec.terms, start=1):
+        names.append("E%d" % i)
         if kind == "grammar":
-            for j, sym in enumerate(payload.variables.symbols):
-                if j == payload.start:
+            start = payload.variables.symbols[payload.start]
+            system = build_system(payload)
+            systems[i] = ({start: "E%d" % i}, system)
+            for sym in system.unknowns:
+                if sym == start:
                     continue
                 if sym == "E" or re.fullmatch(r"E\d+", sym):
                     raise InputError("auxiliary variable name %r is reserved" % sym)
@@ -341,52 +375,68 @@ def assemble_system(spec):
                     names.append(sym)
     names = tuple(names)
 
-    equations = []
-    eceq = MultiPolynomial.var(names, "E") - 1 + RationalFunction.t_power(1) * spec.n
-    for i, e_name in enumerate(chain_names, start=1):
-        sign = 1 if i % 2 == 0 else -1
-        eceq = eceq + MultiPolynomial.var(names, e_name) * sign
-    equations.append(eceq)
+    shift = RationalFunction.t_power(1) * spec.n - 1
+    eceq = MultiPolynomial.var(names, "E") + shift
+    if spec.uchain2 is not None:
+        g_r, g_rp, g_q = spec.uchain2.gammas()
+        both = (1, 1) + (0,) * (len(names) - 2)  # the monomial E * E1
+        eceq = eceq + MultiPolynomial.monomial(names, both, g_q)
+        eceq = eceq + MultiPolynomial.var(names, "E1", shift * g_q - g_r * g_rp)
+    else:
+        for i in range(1, len(spec.descriptors) + 1):
+            eceq = eceq + MultiPolynomial.var(names, "E%d" % i, (-1) ** i)
+    equations = [eceq]
 
-    for i, (kind, payload) in enumerate(spec.descriptors, start=1):
+    aux_sources = {}
+    for i, (kind, payload) in enumerate(spec.terms, start=1):
         e_name = "E%d" % i
-        if kind == "grammar":
-            rename = {payload.variables.symbols[payload.start]: e_name}
-            system = build_system(payload)
-            for sym, eq in zip(system.unknowns, system.equations):
-                name = rename.get(sym, sym)
-                eq = eq.rename(rename, names)
-                if name in aux_sources:
-                    if aux_sources[name] != eq:
-                        raise InputError(
-                            "shared variable %r has conflicting equations" % name
-                        )
-                    continue
-                if name != e_name:
-                    aux_sources[name] = eq
-                equations.append(eq)
-        else:
+        if kind != "grammar":
             value = _descriptor_poly(kind, payload)
             equations.append(MultiPolynomial.var(names, e_name) - value)
-    return names, equations
+            continue
+        rename, system = systems[i]
+        for sym, eq in zip(system.unknowns, system.equations):
+            name = rename.get(sym, sym)
+            eq = eq.rename(rename, names)
+            if name in aux_sources:
+                if aux_sources[name] != eq:
+                    raise InputError(
+                        "shared variable %r has conflicting equations" % name
+                    )
+                continue
+            if name != e_name:
+                aux_sources[name] = eq
+            equations.append(eq)
+    return equations
 
 
 def hilbert_from_homology(spec, d, cert_deg=DEFAULT_CERT_DEG, check_oracle=None):
-    """Eliminant and series of HS(A) from a chain-language spec.  The
-    eliminant generates the elimination ideal of E; it need not be minimal."""
+    """Eliminant and series of HS(A) from a chain or sandwich spec.  The
+    eliminant generates the elimination ideal of E; it need not be minimal.
+    The sandwich formula holds only for some R, R' and L, so a sandwich's
+    series is always compared to degree d with the normal-word count of its
+    relations, instead of check_oracle.  A disagreement raises MismatchError.
+    """
     if spec.gldim is not None and spec.gldim != len(spec.descriptors) + 1:
         raise InputError("declared global dimension does not match descriptors")
+    u = spec.uchain2
+    if u is not None:
+        check_oracle = _sandwich_oracle(u.R, u.Rp, u.grammar, d)
+        g_r, g_rp, g_q = u.gammas()
     certs = []
-    for i, (kind, payload) in enumerate(spec.descriptors, start=1):
+    for i, (kind, payload) in enumerate(spec.terms, start=1):
         if kind == "grammar":
             ok, witness = certify_unambiguous(payload, cert_deg)
             certs.append((i, ok, witness))
-    _, equations = assemble_system(spec)
-    poly_e = eliminate_univariate(equations, "E")
+    poly_e = eliminate_univariate(assemble_system(spec), "E")
     poly_h = reciprocal_poly(poly_e, "H")
 
     def h_series(D):
-        e_series = TruncatedSeries.one(D) - RationalFunction.t_power(1) * spec.n
+        one = TruncatedSeries.one(D)
+        e_series = one - RationalFunction.t_power(1) * spec.n
+        if u is not None:
+            gl = _descriptor_series("grammar", u.grammar, D)
+            e_series = e_series + (g_r * g_rp).series(D) * gl / (one + g_q.series(D) * gl)
         for i, (kind, payload) in enumerate(spec.descriptors, start=1):
             term = _descriptor_series(kind, payload, D)
             e_series = e_series + (term if i % 2 == 1 else -term)
@@ -401,25 +451,19 @@ def hilbert_from_homology(spec, d, cert_deg=DEFAULT_CERT_DEG, check_oracle=None)
     if check_oracle is not None:
         bound = min(d, check_oracle.d)
         if not series.prefix_equals(check_oracle, bound):
-            raise MismatchError("Hilbert series disagrees with the oracle")
+            raise MismatchError(
+                "Hilbert series disagrees with the oracle to degree %d" % bound
+            )
     closed = _radical_closed_form(poly_h) if poly_h.degree == 2 else None
-    return HilbertResult(
-        poly_e, poly_h, series, closed, tuple(certs), spec.gldim
-    )
+    if u is not None:
+        closed = "HS^-1 = 1 - %d*t + (%r)*(%r)*gL / (1 + (%r)*gL)" % (
+            spec.n, g_r, g_rp, g_q
+        )
+    return HilbertResult(poly_e, poly_h, series, closed, tuple(certs))
 
 
 # ---------------------------------------------------------------------------
-# Theorem-style closed form for the infinite-dimension family
-
-
-@dataclass(frozen=True)
-class Uchain2Result:
-    gamma_R: RationalFunction
-    gamma_Rp: RationalFunction
-    gamma_Q: RationalFunction
-    gamma_L: object  # GammaResult for the inner language
-    series: TruncatedSeries
-    closed_form: str = ""
+# the sandwich family R * L * R', of infinite global dimension
 
 
 def overlap_language(R, Rp):
@@ -472,41 +516,6 @@ def _sandwich_oracle(R, Rp, Lg, d):
             }
     rels = RelationSet(joint, FiniteLanguage(joint, frozenset(words)))
     return hilbert_oracle(rels, d)
-
-
-def hilbert_uchain2(R, Rp, Lg, nm, d, cert_deg=DEFAULT_CERT_DEG):
-    """HS of the algebra with relations R * L(Lg) * R', R and R' finite word
-    sets, by the closed form 1 / (1 - nm*t + gR*gRp*gL / (1 + gQ*gL)).
-
-    gR, gRp and gQ (Q = overlap_language(R, R')) are polynomials counting
-    word lengths; gL is Lg's certified counting series.  The closed form
-    holds only for some R, R' and L(Lg), so the series is compared to degree
-    d with the normal-word count of the relations over R's alphabet plus
-    Lg's terminals, and a disagreement raises MismatchError.
-    """
-    if R.alphabet != Rp.alphabet:
-        raise InputError("R and R' must share an alphabet")
-    oracle = _sandwich_oracle(R, Rp, Lg, d)
-    g_r = _descriptor_poly("finite", R)
-    g_rp = _descriptor_poly("finite", Rp)
-    g_q = _descriptor_poly("finite", overlap_language(R, Rp))
-    gamma_l = gamma_algebraic(Lg, d, cert_deg=cert_deg)
-    gl = gamma_l.series
-    one = TruncatedSeries.one(d)
-    inv = (
-        one
-        - RationalFunction.t_power(1) * nm
-        + (g_r.series(d) * g_rp.series(d) * gl) / (one + g_q.series(d) * gl)
-    )
-    series = inv.inverse()
-    if series != oracle:
-        raise MismatchError(
-            "sandwich series disagrees with the normal-word count to degree %d" % d
-        )
-    closed = "HS^-1 = 1 - %d*t + (%r)*(%r)*gL / (1 + (%r)*gL)" % (
-        nm, g_r, g_rp, g_q
-    )
-    return Uchain2Result(g_r, g_rp, g_q, gamma_l, series, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +603,8 @@ def parse_homology_spec(text, loader):
     *args)` parses a referenced grammar or language file with `parse(text,
     *args)`, and an input error in it names that file.  Each line appears at
     most once, a chain key is exactly `chain <index>`, and a `gldim:
-    infinite-uchain2` spec has no chain lines.
+    infinite-uchain2` spec has no chain lines; its n counts the symbols of
+    `n:` and the grammar's terminals.
     """
     n = None
     alphabet = None
@@ -656,8 +666,10 @@ def parse_homology_spec(text, loader):
             raise InputError("unknown spec line %r" % line)
     if n is None:
         raise InputError("spec is missing the n: line")
-    if uspec is not None and chains:
-        raise InputError("an infinite-uchain2 spec takes no chain lines")
+    if uspec is not None:
+        if chains:
+            raise InputError("an infinite-uchain2 spec takes no chain lines")
+        n += uspec.grammar.n  # the grammar's terminals are generators too
     descriptors = tuple(chains[i] for i in sorted(chains))
     if sorted(chains) != list(range(1, len(chains) + 1)):
         raise InputError("chain indices must be 1..k without gaps")

@@ -316,6 +316,41 @@ def test_hilbert_dropped_chain_exits_1(tmp_path, capsys):
     ]
 
 
+def test_hilbert_dropped_chain_fails_the_oracle(tmp_path, capsys):
+    # by default the series is compared with the normal-word count of chain
+    # 1's relations, which sees the dropped chain from degree 8 on
+    write(tmp_path, "c1.gf", LUKAS1_CHAINS[0])
+    write(tmp_path, "c2.gf", LUKAS1_CHAINS[1])
+    spec = write(
+        tmp_path, "spec.hs",
+        "n: 6\nchain 1: grammar c1.gf\nchain 2: grammar c2.gf\ngldim: 3\n",
+    )
+    code, out, err = run(capsys, ["hilbert", spec, "--max-deg", "9"])
+    assert code == 1
+    assert out == ""
+    assert err == "mathematical failure: Hilbert series disagrees with the oracle to degree 9\n"
+
+
+@pytest.mark.parametrize("max_deg, cert_deg, k", [(9, 12, 9), (9, 5, 5)])
+def test_hilbert_oracle_line(tmp_path, capsys, max_deg, cert_deg, k):
+    argv = ["hilbert", _lukas1_spec(tmp_path), "--max-deg", str(max_deg)]
+    code, out, _ = run(capsys, argv + ["--cert-deg", str(cert_deg)])
+    assert code == 0
+    assert out.splitlines()[-1] == "series-vs-oracle: ok to degree %d" % k
+
+
+@pytest.mark.parametrize("text, why", [
+    ("n: 2\nchain 1: rational t^2\n", "chain 1 is rational"),
+    ("n: 2\n", "chain 1 is absent"),
+    ("n: 3\nchain 1: grammar ab.gf\n", "chain 1 has 2 letters, n is 3"),
+])
+def test_hilbert_oracle_skipped(tmp_path, capsys, text, why):
+    write(tmp_path, "ab.gf", "terminals: a b\nvariables: S\nstart: S\nS -> a b\n")
+    code, out, _ = run(capsys, ["hilbert", write(tmp_path, "spec.hs", text)])
+    assert code == 0
+    assert out.splitlines()[-1] == "series-vs-oracle: skipped: " + why
+
+
 def test_hilbert_chain_mismatch_keeps_report(tmp_path, capsys):
     # chain 2 given chain 1's grammar: the set formulas disagree with it
     write(tmp_path, "c1.gf", LUKAS1_CHAINS[0])
@@ -373,13 +408,17 @@ def test_count_off_by_one_is_a_math_failure(tmp_path, capsys, monkeypatch, comma
 
 
 UCHAIN2_LINES = [
+    "gldim: infinite",
     "gamma-R: t",
     "gamma-Rp: t",
     "gamma-Q: t",
+    "euler-polynomial: (2*t + 1)*E^2 + (10*t^2 + t - 2)*E + (13*t^3 - 4*t^2 - 3*t + 1)",
+    "hilbert-polynomial: (13*t^3 - 4*t^2 - 3*t + 1)*H^2 + (10*t^2 + t - 2)*H + (2*t + 1)",
     "closed-form: HS^-1 = 1 - 3*t + (t)*(t)*gL / (1 + (t)*gL)",
     "series: 1,3,8,22,59,160,430,1161,3123",
     "series-bound: 8",
     "certified: unambiguous to degree 12",
+    "series-vs-oracle: ok to degree 8",
 ]
 
 
@@ -390,17 +429,15 @@ def test_uchain2_report(tmp_path, capsys, command):
     gf = write(tmp_path, "dyck.gf", DYCK)
     if command == "uchain2":
         argv = ["uchain2", "--r", r, "--rp", r, "--grammar", gf, "--alphabet", "x"]
-        want = UCHAIN2_LINES
     else:
         spec = write(
             tmp_path, "spec.hs",
             "n: x\ngldim: infinite-uchain2 R=r.lang Rp=r.lang L=dyck.gf\n",
         )
         argv = ["hilbert", spec]
-        want = ["gldim: infinite"] + UCHAIN2_LINES
     code, out, _ = run(capsys, argv + ["--max-deg", "8"])
     assert code == 0
-    assert out.splitlines() == want
+    assert out.splitlines() == UCHAIN2_LINES
 
 
 def test_uchain2_wrong_closed_form_exits_1(tmp_path, capsys):
@@ -412,7 +449,25 @@ def test_uchain2_wrong_closed_form_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, argv + ["--max-deg", "9"])
     assert code == 1
     assert out == ""
-    assert err.startswith("mathematical failure: sandwich series disagrees")
+    assert err.startswith("mathematical failure: Hilbert series disagrees with the oracle")
+
+
+@pytest.mark.parametrize("command", ["uchain2", "hilbert", "hilbert-chain"])
+def test_unproductive_start_exits_2(tmp_path, capsys, command):
+    # the grammar of a sandwich or of a chain derives no word
+    r = write(tmp_path, "r.lang", "x\n")
+    gf = write(tmp_path, "g.gf", "terminals: a\nvariables: S\nstart: S\nS -> a S\n")
+    if command == "uchain2":
+        argv = ["uchain2", "--r", r, "--rp", r, "--grammar", gf, "--alphabet", "x"]
+    else:
+        text = "n: x\ngldim: infinite-uchain2 R=r.lang Rp=r.lang L=g.gf\n"
+        if command == "hilbert-chain":
+            text = "n: 1\nchain 1: grammar g.gf\n"
+        argv = ["hilbert", write(tmp_path, "spec.hs", text)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "input error: start variable S derives no word\n"
 
 
 def test_uchain2_alphabet_overlapping_grammar_exits_2(tmp_path, capsys):
@@ -502,6 +557,10 @@ MALFORMED = {
     "gamma-unproductive-start": (
         "g.gf", "terminals: a\nvariables: S\nstart: S\nS -> S\n", ["gamma"],
     ),
+    "gamma-unproductive-keep": (
+        "g.gf", "terminals: a\nvariables: S A\nstart: S\nS -> a | A\nA -> A A\n",
+        ["gamma", "--keep", "A"],
+    ),
     # A is productive, unreachable and on an epsilon cycle: counting every
     # variable must refuse it at once
     "gamma-unreachable-epsilon-cycle": (
@@ -581,6 +640,10 @@ FUZZ_BASES = {  # file name, text, command; dyck.gf and c1.lang sit beside it
     "spec": ("spec.hs", "n: x y\nchain 1: finite c1.lang\nchain 2: rational t^3\n", "hilbert"),
     "grammar-spec": ("spec.hs", "n: 2\nchain 1: grammar dyck.gf\n", "hilbert"),
     "verify-spec": ("spec.hs", "n: x y\nchain 1: finite c1.lang\n", "hilbert --verify-chains 4"),
+    "infinite-uchain2": (
+        "spec.hs", "n: x y\ngldim: infinite-uchain2 R=c1.lang Rp=c1.lang L=dyck.gf\n",
+        "hilbert",
+    ),
 }
 FUZZ_TOKENS = [
     " ", "\n", "|", "->", "eps", "x", "y", "a", "S", "A", "#", ":", "0", "-",

@@ -38,3 +38,21 @@ def test_solution_series_solves_system():
         assignment = solution_series(g, 10)
         for residual in residual_series(system, assignment, 10):
             assert all(residual[k] == 0 for k in range(11))
+
+
+# A and B derive no word, so their series are 0 and S's is t; A = A^2 and
+# B = A B, kept as equations, left B free and no univariate relation for S
+UNPRODUCTIVE = "terminals: a\nvariables: S B A\nstart: S\nS -> a | B\nB -> A B\nA -> A A"
+
+
+def test_build_system_drops_unproductive_variables():
+    system = build_system(parse_grammar(UNPRODUCTIVE))
+    only_a = build_system(parse_grammar("terminals: a\nvariables: S\nstart: S\nS -> a"))
+    assert system.unknowns == ("S",)
+    assert system.equations == only_a.equations
+
+
+def test_gamma_with_unproductive_variables():
+    res = gamma_algebraic(parse_grammar(UNPRODUCTIVE), 6)
+    assert res.poly.degree == 1
+    assert list(res.series.coeffs) == [0, 1, 0, 0, 0, 0, 0]

@@ -7,10 +7,12 @@ from functools import lru_cache
 import pytest
 
 from nchilbert.errors import InputError, MismatchError
+from nchilbert import homology
 from nchilbert.homology import (
     HomologySpec,
     PatternFamily,
     RelationSet,
+    Uchain2Spec,
     chains_finite,
     govorov_chains_trunc,
     hilbert_from_homology,
@@ -21,7 +23,7 @@ from nchilbert.homology import (
     parse_rational,
     parse_relation_file,
 )
-from nchilbert.examples import TRIPLE_L1
+from nchilbert.examples import DYCK, LUKASIEWICZ, TRIPLE_L1
 from nchilbert.grammar import enumerate_words, parse_grammar
 from nchilbert.ratfunc import QPoly, RationalFunction, TruncatedSeries
 from nchilbert.words import (
@@ -184,6 +186,60 @@ def test_hilbert_check_oracle_catches_one_coefficient_off():
     off[4] += 1
     with pytest.raises(MismatchError, match="disagrees with the oracle"):
         hilbert_from_homology(spec, 6, check_oracle=TruncatedSeries(off, 6))
+
+
+X_DYCK_X_EULER = "(2*t + 1)*E^2 + (10*t^2 + t - 2)*E + (13*t^3 - 4*t^2 - 3*t + 1)"
+
+
+def _x_dyck_x(d):
+    x = FiniteLanguage.from_texts(Alphabet(["x"]), ["x"])
+    spec = HomologySpec(3, (), uchain2=Uchain2Spec(x, x, parse_grammar(DYCK)))
+    return hilbert_from_homology(spec, d)
+
+
+def test_sandwich_euler_polynomial():
+    res = _x_dyck_x(10)
+    assert repr(res.poly_e.cleared()) == X_DYCK_X_EULER
+    assert list(res.series.coeffs) == [1, 3, 8, 22, 59, 160, 430, 1161, 3123, 8418, 22653]
+    assert res.certifications == ((1, True, None),)
+
+
+def test_sandwich_euler_polynomial_is_irreducible():
+    sympy = pytest.importorskip("sympy")
+    t, e = sympy.symbols("t E")
+    p = sympy.sympify(X_DYCK_X_EULER.replace("^", "**"), locals={"t": t, "E": e})
+    _, factors = sympy.factor_list(p)
+    assert len(factors) == 1 and factors[0][1] == 1
+    assert sympy.expand(sympy.discriminant(p, e) + t**2 * (2*t - 1) * (2*t + 1)) == 0
+
+
+def test_sandwich_series_is_the_oracle_or_a_mismatch():
+    # R and R' of 0-2 words of length 1-3 over {x, y}, L Dyck or Lukasiewicz:
+    # the sandwich formula holds for some draws only, and the rest must raise
+    rng = random.Random(7)
+    grammars = [parse_grammar(DYCK), parse_grammar(LUKASIEWICZ)]
+
+    def words():
+        return FiniteLanguage(XY, frozenset(
+            bytes(rng.randrange(2) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 2))
+        ))
+
+    outcomes = set()
+    for _ in range(100):
+        r, rp = words(), words()
+        g = rng.choice(grammars)
+        d = rng.randint(3, 9)
+        spec = HomologySpec(2 + g.n, (), uchain2=Uchain2Spec(r, rp, g))
+        try:
+            res = hilbert_from_homology(spec, d)
+        except MismatchError:
+            outcomes.add("mismatch")
+            continue
+        outcomes.add("series")
+        assert res.series == homology._sandwich_oracle(r, rp, g, d)
+        assert res.poly_h.cleared().eval_series(res.series, d).valuation() is None
+    assert outcomes == {"series", "mismatch"}
 
 
 def test_pattern_family_words():
