@@ -16,9 +16,12 @@ from .csys import DEFAULT_CERT_DEG, gamma_algebraic
 from .errors import (
     BoundError,
     DivergenceError,
+    EliminationError,
     InputError,
+    MismatchError,
     NchilbertError,
     ResourceCapError,
+    RootMismatchError,
 )
 from .examples import REGISTRY, run_example
 from .grammar import (
@@ -244,7 +247,11 @@ def cmd_hilbert(args):
     if args.verify_chains and not _verify_chains(spec, args.verify_chains, rep):
         rep.flush()
         return 1
-    return _hilbert_report(rep, spec, args)
+    try:
+        return _hilbert_report(rep, spec, args)
+    except (EliminationError, MismatchError, RootMismatchError):
+        rep.flush()  # a failed check exits 1 with the lines computed before it
+        raise
 
 
 def _chain_oracle(spec, k):

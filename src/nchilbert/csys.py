@@ -22,7 +22,7 @@ DEFAULT_CERT_DEG = 12
 
 @dataclass(frozen=True)
 class AlgebraicSystem:
-    unknowns: tuple
+    unknowns: tuple  # the head of each equation
     equations: tuple  # MultiPolynomial, one per unknown, A_i - sum of images
 
 
@@ -72,7 +72,7 @@ def gamma_linear(g):
     other degree raises InputError.
     """
     system = build_system(g)
-    poly = eliminate_univariate(list(system.equations), g.variables.symbols[g.start])
+    poly = eliminate_univariate(system, g.variables.symbols[g.start])
     if poly.degree != 1:
         raise InputError(
             "start unknown's polynomial has degree %d; a linear grammar gives 1"
@@ -103,7 +103,7 @@ def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None):
     if name not in system.unknowns:
         raise InputError("variable %s derives no word" % name)
     certified, witness = certify_unambiguous(g, cert_deg)
-    poly = eliminate_univariate(list(system.equations), name)
+    poly = eliminate_univariate(system, name)
     series = newton_series(
         poly,
         lambda D: TruncatedSeries(count_derivations(g, D)[index], D),

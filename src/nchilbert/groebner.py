@@ -1,5 +1,6 @@
 """Buchberger's algorithm over Q(t) for the lexicographic order, plus
-univariate elimination from the reduced lex basis.
+univariate elimination from the reduced lex basis of a system whose
+unknowns with equal equations are merged first.
 
 Lex order is plain tuple order on exponent vectors, the first variable
 highest: the leading monomial of p is `max(p.terms)`.
@@ -18,6 +19,7 @@ import heapq
 from .errors import EliminationError, ResourceCapError
 from .multipoly import MultiPolynomial
 from .ratfunc import RF_ZERO
+from .regular import refine
 
 
 def _divides(e1, e2):
@@ -153,17 +155,67 @@ def assert_groebner(basis, gens):
                 raise EliminationError("S-polynomial fails to reduce to zero")
 
 
-def eliminate_univariate(gens, keep):
-    """Monic generator of the elimination ideal in `keep`: the unknowns are
-    renamed to the others in reverse declaration order, then `keep` lowest, so
-    the checked reduced basis has it first, if it has one."""
-    if not gens:
+def merge_unknowns(system, keep):
+    """Each unknown's representative, the first unknown of its class.  The
+    classes are refined from {keep} and the other unknowns until the members
+    of each class have equal equations once every unknown is renamed to its
+    class; equations[i] is the equation of unknowns[i], X - F(X).
+
+    Moore's refinement (`regular.refine`) compares integer signatures: per
+    term, the sorted classes of its unknowns, with multiplicity, and an id of
+    its coefficient.  Terms that meet under the renaming are compared as a
+    multiset, not summed, which can only keep unknowns apart.
+
+    Sound for proper systems: `_layers` rejects unit and eps cycles before
+    gamma_algebraic and hilbert_from_homology eliminate, and gamma_linear
+    gets right-linear grammars.  Then the iteration X <- F(X) from 0
+    converges to the one power-series solution.  Its iterates give the
+    members of a class equal values, since their renamed equations are
+    equal, so merged unknowns have equal series.
+    """
+    pos = {name: i for i, name in enumerate(system.unknowns)}
+    ids = {}
+    terms = [
+        [
+            (
+                tuple(pos[v] for v, k in zip(eq.variables, e) for _ in range(k)),
+                ids.setdefault(c, len(ids)),
+            )
+            for e, c in eq.terms.items()
+        ]
+        for eq in system.equations
+    ]
+
+    def signature(cls):
+        return [
+            tuple(sorted((tuple(sorted(map(cls.__getitem__, occ))), c) for occ, c in eq))
+            for eq in terms
+        ]
+
+    cls = refine([int(u != keep) for u in system.unknowns], signature)
+    first = {}
+    return {u: first.setdefault(c, u) for u, c in zip(system.unknowns, cls)}
+
+
+def eliminate_univariate(system, keep):
+    """Monic generator of the elimination ideal in `keep` of the merged
+    system: unknowns with equal equations are merged first (merge_unknowns),
+    and the representatives are renamed to the others in reverse declaration
+    order, then `keep` lowest, so the checked reduced basis has it first, if
+    it has one.  The generator annihilates keep's series but can be
+    reducible."""
+    if not system.equations:
         raise EliminationError("empty generating set")
-    variables = gens[0].variables
-    if keep not in variables:
+    if keep not in system.unknowns:
         raise EliminationError("unknown variable %r" % (keep,))
-    order = tuple(v for v in reversed(variables) if v != keep) + (keep,)
-    gens = [g.rename({}, order) for g in gens]
+    rep = merge_unknowns(system, keep)
+    reps = [v for v in system.equations[0].variables if rep[v] == v]
+    order = tuple(v for v in reversed(reps) if v != keep) + (keep,)
+    gens = [
+        eq.rename(rep, order)
+        for u, eq in zip(system.unknowns, system.equations)
+        if rep[u] == u
+    ]
     basis = buchberger_lex(gens)
     assert_groebner(basis, gens)
     if not basis or any(max(basis[0].terms)[:-1]):

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .csys import DEFAULT_CERT_DEG, build_system
+from .csys import DEFAULT_CERT_DEG, AlgebraicSystem, build_system
 from .errors import InputError, MismatchError
 from .grammar import (
     CFGrammar,
@@ -349,8 +349,10 @@ def _radical_closed_form(q):
 
 
 def assemble_system(spec):
-    """The equations of the Euler characteristic system, in the unknowns E,
-    E1, E2, ... and the grammars' other productive variables.
+    """The Euler characteristic system: an AlgebraicSystem whose unknowns,
+    E, E1, E2, ... and the grammars' other productive variables, head one
+    equation each, as build_system's do, so that eliminate_univariate can
+    merge the unknowns with equal equations.
 
     For chains, E = 1 - n*t + E1 - E2 + ...; for a sandwich, with gR, gR'
     and gQ from Uchain2Spec.gammas, (E - 1 + n*t)(1 + gQ*E1) = gR*gR'*E1.
@@ -385,29 +387,21 @@ def assemble_system(spec):
     else:
         for i in range(1, len(spec.descriptors) + 1):
             eceq = eceq + MultiPolynomial.var(names, "E%d" % i, (-1) ** i)
-    equations = [eceq]
 
-    aux_sources = {}
+    heads = {"E": eceq}
     for i, (kind, payload) in enumerate(spec.terms, start=1):
         e_name = "E%d" % i
         if kind != "grammar":
             value = _descriptor_poly(kind, payload)
-            equations.append(MultiPolynomial.var(names, e_name) - value)
+            heads[e_name] = MultiPolynomial.var(names, e_name) - value
             continue
         rename, system = systems[i]
         for sym, eq in zip(system.unknowns, system.equations):
             name = rename.get(sym, sym)
             eq = eq.rename(rename, names)
-            if name in aux_sources:
-                if aux_sources[name] != eq:
-                    raise InputError(
-                        "shared variable %r has conflicting equations" % name
-                    )
-                continue
-            if name != e_name:
-                aux_sources[name] = eq
-            equations.append(eq)
-    return equations
+            if heads.setdefault(name, eq) != eq:  # only an auxiliary recurs
+                raise InputError("shared variable %r has conflicting equations" % name)
+    return AlgebraicSystem(tuple(heads), tuple(heads.values()))
 
 
 def hilbert_from_homology(spec, d, cert_deg=DEFAULT_CERT_DEG, check_oracle=None):

@@ -67,29 +67,37 @@ def _explore(start, step, n_sym, cap=None):
     return states, rows
 
 
-def minimize(dfa):
-    """Moore partition refinement over the reachable part.  Classes are
-    numbered by their first state in breadth-first order, which is the
-    breadth-first order of the minimal DFA, with the initial class 0."""
-    states, rows = _explore(
-        dfa.initial, lambda s, i: dfa.transitions[s][i], dfa.alphabet.size
-    )
-    cls = [int(s in dfa.accepting) for s in states]
+def refine(cls, signature):
+    """Moore's partition refinement.  cls[i] is element i's first class and
+    signature(cls) lists every element's signature under a class list; each
+    round splits the classes by signature, until none splits.  The classes
+    come back numbered by their first element."""
     n_classes = len(set(cls))
     while True:
         renum = {}
-        cls = [
-            renum.setdefault((c,) + tuple(cls[t] for t in row), len(renum))
-            for c, row in zip(cls, rows)
-        ]
+        cls = [renum.setdefault(key, len(renum)) for key in zip(cls, signature(cls))]
         if len(renum) == n_classes:
-            break
+            return cls
         n_classes = len(renum)
+
+
+def minimize(dfa):
+    """Moore's refinement over the reachable part, from the accepting and the
+    other states; a state's signature is its row of successor classes.
+    Classes are numbered by their first state in breadth-first order, which
+    is the breadth-first order of the minimal DFA, with the initial class 0."""
+    states, rows = _explore(
+        dfa.initial, lambda s, i: dfa.transitions[s][i], dfa.alphabet.size
+    )
+    cls = refine(
+        [int(s in dfa.accepting) for s in states],
+        lambda cls: [tuple(cls[t] for t in row) for row in rows],
+    )
     class_rows = {}
     for c, row in zip(cls, rows):
         class_rows.setdefault(c, tuple(cls[t] for t in row))
     accepting = frozenset(c for c, s in zip(cls, states) if s in dfa.accepting)
-    return DFA(dfa.alphabet, tuple(class_rows[c] for c in range(n_classes)), accepting, 0)
+    return DFA(dfa.alphabet, tuple(class_rows.values()), accepting, 0)
 
 
 class RegularLanguageHandle:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from nchilbert.csys import build_system, gamma_algebraic, gamma_linear
+from nchilbert.csys import AlgebraicSystem, build_system, gamma_algebraic, gamma_linear
 from nchilbert.errors import (
     DivergenceError,
     EliminationError,
@@ -18,10 +18,14 @@ from nchilbert.errors import (
 )
 from nchilbert.examples import (
     DYCK,
+    FP_CHAINS,
     FP_PRESENTATION,
+    FPV_CHAINS,
     IFTHENELSE,
     LUKAS1_CHAINS,
     LUKAS1_SERIES,
+    LUKAS2_CHAINS,
+    _chain_spec,
     qp,
     ratpoly,
     xystar_handle,
@@ -32,6 +36,7 @@ from nchilbert.groebner import (
     assert_groebner,
     buchberger_lex,
     eliminate_univariate,
+    merge_unknowns,
 )
 from nchilbert.homology import HomologySpec, hilbert_from_homology
 from nchilbert.multipoly import MultiPolynomial, RatPoly
@@ -88,8 +93,12 @@ def test_gamma_linear_singular_system():
         gamma_linear(g)
 
 
+def ifthenelse_system():
+    return build_system(parse_grammar(IFTHENELSE))
+
+
 def ifthenelse_equations():
-    return list(build_system(parse_grammar(IFTHENELSE)).equations)
+    return list(ifthenelse_system().equations)
 
 
 def test_eliminate_keep_each_unknown():
@@ -99,14 +108,14 @@ def test_eliminate_keep_each_unknown():
         "B": ratpoly("B", [[0, 1], [-1, 1, 2], [0, 0, -1, 2]]),
     }
     for keep, expected in want.items():
-        got = eliminate_univariate(ifthenelse_equations(), keep)
+        got = eliminate_univariate(ifthenelse_system(), keep)
         assert got.proportional_to(expected), (keep, got.cleared())
 
 
 def test_eliminate_trivial_binding():
     f = RationalFunction(qp(1), qp(1, -1))
     eq = MultiPolynomial.var(("A",), "A") - f
-    out = eliminate_univariate([eq], "A")
+    out = eliminate_univariate(AlgebraicSystem(("A",), (eq,)), "A")
     assert out.degree == 1
     assert out.proportional_to(RatPoly("A", [-f, RF_ONE]))
 
@@ -123,10 +132,14 @@ def test_buchberger_postconditions():
         assert_groebner(buchberger_lex(gens), gens)
 
 
-def x12_equations():
+def x12_system():
     """Myhill-Nerode system of the ideal of {x^12} over {x, y}."""
     basis = FiniteLanguage(Alphabet(["x", "y"]), frozenset({bytes(12)}))
-    return list(build_system(myhill_nerode_grammar(ideal_automaton(basis))).equations)
+    return build_system(myhill_nerode_grammar(ideal_automaton(basis)))
+
+
+def x12_equations():
+    return list(x12_system().equations)
 
 
 def test_buchberger_basis_is_reduced():
@@ -255,7 +268,7 @@ def _dyck(k):
 
 
 def test_newton_ifthenelse():
-    q = eliminate_univariate(ifthenelse_equations(), "S")
+    q = eliminate_univariate(ifthenelse_system(), "S")
     out = newton_series(q, _series(_central_binomial), 7)
     assert list(out.coeffs) == [1, 1, 2, 3, 6, 10, 20, 35]
 
@@ -305,7 +318,7 @@ def _lukas1_h():
 SEEDS = {
     "catalan-short": lambda: (ratpoly("T", [[1], [-1], [0, 0, 1]]), _dyck, 6, 0),
     "ifthenelse-S": lambda: (
-        eliminate_univariate(ifthenelse_equations(), "S"), _central_binomial, 10, 10
+        eliminate_univariate(ifthenelse_system(), "S"), _central_binomial, 10, 10
     ),
     "lukas1-H": _lukas1_h,
 }
@@ -324,7 +337,7 @@ def test_newton_rejects_bad_seed(case):
 
 def test_newton_annihilates():
     g = parse_grammar(IFTHENELSE)
-    q = eliminate_univariate(ifthenelse_equations(), "B")
+    q = eliminate_univariate(ifthenelse_system(), "B")
     b = g.variables.index("B")
     out = newton_series(q, lambda D: TruncatedSeries(count_derivations(g, D)[b], D), 9)
     assert list(out.coeffs[:2]) == [0, 1]
@@ -373,7 +386,7 @@ def test_newton_check_catches_each_bump(g):
 
     d = 6
     try:
-        q = eliminate_univariate(list(build_system(g).equations), "S")
+        q = eliminate_univariate(build_system(g), "S")
     except EliminationError:
         # e.g. S = t + B, B = A B, A = A A: B, so S, is free where A = 1
         reject()
@@ -401,3 +414,95 @@ def test_build_system_images():
         - MultiPolynomial.monomial(("S",), (2,), t2)
     )
     assert eq == expected
+
+
+# ---------------------------------------------------------------------------
+# merging unknowns with equal equations before elimination
+
+STU = """
+terminals: a b c d
+variables: S T U
+start: S
+S -> T U
+T -> eps | a T b T
+U -> eps | c U d U
+"""
+
+# fp-variant's Euler characteristic: E^2 + (6t^3 - 23t^2 + 18t - 2) E + ...
+FPV_QUAD = [[1, -18, 104, -213, 186, -69, 10], [-2, 18, -23, 6], [1]]
+
+
+def test_merge_keeps_the_kept_unknown_alone():
+    # T and U have the same equation X = 1 + t^2 X^2
+    g = parse_grammar(STU)
+    system = build_system(g)
+    assert merge_unknowns(system, "S") == {"S": "S", "T": "T", "U": "T"}
+    assert merge_unknowns(system, "U") == {"S": "S", "T": "T", "U": "U"}
+    assert gamma_algebraic(g, 8).poly.proportional_to(
+        ratpoly("S", [[1], [-1, 0, 2], [0, 0, 0, 0, 1]])
+    )
+    res = gamma_algebraic(g, 8, keep="U")
+    assert res.poly.proportional_to(ratpoly("U", [[1], [-1], [0, 0, 1]]))
+    assert list(res.series.coeffs) == [1, 0, 1, 0, 2, 0, 5, 0, 14]
+
+
+def test_x12_system_merges_nothing():
+    # the states of a minimal DFA have distinct languages
+    system = x12_system()
+    assert merge_unknowns(system, "A1") == {u: u for u in system.unknowns}
+
+
+def test_fp_variant_eliminant_is_a_quadratic():
+    # the chain grammars' T and Q merge, so the quartic of the unmerged
+    # system, which has this quadratic as a factor, is not printed
+    res = hilbert_from_homology(_chain_spec(FPV_CHAINS, 9), 6)
+    assert res.poly_e.proportional_to(ratpoly("E", FPV_QUAD))
+
+
+def test_printed_polynomials_are_irreducible():
+    sympy = pytest.importorskip("sympy")
+    polys = [
+        hilbert_from_homology(_chain_spec(chains, n), 4).poly_e
+        for chains, n in ((LUKAS1_CHAINS, 6), (LUKAS2_CHAINS, 7), (FP_CHAINS, 7), (FPV_CHAINS, 9))
+    ]
+    polys += [gamma_algebraic(parse_grammar(text), 4).poly for text in (IFTHENELSE, DYCK, STU)]
+    names = {v: sympy.Symbol(v) for v in ("t", "E", "S")}
+    for p in polys:
+        expr = sympy.sympify(repr(p.cleared()).replace("^", "**"), locals=names)
+        _, factors = sympy.factor_list(expr)
+        assert len(factors) == 1 and factors[0][1] == 1, p.cleared()
+
+
+@st.composite
+def twinned_grammars(draw):
+    """A proper grammar with a twin of each variable.  The twin's bodies are
+    the variable's, each variable occurrence moved to its twin or not, so a
+    variable and its twin count the same words."""
+    g = draw(proper_grammars())
+    n, m = g.terminals.size, g.variables.size
+    prods = []
+    for var, rhs in g.productions:
+        twin = tuple(s + m if s >= n and draw(st.booleans()) else s for s in rhs)
+        prods += [(var, rhs), (var + m, twin)]
+    names = Alphabet(list("SAB"[:m] + "TCD"[:m]))
+    return CFGrammar(g.terminals, names, 0, prods)
+
+
+@settings(max_examples=60, deadline=None)
+@given(twinned_grammars(), st.data())
+def test_merging_keeps_the_certified_series(g, data):
+    d = 8
+    system = build_system(g)
+    keep = data.draw(st.sampled_from(system.unknowns))
+    counts = count_derivations(g, d)
+    rep = merge_unknowns(system, keep)
+    assert rep[keep] == keep
+    for u, r in rep.items():
+        assert counts[g.variables.index(u)] == counts[g.variables.index(r)], (u, r)
+    try:
+        q = eliminate_univariate(system, keep)
+    except EliminationError:
+        reject()
+    j = g.variables.index(keep)
+    f = newton_series(q, lambda D: TruncatedSeries(count_derivations(g, D)[j], D), d)
+    assert list(f.coeffs) == counts[j]

@@ -19,6 +19,7 @@ from nchilbert.examples import (
     FP_FAMILY,
     FP_FINITE,
     FP_PRESENTATION,
+    FPV_CHAINS,
     IFTHENELSE,
     LUKAS1_CHAINS,
 )
@@ -329,6 +330,59 @@ def test_hilbert_dropped_chain_fails_the_oracle(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == "mathematical failure: Hilbert series disagrees with the oracle to degree 9\n"
+
+
+def test_hilbert_oracle_failure_keeps_the_chain_lines(tmp_path, capsys):
+    # the chain-i-verify lines pass; the oracle then fails at degree 8
+    write(tmp_path, "c1.gf", LUKAS1_CHAINS[0])
+    write(tmp_path, "c2.gf", LUKAS1_CHAINS[1])
+    spec = write(
+        tmp_path, "spec.hs",
+        "n: 6\nchain 1: grammar c1.gf\nchain 2: grammar c2.gf\ngldim: 3\n",
+    )
+    argv = ["hilbert", spec, "--max-deg", "9", "--verify-chains", "6"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out.splitlines() == [
+        "chain-2-verify: ok to degree 6",
+        "chain-3-verify: empty to degree 6",
+    ]
+    assert err == "mathematical failure: Hilbert series disagrees with the oracle to degree 9\n"
+
+
+def test_hilbert_fp_variant_prints_a_quadratic(tmp_path, capsys):
+    # the chain grammars' T and Q have equal equations and are merged
+    write(tmp_path, "c1.gf", FPV_CHAINS[0])
+    write(tmp_path, "c2.gf", FPV_CHAINS[1])
+    spec = write(
+        tmp_path, "spec.hs",
+        "n: 9\nchain 1: grammar c1.gf\nchain 2: grammar c2.gf\ngldim: 3\n",
+    )
+    code, out, _ = run(capsys, ["hilbert", spec, "--max-deg", "6"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == (
+        "euler-polynomial: E^2 + (6*t^3 - 23*t^2 + 18*t - 2)*E"
+        " + (10*t^6 - 69*t^5 + 186*t^4 - 213*t^3 + 104*t^2 - 18*t + 1)"
+    )
+    assert lines[2].startswith("closed-form: H = ")
+    assert "series: 1,9,69,516,3844,28620,213070" in lines
+
+
+def test_gamma_merges_equal_unknowns(tmp_path, capsys):
+    # S -> T U with T and U both Dyck: S = T^2, not a root of a cubic
+    gf = write(
+        tmp_path, "stu.gf",
+        "terminals: a b c d\nvariables: S T U\nstart: S\n"
+        "S -> T U\nT -> eps | a T b T\nU -> eps | c U d U\n",
+    )
+    code, out, _ = run(capsys, ["gamma", gf, "--max-deg", "8"])
+    assert code == 0
+    assert out.splitlines()[:3] == [
+        "unknown: S",
+        "polynomial: t^4*S^2 + (2*t^2 - 1)*S + 1",
+        "series: 1,0,2,0,5,0,14,0,42",
+    ]
 
 
 @pytest.mark.parametrize("max_deg, cert_deg, k", [(9, 12, 9), (9, 5, 5)])
