@@ -8,13 +8,16 @@ highest: the leading monomial of p is `max(p.terms)`.
 The postcondition `assert_groebner` proves the same statement as reducing
 every S-pair: a pair whose leading monomials are coprime reduces to zero by
 Buchberger's first criterion (Gebauer & Moeller 1988), so only the other
-pairs are reduced.  The Q(t) coefficients are `RationalFunction`s, whose
-arithmetic keeps every result reduced with a monic denominator.
+pairs are reduced.  The Q(t) coefficients are `RationalFunction`s: each is
+a reduced pair of integer polynomials, and its arithmetic runs on ints.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import cache
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import EliminationError, ResourceCapError
 from .multipoly import MultiPolynomial
@@ -162,9 +165,9 @@ def merge_unknowns(system, keep):
     class; equations[i] is the equation of unknowns[i], X - F(X).
 
     Moore's refinement (`regular.refine`) compares integer signatures: per
-    term, the sorted classes of its unknowns, with multiplicity, and an id of
-    its coefficient.  Terms that meet under the renaming are compared as a
-    multiset, not summed, which can only keep unknowns apart.
+    term of the renamed equation, the sorted classes of its unknowns, with
+    multiplicity, and an id of its coefficient.  Terms that meet under the
+    renaming are collected first, their coefficients summed.
 
     Sound for proper systems: `_layers` rejects unit and eps cycles before
     gamma_algebraic and hilbert_from_homology eliminate, and gamma_linear
@@ -174,23 +177,39 @@ def merge_unknowns(system, keep):
     equal, so merged unknowns have equal series.
     """
     pos = {name: i for i, name in enumerate(system.unknowns)}
-    ids = {}
+    ids, coeffs = {}, []  # coefficient -> id, id -> coefficient
+
+    def coeff_id(c):
+        if c not in ids:
+            ids[c] = len(coeffs)
+            coeffs.append(c)
+        return ids[c]
+
+    @cache
+    def summed(cids):
+        return coeff_id(sum((coeffs[i] for i in cids), RF_ZERO))
+
+    zero = coeff_id(RF_ZERO)
     terms = [
         [
-            (
-                tuple(pos[v] for v, k in zip(eq.variables, e) for _ in range(k)),
-                ids.setdefault(c, len(ids)),
-            )
+            (tuple(pos[v] for v, k in zip(eq.variables, e) for _ in range(k)), coeff_id(c))
             for e, c in eq.terms.items()
         ]
         for eq in system.equations
     ]
 
     def signature(cls):
-        return [
-            tuple(sorted((tuple(sorted(map(cls.__getitem__, occ))), c) for occ, c in eq))
-            for eq in terms
-        ]
+        out = []
+        for eq in terms:
+            sig = sorted((tuple(sorted(map(cls.__getitem__, occ))), cid) for occ, cid in eq)
+            if any(a[0] == b[0] for a, b in zip(sig, sig[1:])):  # terms meet
+                summed_sig = (
+                    (key, summed(tuple(cid for _, cid in group)))
+                    for key, group in groupby(sig, itemgetter(0))
+                )
+                sig = [term for term in summed_sig if term[1] != zero]
+            out.append(tuple(sig))
+        return out
 
     cls = refine([int(u != keep) for u in system.unknowns], signature)
     first = {}

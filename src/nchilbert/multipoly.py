@@ -155,6 +155,12 @@ def _as_rational(c):
     return c if isinstance(c, RationalFunction) else RationalFunction(c)
 
 
+def _zlcm(a, b):
+    """A common multiple of a and b in Z[t]: a times b's cofactor of their
+    primitive gcd."""
+    return a * (b // QPoly(primitive_part(a.gcd(b).coeffs)))
+
+
 class RatPoly(QPoly):
     """Univariate polynomial in a named unknown with Q(t) coefficients; the
     dense arithmetic is QPoly's."""
@@ -162,6 +168,7 @@ class RatPoly(QPoly):
     __slots__ = ("var",)
     _zero = RF_ZERO
     _coeff = staticmethod(_as_rational)
+    _div = staticmethod(RationalFunction.__truediv__)
 
     def __init__(self, var, coeffs):
         self.var = var
@@ -201,14 +208,14 @@ class RatPoly(QPoly):
 
     def cleared(self):
         """Scale by an element of Q(t) so coefficients are primitive Z[t]
-        polynomials with no common polynomial factor, lex-leading one positive."""
+        polynomials with no common polynomial factor, lex-leading one positive.
+        The integer pairs are brought to a common denominator in Z[t]."""
         if not self:
             return self
-        den = reduce(lambda a, b: a * (b // a.gcd(b)), (c.den for c in self.coeffs))
-        polys = [(c * RationalFunction(den)).num for c in self.coeffs]
-        g = reduce(QPoly.gcd, polys)
-        polys = [p // g for p in polys]
-        ints = iter(primitive_part([c for p in polys for c in p.coeffs]))
+        den = reduce(_zlcm, (c.zden for c in self.coeffs))
+        polys = [c.znum * (den // c.zden) for c in self.coeffs]
+        g = QPoly(primitive_part(reduce(QPoly.gcd, polys).coeffs))
+        ints = iter(primitive_part([c for p in polys for c in (p // g).coeffs]))
         return RatPoly(
             self.var, [RationalFunction(QPoly([next(ints) for _ in p.coeffs])) for p in polys]
         )

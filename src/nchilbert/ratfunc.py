@@ -1,5 +1,9 @@
 """Exact arithmetic: Q[t] polynomials, the rational function field Q(t) and
-degree-truncated power series over Q."""
+degree-truncated power series over Q.
+
+Integral coefficients are Python ints, so the arithmetic of Q(t), kept as
+reduced pairs in Z[t], runs on ints; a Fraction appears only where a value
+is not integral."""
 
 from __future__ import annotations
 
@@ -9,21 +13,42 @@ from math import gcd, lcm
 from .errors import InputError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+
+def _rational(c):
+    """c as an exact rational: an int when it is integral, else a Fraction."""
+    if type(c) is not int:
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+def _qdiv(a, b):
+    """a / b in Q, exactly: an int when it is integral, never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _rational(Fraction(a, b))
 
 
 class QPoly:
-    """Dense univariate polynomial in t with exact rational coefficients.
+    """Dense univariate polynomial in t with exact rational coefficients:
+    an integral coefficient is an int, any other a Fraction.
 
     The arithmetic works over any coefficient field: a subclass sets the
-    zero element `_zero`, the coefficient coercion `_coeff` and `_new`,
-    which builds a result of its own type.  `gcd` alone is specific to Q:
-    it runs over Z, and `RatPoly` keeps the field Euclid for Q(t).
+    zero element `_zero`, the coefficient coercion `_coeff`, the exact
+    division `_div` and `_new`, which builds a result of its own type.
+    `gcd` alone is specific to Q: it runs over Z, and `RatPoly` keeps the
+    field Euclid for Q(t).
     """
 
     __slots__ = ("coeffs",)
-    _zero = ZERO
-    _coeff = Fraction
+    _zero = 0
+    _coeff = staticmethod(_rational)
+    _div = staticmethod(_qdiv)
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
@@ -36,11 +61,11 @@ class QPoly:
 
     @classmethod
     def const(cls, c):
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def t_power(cls, k, c=1):
-        return cls((0,) * k + (Fraction(c),))
+        return cls((0,) * k + (c,))
 
     @property
     def degree(self):
@@ -99,7 +124,7 @@ class QPoly:
         dlead = other.coeffs[-1]
         dn = len(other.coeffs)
         while len(rem) >= dn:
-            c = rem[-1] / dlead
+            c = self._div(rem[-1], dlead)
             k = len(rem) - dn
             q[k] = c
             for i, b in enumerate(other.coeffs):
@@ -118,11 +143,11 @@ class QPoly:
         if not self:
             return self
         lead = self.coeffs[-1]
-        return self._new(tuple(c / lead for c in self.coeffs))
+        return self._new(tuple(self._div(c, lead) for c in self.coeffs))
 
     def gcd(self, other):
         """Monic gcd by the primitive pseudo-remainder sequence over Z (Collins
-        1967; Brown & Traub 1971): only the result is turned into Fractions."""
+        1967; Brown & Traub 1971): only the result is divided in Q."""
         if not self or not other:
             return (self or other).monic()
         a, b = primitive_part(self.coeffs), primitive_part(other.coeffs)
@@ -141,7 +166,7 @@ class QPoly:
                     a.pop()
             a, b = b, primitive_part(a) if a else []
         g = b or a  # a nonzero constant remainder is [1]: the gcd is 1
-        return self._new(tuple(Fraction(c, g[-1]) for c in g))
+        return self._new(tuple(_qdiv(c, g[-1]) for c in g))
 
     def derivative(self):
         return self._new(tuple(i * self.coeffs[i] for i in range(1, len(self.coeffs))))
@@ -184,103 +209,110 @@ def format_qpoly(p, var="t"):
     return out
 
 
-T = QPoly.t_power(1)
-_POLY_ONE = QPoly.const(1)
-
-
 class RationalFunction:
-    """Element of Q(t), kept reduced with a monic denominator.
+    """Element of Q(t), kept as a reduced pair of integer polynomials.
 
-    Every instance is in this canonical form: gcd(num, den) = 1 and den is
-    monic.  `==`, `hash` and the callers that read `num`/`den` rely on it,
-    and the arithmetic below relies on its operands having it.  Results are
-    built reduced from reduced operands (Henrici's method, Knuth TAOCP 2,
-    4.5.1), so only the constructor normalises input from outside.
+    Every instance holds znum/zden in Z[t] with int coefficients, coprime in
+    Z[t] (no common factor of positive degree and no common integer factor),
+    zden's leading coefficient positive.  The form is canonical: `==` and
+    `hash` compare the pair, and the arithmetic below relies on its operands
+    having it.  Results are built reduced from reduced operands (Henrici's
+    method, Knuth TAOCP 2, 4.5.1): each gcd is `QPoly.gcd`'s, made
+    primitive, each cofactor an exact division in Z[t], and a last integer
+    gcd takes out the common content.  Only the constructor normalises input
+    from outside.  `num` and `den` read the same element as a reduced
+    fraction over Q with a monic denominator.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("znum", "zden")
 
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = QPoly.const(num)
-        if den is None:
-            den = QPoly.const(1)
-        elif isinstance(den, (int, Fraction)):
-            den = QPoly.const(den)
+    def __init__(self, num, den=1):
+        num, den = _as_qpoly(num), _as_qpoly(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        g = _gcd(num, den)
+        m = lcm(*(c.denominator for c in num.coeffs + den.coeffs))
+        if m != 1:
+            num = QPoly(c.numerator * (m // c.denominator) for c in num.coeffs)
+            den = QPoly(c.numerator * (m // c.denominator) for c in den.coeffs)
+        g = _zgcd(num, den)
         if g is not None:
             num, den = num // g, den // g
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num = num * (ONE / lead)
-            den = den.monic()
-        self.num = num
-        self.den = den
+        out = _lowest(num, den)
+        self.znum, self.zden = out.znum, out.zden
 
     @classmethod
     def _reduced(cls, num, den):
         """num/den as it stands: the caller guarantees the canonical form."""
         out = object.__new__(cls)
-        out.num = num
-        out.den = den
+        out.znum = num
+        out.zden = den
         return out
+
+    @property
+    def num(self):
+        lead = self.zden.coeffs[-1]
+        if lead == 1:
+            return self.znum
+        return QPoly(_qdiv(c, lead) for c in self.znum.coeffs)
+
+    @property
+    def den(self):
+        return self.zden.monic()
 
     @classmethod
     def const(cls, c):
-        return cls(QPoly.const(c))
+        return cls(c)
 
     @classmethod
     def t_power(cls, k, c=1):
         return cls(QPoly.t_power(k, c))
 
     def is_polynomial(self):
-        return self.den == QPoly.const(1)
+        return self.zden.degree == 0
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.znum)
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.znum.coeffs == other.znum.coeffs and self.zden.coeffs == other.zden.coeffs
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.znum.coeffs, self.zden.coeffs))
 
     def __add__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if not other.num:
+        if not other.znum:
             return self
-        if not self.num:
+        if not self.znum:
             return other
-        a, b, c, d = self.num, self.den, other.num, other.den
+        a, b, c, d = self.znum, self.zden, other.znum, other.zden
         if b == d:
             num = a + c
             if not num:
                 return RF_ZERO
-            g = _gcd(num, b)
-            if g is None:
-                return RationalFunction._reduced(num, b)
-            return RationalFunction._reduced(num // g, b // g)
-        g = _gcd(b, d)
+            g = _zgcd(num, b)
+            if g is not None:
+                num, b = num // g, b // g
+            return _lowest(num, b)
+        g = _zgcd(b, d)
         if g is None:
-            return RationalFunction._reduced(a * d + c * b, b * d)
+            return _lowest(a * d + c * b, b * d)
         b, d = b // g, d // g
         num = a * d + c * b
-        g2 = _gcd(num, g)
+        g2 = _zgcd(num, g)
         if g2 is None:
-            return RationalFunction._reduced(num, b * d * g)
-        return RationalFunction._reduced(num // g2, b * d * (g // g2))
+            return _lowest(num, b * d * g)
+        return _lowest(num // g2, b * d * (g // g2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction._reduced(-self.num, self.den)
+        return RationalFunction._reduced(-self.znum, self.zden)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -295,16 +327,16 @@ class RationalFunction:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b, c, d = self.num, self.den, other.num, other.den
+        a, b, c, d = self.znum, self.zden, other.znum, other.zden
         if not a or not c:
             return RF_ZERO
-        g = _gcd(a, d)
+        g = _zgcd(a, d)
         if g is not None:
             a, d = a // g, d // g
-        g = _gcd(c, b)
+        g = _zgcd(c, b)
         if g is not None:
             c, b = c // g, b // g
-        return RationalFunction._reduced(a * c, b * d)
+        return _lowest(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -312,7 +344,7 @@ class RationalFunction:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if not other.num:
+        if not other.znum:
             raise ZeroDivisionError("division by zero rational function")
         return self * other.inverse()
 
@@ -320,19 +352,24 @@ class RationalFunction:
         return _coerce(other) / self
 
     def inverse(self):
-        if not self.num:
+        if not self.znum:
             raise ZeroDivisionError("rational function with zero denominator")
-        lead = self.num.coeffs[-1]
-        return RationalFunction._reduced(self.den * (ONE / lead), self.num.monic())
+        if self.znum.coeffs[-1] < 0:
+            return RationalFunction._reduced(-self.zden, -self.znum)
+        return RationalFunction._reduced(self.zden, self.znum)
 
     def series(self, d):
         """Maclaurin expansion to degree d; needs no pole at t = 0."""
-        if self.den[0] == 0:
+        num, den = self.znum.coeffs, self.zden.coeffs
+        if den[0] == 0:
             raise InputError("pole at t = 0; no power series expansion")
-        num = TruncatedSeries.from_counts(self.num.coeffs, d)
-        if self.den.degree == 0:  # monic, so the denominator is 1
-            return num
-        return num / TruncatedSeries.from_counts(self.den.coeffs, d)
+        out = []
+        for k in range(d + 1):
+            c = num[k] if k < len(num) else 0
+            for j in range(1, min(k, len(den) - 1) + 1):
+                c -= den[j] * out[k - j]
+            out.append(_qdiv(c, den[0]))
+        return TruncatedSeries(out, d)
 
     def __repr__(self):
         if self.is_polynomial():
@@ -340,22 +377,40 @@ class RationalFunction:
         return "(%s)/(%s)" % (format_qpoly(self.num), format_qpoly(self.den))
 
 
-def _gcd(p, q):
-    """Monic gcd of p and q (q nonzero), or None when it is 1.  A nonzero
-    constant shares no factor with anything, so it needs no remainder sequence."""
+def _as_qpoly(x):
+    return x if isinstance(x, QPoly) else QPoly.const(x)
+
+
+def _zgcd(p, q):
+    """Primitive gcd, leading coefficient positive, of the integer
+    polynomials p and q (q nonzero), or None when it is 1.  A nonzero
+    constant shares no factor of positive degree with anything, so it needs
+    no remainder sequence."""
     if p.degree == 0 or q.degree == 0:
         return None
     g = p.gcd(q)
-    return None if g.degree == 0 else g
+    return None if g.degree == 0 else QPoly(primitive_part(g.coeffs))
+
+
+def _lowest(num, den):
+    """num/den for num and den in Z[t], coprime over Q: their common integer
+    factor and the sign of den's leading coefficient are taken out."""
+    k = gcd(*num.coeffs, *den.coeffs)
+    if den.coeffs[-1] < 0:
+        k = -k
+    if k != 1:
+        num = QPoly(c // k for c in num.coeffs)
+        den = QPoly(c // k for c in den.coeffs)
+    return RationalFunction._reduced(num, den)
 
 
 def _coerce(x):
     if isinstance(x, RationalFunction):
         return x
-    if isinstance(x, (int, Fraction)):
-        return RationalFunction._reduced(QPoly.const(x), _POLY_ONE)
+    if isinstance(x, (int, Fraction)):  # reduced, with a positive denominator
+        return RationalFunction._reduced(QPoly.const(x.numerator), QPoly.const(x.denominator))
     if type(x) is QPoly:  # a RatPoly is a polynomial over Q(t), not in Q[t]
-        return RationalFunction._reduced(x, _POLY_ONE)
+        return RationalFunction(x)
     return None
 
 

@@ -446,6 +446,44 @@ def test_merge_keeps_the_kept_unknown_alone():
     assert list(res.series.coeffs) == [1, 0, 1, 0, 2, 0, 5, 0, 14]
 
 
+XY_SUMS = """
+terminals: a b
+variables: S X Y A B
+start: S
+S -> X Y
+X -> a A | a B
+Y -> a A | A a
+A -> eps | a A b A
+B -> eps | a B b B
+"""
+
+
+def test_merge_sums_the_terms_that_meet():
+    # B merges into A; then X = tA + tB and Y = 2tA are one equation, once
+    # the two terms that meet at t*A are summed
+    g = parse_grammar(XY_SUMS)
+    rep = merge_unknowns(build_system(g), "S")
+    assert rep == {"S": "S", "X": "X", "Y": "X", "A": "A", "B": "A"}
+    res = gamma_algebraic(g, 12)
+    assert list(res.series.coeffs) == count_derivations(g, 12)[0]
+    assert list(res.series.coeffs) == [0, 0, 4, 0, 8, 0, 20, 0, 56, 0, 168, 0, 528]
+
+
+def test_merge_drops_terms_that_cancel():
+    # X = t*A - t*B is 0 once B merges into A, so X and Y = 0 merge
+    names = ("S", "X", "Y", "A", "B")
+    t = RationalFunction.t_power(1)
+    a, b = (MultiPolynomial.var(names, v) for v in "AB")
+    system = AlgebraicSystem(names, (
+        MultiPolynomial.var(names, "S") - MultiPolynomial.monomial(names, (0, 1, 1, 0, 0), RF_ONE),
+        MultiPolynomial.var(names, "X") - a * t + b * t,
+        MultiPolynomial.var(names, "Y"),
+        a - 1 - MultiPolynomial.monomial(names, (0, 0, 0, 2, 0), t),
+        b - 1 - MultiPolynomial.monomial(names, (0, 0, 0, 0, 2), t),
+    ))
+    assert merge_unknowns(system, "S") == {"S": "S", "X": "X", "Y": "X", "A": "A", "B": "A"}
+
+
 def test_x12_system_merges_nothing():
     # the states of a minimal DFA have distinct languages
     system = x12_system()

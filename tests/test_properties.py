@@ -3,6 +3,7 @@ Q(t) arithmetic."""
 
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import mul
 
 import pytest
@@ -162,6 +163,20 @@ def test_ratfunc_results_are_canonical(x, y):
         assert got.num.gcd(got.den) == QPoly.const(1)
         want = RationalFunction(num, den)
         assert (got.num, got.den) == (want.num, want.den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratfunc_st, ratfunc_st)
+def test_ratfunc_results_store_integer_pairs(x, y):
+    # int coefficients, coprime in Z[t] (no common factor of positive degree
+    # and no common integer factor), the denominator's leading one positive
+    for got, (num, den) in _ratfunc_results(x, y):
+        n, d = got.znum.coeffs, got.zden.coeffs
+        assert all(type(c) is int for c in n + d)
+        assert d[-1] > 0 and gcd(*n, *d) == 1
+        assert got.znum.gcd(got.zden) == QPoly.const(1)
+        want = RationalFunction(num, den)
+        assert (n, d) == (want.znum.coeffs, want.zden.coeffs)
 
 
 def test_ratfunc_results_match_sympy():

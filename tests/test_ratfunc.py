@@ -77,6 +77,21 @@ def test_qpoly_gcd():
     assert g == b.monic()
 
 
+def test_qpoly_division_is_exact():
+    # integral coefficients are ints; a quotient that is not integral is a
+    # Fraction, never a float
+    p = QPoly((Fraction(4, 2), 1))
+    assert [type(c) for c in p.coeffs] == [int, int]
+    m = QPoly((1, 2)).monic()
+    assert m.coeffs == (Fraction(1, 2), 1)
+    assert [type(c) for c in m.coeffs] == [Fraction, int]
+    q = QPoly((3,)) // QPoly((2,))
+    assert q.coeffs == (Fraction(3, 2),) and type(q.coeffs[0]) is Fraction
+    q, r = QPoly((2, 0, 4)).divmod(QPoly((1, 2)))
+    assert (q.coeffs, r.coeffs) == ((-1, 2), (3,))
+    assert all(type(c) is int for c in q.coeffs + r.coeffs)
+
+
 def test_rational_arith():
     t = RationalFunction.t_power(1)
     f = 1 / (1 - t)
