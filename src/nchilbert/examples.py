@@ -9,7 +9,6 @@ and the acceptance tests reuse the same constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .csys import gamma_algebraic, gamma_linear
 from .errors import InputError, MismatchError
@@ -48,13 +47,9 @@ class ExampleReport:
         self.lines.append("%s=%s" % (label, value))
 
 
-def qp(*coeffs):
-    return QPoly(tuple(Fraction(c) for c in coeffs))
-
-
 def ratpoly(var, coeff_lists):
     """RatPoly from ascending lists of integer t-coefficients."""
-    return RatPoly(var, [RationalFunction(qp(*c)) for c in coeff_lists])
+    return RatPoly(var, [RationalFunction(QPoly(c)) for c in coeff_lists])
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +126,7 @@ def example_palindrome(max_deg=14):
     for n in (2, 3):
         g = palindrome_grammar("xyz"[:n])
         gamma = gamma_linear(g)
-        expected = RationalFunction(qp(1, n), qp(1, 0, -n))
+        expected = RationalFunction(QPoly((1, n)), QPoly((1, 0, -n)))
         report.check("gamma_n%d" % n, gamma == expected, repr(gamma))
         counts = [n ** ((k + 1) // 2) for k in range(max_deg + 1)]
         report.check(
@@ -190,7 +185,7 @@ def example_triple(d_chain=12, d_series=10):
     }
     report.check("chain2", set(l2.words) == expected, repr(sorted(l2.words)))
     gamma1 = gamma_linear(g)
-    gamma2 = RationalFunction(qp(0, 0, 0, 0, 0, 0, 1), qp(1, 0, 0, -1))
+    gamma2 = RationalFunction(QPoly.t_power(6), QPoly((1, 0, 0, -1)))
     counts2 = [0] * (d_chain + 1)
     for w in l2.words:
         counts2[len(w)] += 1
@@ -198,7 +193,7 @@ def example_triple(d_chain=12, d_series=10):
         "gamma2_matches_chains",
         gamma2.series(d_chain) == TruncatedSeries.from_counts(counts2, d_chain),
     )
-    hs_inv = RationalFunction(qp(1, -3)) + gamma1 - gamma2
+    hs_inv = RationalFunction(QPoly((1, -3))) + gamma1 - gamma2
     hs = hs_inv.inverse().series(d_series)
     oracle = hilbert_oracle(chain_relations("grammar", g), d_series)
     report.check("series_vs_oracle", hs == oracle, repr(hs))
@@ -269,20 +264,29 @@ def _chain_spec(chain_texts, n):
     return HomologySpec(n, descriptors, gldim=len(descriptors) + 1)
 
 
+def _chain_checks(report, result, series, quad):
+    """The checks every chain-spec example ends with: the series prefix, the
+    eliminant against the quadratic (unless quad is None), the grammar
+    certificates, and the series it printed."""
+    report.check(
+        "series", list(result.series.coeffs[: len(series)]) == series, repr(result.series)
+    )
+    if quad is not None:
+        report.check(
+            "quadratic",
+            result.poly_e.proportional_to(ratpoly("E", quad)),
+            repr(result.poly_e.cleared()),
+        )
+    report.check("certified", all(ok for _, ok, _ in result.certifications))
+    report.info("series_out", ",".join(str(c) for c in result.series.coeffs))
+
+
 def _run_homology_example(name, chain_texts, n, series, quad, d):
     report = ExampleReport(name)
     spec = _chain_spec(chain_texts, n)
     oracle = hilbert_oracle(chain_relations(*spec.descriptors[0]), d)
     result = hilbert_from_homology(spec, d, check_oracle=oracle)
-    report.check(
-        "series",
-        list(result.series.coeffs[: len(series)]) == [Fraction(c) for c in series],
-        repr(result.series),
-    )
-    report.check("quadratic", result.poly_e.proportional_to(ratpoly("E", quad)),
-                 repr(result.poly_e.cleared()))
-    report.check("certified", all(ok for _, ok, _ in result.certifications))
-    report.info("series_out", ",".join(str(c) for c in result.series.coeffs))
+    _chain_checks(report, result, series, quad)
     if result.closed_form:
         report.info("closed_form", result.closed_form)
     return report
@@ -456,19 +460,7 @@ def _run_fp_example(name, presentation, finite_texts, family_text, chains,
     spec = _chain_spec(chains, alphabet.size)
     oracle = hilbert_oracle(predicted, d)
     result = hilbert_from_homology(spec, d, check_oracle=oracle)
-    report.check(
-        "series",
-        list(result.series.coeffs[: len(series)]) == [Fraction(c) for c in series],
-        repr(result.series),
-    )
-    if quad is not None:
-        report.check(
-            "quadratic",
-            result.poly_e.proportional_to(ratpoly("E", quad)),
-            repr(result.poly_e.cleared()),
-        )
-    report.check("certified", all(ok for _, ok, _ in result.certifications))
-    report.info("series_out", ",".join(str(c) for c in result.series.coeffs))
+    _chain_checks(report, result, series, quad)
     return report
 
 

@@ -14,6 +14,7 @@ import heapq
 from fractions import Fraction
 
 from .errors import InputError, MismatchError, ResourceCapError
+from .ratfunc import _qdiv, _rational
 from .words import Alphabet, FiniteLanguage, WORD_KEY, alphabet_file, is_antichain
 
 
@@ -40,7 +41,7 @@ class NCPolynomial:
         self.alphabet = alphabet
         clean = {}
         for w, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _rational(c)
             if c:
                 clean[bytes(w)] = c
         self.terms = clean
@@ -75,7 +76,6 @@ class NCPolynomial:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
         return NCPolynomial(self.alphabet, {w: x * c for w, x in self.terms.items()})
 
     def sandwich(self, left, right):
@@ -93,7 +93,7 @@ class NCPolynomial:
         return self.terms[self.lm(order)]
 
     def monic(self, order):
-        return self.scale(1 / self.lc(order))
+        return self.scale(_qdiv(1, self.lc(order)))
 
     def is_homogeneous(self):
         lengths = {len(w) for w in self.terms}

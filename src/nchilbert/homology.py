@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .csys import DEFAULT_CERT_DEG, AlgebraicSystem, build_system
 from .errors import InputError, MismatchError
@@ -325,9 +324,7 @@ def _descriptor_poly(kind, payload):
         for w in payload.words:
             coeffs[len(w)] = coeffs.get(len(w), 0) + 1
         deg = max(coeffs, default=0)
-        return RationalFunction(
-            QPoly(tuple(Fraction(coeffs.get(i, 0)) for i in range(deg + 1)))
-        )
+        return RationalFunction(QPoly(coeffs.get(i, 0) for i in range(deg + 1)))
     raise InputError("unknown chain descriptor %r" % (kind,))
 
 
@@ -426,10 +423,10 @@ def hilbert_from_homology(spec, d, cert_deg=DEFAULT_CERT_DEG, check_oracle=None)
     poly_h = reciprocal_poly(poly_e, "H")
 
     def h_series(D):
-        one = TruncatedSeries.one(D)
-        e_series = one - RationalFunction.t_power(1) * spec.n
+        e_series = TruncatedSeries.from_counts([1, -spec.n], D)
         if u is not None:
             gl = _descriptor_series("grammar", u.grammar, D)
+            one = TruncatedSeries.one(D)
             e_series = e_series + (g_r * g_rp).series(D) * gl / (one + g_q.series(D) * gl)
         for i, (kind, payload) in enumerate(spec.descriptors, start=1):
             term = _descriptor_series(kind, payload, D)
@@ -541,7 +538,7 @@ def parse_qpoly(text):
             k = int(m.group("exp")) if m.group("exp") else 1
         coeffs[k] = coeffs.get(k, 0) + c
     deg = max(coeffs, default=0)
-    return QPoly(tuple(Fraction(coeffs.get(i, 0)) for i in range(deg + 1)))
+    return QPoly(coeffs.get(i, 0) for i in range(deg + 1))
 
 
 def parse_rational(text):
@@ -582,6 +579,8 @@ def parse_relation_file(text, loader):
                     pending.append(alphabet.index(tok))
             if pending:
                 parts.append(("word", bytes(pending)))
+            if not parts:
+                raise InputError("family line %r has no symbols or grammars" % line)
             families.append(PatternFamily(tuple(parts)))
         else:
             words.add(alphabet.word(line))

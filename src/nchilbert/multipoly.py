@@ -72,8 +72,6 @@ class MultiPolynomial:
                 terms.pop(exps, None)
         return MultiPolynomial(self.variables, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return MultiPolynomial(
             self.variables, {e: -c for e, c in self.terms.items()}
@@ -84,17 +82,12 @@ class MultiPolynomial:
             other = MultiPolynomial.const(self.variables, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, c):
         """Scale every coefficient by a constant of Q(t)."""
         c = _as_rational(c)
         return MultiPolynomial(
             self.variables, {e: a * c for e, a in self.terms.items()}
         )
-
-    __rmul__ = __mul__
 
     def restrict_univariate(self, name):
         """View as a RatPoly in one variable; fails if others occur."""

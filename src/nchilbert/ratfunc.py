@@ -1,9 +1,11 @@
 """Exact arithmetic: Q[t] polynomials, the rational function field Q(t) and
 degree-truncated power series over Q.
 
-Integral coefficients are Python ints, so the arithmetic of Q(t), kept as
-reduced pairs in Z[t], runs on ints; a Fraction appears only where a value
-is not integral."""
+One number rule holds for every exact rational of the package: `_rational`
+stores an integral value as a Python int and any other as a Fraction, and
+`_qdiv` divides two of them exactly, never giving a float.  So the arithmetic of Q(t),
+kept as reduced pairs in Z[t], and of integer series runs on ints; a
+Fraction appears only where a value is not integral."""
 
 from __future__ import annotations
 
@@ -11,8 +13,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
-
-ZERO = Fraction(0)
 
 
 def _rational(c):
@@ -91,16 +91,11 @@ class QPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return self._new(tuple(self[i] + other[i] for i in range(n)))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self._new(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, type(self)):
@@ -113,8 +108,6 @@ class QPoly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return self._new(out)
-
-    __rmul__ = __mul__
 
     def divmod(self, other):
         if not other:
@@ -360,16 +353,11 @@ class RationalFunction:
 
     def series(self, d):
         """Maclaurin expansion to degree d; needs no pole at t = 0."""
-        num, den = self.znum.coeffs, self.zden.coeffs
-        if den[0] == 0:
+        if not self.zden.coeffs[0]:
             raise InputError("pole at t = 0; no power series expansion")
-        out = []
-        for k in range(d + 1):
-            c = num[k] if k < len(num) else 0
-            for j in range(1, min(k, len(den) - 1) + 1):
-                c -= den[j] * out[k - j]
-            out.append(_qdiv(c, den[0]))
-        return TruncatedSeries(out, d)
+        return TruncatedSeries.from_counts(self.znum.coeffs, d) / TruncatedSeries.from_counts(
+            self.zden.coeffs, d
+        )
 
     def __repr__(self):
         if self.is_polynomial():
@@ -419,7 +407,9 @@ RF_ONE = RationalFunction.const(1)
 
 
 class TruncatedSeries:
-    """Power series known exactly up to and including degree d."""
+    """Power series known exactly up to and including degree d, with exact
+    rational coefficients: an integral coefficient is an int, any other a
+    Fraction."""
 
     __slots__ = ("coeffs", "d")
 
@@ -427,7 +417,7 @@ class TruncatedSeries:
         coeffs = list(coeffs)
         if len(coeffs) < d + 1:
             raise InputError("series shorter than its bound")
-        self.coeffs = tuple(Fraction(c) for c in coeffs[: d + 1])
+        self.coeffs = tuple(map(_rational, coeffs[: d + 1]))
         self.d = d
 
     @classmethod
@@ -442,7 +432,7 @@ class TruncatedSeries:
     def __getitem__(self, k):
         if k > self.d:
             raise InputError("coefficient %d beyond exactness bound %d" % (k, self.d))
-        return self.coeffs[k] if k >= 0 else ZERO
+        return self.coeffs[k] if k >= 0 else 0
 
     def __eq__(self, other):
         return (
@@ -466,27 +456,20 @@ class TruncatedSeries:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
         d = min(self.d, other.d)
         return TruncatedSeries(
             [self.coeffs[i] + other.coeffs[i] for i in range(d + 1)], d
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         return TruncatedSeries([-c for c in self.coeffs], self.d)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + (-other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
         d = min(self.d, other.d)
-        out = [ZERO] * (d + 1)
+        out = [0] * (d + 1)
         for i in range(d + 1):
             a = self.coeffs[i]
             if a:
@@ -494,37 +477,25 @@ class TruncatedSeries:
                     out[i + j] += a * other.coeffs[j]
         return TruncatedSeries(out, d)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.coeffs[0] == 0:
+        """The quotient to the lower bound; the inner loop stops at the
+        divisor's last nonzero coefficient, so dividing by a polynomial of
+        degree m costs O(m) per coefficient."""
+        den = other.coeffs
+        if den[0] == 0:
             raise InputError("division by a series with zero constant term")
         d = min(self.d, other.d)
+        last = max(j for j in range(d + 1) if den[j])
         out = []
         for k in range(d + 1):
             c = self.coeffs[k]
-            for j in range(1, k + 1):
-                c -= other.coeffs[j] * out[k - j]
-            out.append(c / other.coeffs[0])
+            for j in range(1, min(k, last) + 1):
+                c -= den[j] * out[k - j]
+            out.append(_qdiv(c, den[0]))
         return TruncatedSeries(out, d)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     def inverse(self):
         return TruncatedSeries.one(self.d) / self
-
-    def _coerce(self, other):
-        if isinstance(other, TruncatedSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([other] + [0] * self.d, self.d)
-        if type(other) is QPoly:
-            return RationalFunction(other).series(self.d)
-        if isinstance(other, RationalFunction):
-            return other.series(self.d)
-        raise InputError("cannot combine series with %r" % (other,))
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[: min(self.d, 10) + 1])

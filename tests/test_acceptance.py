@@ -19,7 +19,6 @@ from nchilbert.examples import (
     example_triple,
     example_xystar,
     palindrome_grammar,
-    qp,
     ratpoly,
 )
 from nchilbert.grammar import certify_unambiguous, count_derivations, parse_grammar
@@ -30,7 +29,7 @@ from nchilbert.groebner import (
 )
 from nchilbert.homology import chains_finite, govorov_chains_trunc
 from nchilbert.newton import newton_series
-from nchilbert.ratfunc import RationalFunction, TruncatedSeries
+from nchilbert.ratfunc import QPoly, RationalFunction, TruncatedSeries
 from nchilbert.words import (
     Alphabet,
     FiniteLanguage,
@@ -70,7 +69,7 @@ def test_criterion_2_palindromes(capsys):
     for n in (2, 3):
         symbols = "xyz"[:n]
         gamma = gamma_linear(palindrome_grammar(symbols))
-        ok = ok and gamma == RationalFunction(qp(1, n), qp(1, 0, -n))
+        ok = ok and gamma == RationalFunction(QPoly((1, n)), QPoly((1, 0, -n)))
         # census: a length-k palindrome is its first ceil(k/2) letters
         alphabet = Alphabet(list(symbols))
         series = gamma.series(14)

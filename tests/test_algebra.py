@@ -26,7 +26,6 @@ from nchilbert.examples import (
     LUKAS1_SERIES,
     LUKAS2_CHAINS,
     _chain_spec,
-    qp,
     ratpoly,
     xystar_handle,
 )
@@ -41,7 +40,7 @@ from nchilbert.groebner import (
 from nchilbert.homology import HomologySpec, hilbert_from_homology
 from nchilbert.multipoly import MultiPolynomial, RatPoly
 from nchilbert.newton import newton_series, reciprocal_poly
-from nchilbert.ratfunc import RF_ONE, RationalFunction, TruncatedSeries
+from nchilbert.ratfunc import RF_ONE, QPoly, RationalFunction, TruncatedSeries
 from nchilbert.regular import RegularLanguageHandle, ideal_automaton, myhill_nerode_grammar
 from nchilbert.words import Alphabet, FiniteLanguage, minimize_antichain
 
@@ -113,7 +112,7 @@ def test_eliminate_keep_each_unknown():
 
 
 def test_eliminate_trivial_binding():
-    f = RationalFunction(qp(1), qp(1, -1))
+    f = RationalFunction(QPoly((1,)), QPoly((1, -1)))
     eq = MultiPolynomial.var(("A",), "A") - f
     out = eliminate_univariate(AlgebraicSystem(("A",), (eq,)), "A")
     assert out.degree == 1
@@ -289,15 +288,15 @@ def test_newton_squarefree_fallback():
 
 def test_ratpoly_squarefree_part():
     # (E - r)^2 (E - s) over Q(t) goes through RatPoly's field Euclid
-    r = RationalFunction(qp(1), qp(1, -1))
-    s = RationalFunction(qp(0, 2), qp(3, 0, 1))
+    r = RationalFunction(QPoly((1,)), QPoly((1, -1)))
+    s = RationalFunction(QPoly((0, 2)), QPoly((3, 0, 1)))
     e_r, e_s = RatPoly("E", [-r, RF_ONE]), RatPoly("E", [-s, RF_ONE])
     assert (e_r * e_r * e_s).squarefree_part() == e_r * e_s
 
 
 def test_ratpoly_cleared_primitive_and_positive():
     # (2 + 4t)/(1 - t) + (-6/5) E  ->  (5 + 10t) + (3t - 3) E
-    c0 = RationalFunction(qp(2, 4), qp(1, -1))
+    c0 = RationalFunction(QPoly((2, 4)), QPoly((1, -1)))
     p = RatPoly("E", [c0, RationalFunction.const(Fraction(-6, 5))])
     assert p.cleared() == ratpoly("E", [[5, 10], [-3, 3]])
 

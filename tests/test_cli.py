@@ -558,6 +558,7 @@ PARSE_TIME = {
     "gamma-repeated-terminals",
     "relations-second-alphabet",
     "relations-family-unknown-symbol",
+    "relations-empty-family",
     "gsb-second-alphabet",
     "chains-key",
     "chain-non-ascii-index",
@@ -642,6 +643,9 @@ MALFORMED = {
     "relations-family-unknown-symbol": (
         "rels.txt", "alphabet: x\nfamily: x @bad.gf\n", ["oracle"],
     ),
+    # a family with no tokens is the relation eps, which would quietly give
+    # the zero algebra
+    "relations-empty-family": ("rels.txt", "alphabet: a b\nfamily:\n", ["oracle"]),
     "gsb-second-alphabet": (
         "p.txt", "alphabet: x y\nx y - y x\nalphabet: x y z\nz x\n", ["gsb"],
     ),

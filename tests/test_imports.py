@@ -101,3 +101,37 @@ def test_one_comment_rule():
         if p.name != "words.py"
     }
     assert {name: lines for name, lines in forks.items() if lines} == {}
+
+
+def fraction_calls(source):
+    """Names of the functions whose bodies call `Fraction(...)`, innermost
+    first; a call at module level is listed as `<module>`."""
+    tree = ast.parse(source)
+    owner = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                owner[inner] = node.name  # ast.walk visits outer scopes first
+    return sorted(
+        {
+            owner.get(node, "<module>")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction"
+        }
+    )
+
+
+def test_fraction_calls_are_detected():
+    source = "x = Fraction(1)\ndef f():\n    def g():\n        Fraction(2)\n    Fraction\n"
+    assert fraction_calls(source) == ["<module>", "g"]
+
+
+def test_one_number_rule():
+    """`ratfunc._rational` and `ratfunc._qdiv` are the one rule for storing an
+    exact rational: only ratfunc.py builds a Fraction, apart from the parser
+    of a presentation's coefficient tokens such as `1/2`."""
+    calls = {p.name: fraction_calls(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    calls.pop("ratfunc.py")
+    assert {name: f for name, f in calls.items() if f} == {"gsb.py": ["_parse_relation"]}

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from nchilbert.errors import InputError
+from nchilbert.gsb import MonomialOrder, NCPolynomial
 from nchilbert.ratfunc import QPoly, RationalFunction, TruncatedSeries
+from nchilbert.words import Alphabet
 
 
 def qp(*cs):
@@ -90,6 +92,26 @@ def test_qpoly_division_is_exact():
     q, r = QPoly((2, 0, 4)).divmod(QPoly((1, 2)))
     assert (q.coeffs, r.coeffs) == ((-1, 2), (3,))
     assert all(type(c) is int for c in q.coeffs + r.coeffs)
+    # series follow the same rule: 1/(1 - 2t) holds ints, 1/(2 - t) halves
+    s = RationalFunction(qp(1), qp(1, -2)).series(6)
+    assert all(type(c) is int for c in s.coeffs)
+    s = RationalFunction(qp(1), qp(2, -1)).series(4)
+    assert s.coeffs == tuple(Fraction(1, 2 ** (k + 1)) for k in range(5))
+    assert all(type(c) is Fraction for c in s.coeffs)
+    # RationalFunction.series is the series division of numerator by
+    # denominator: on a polynomial, a constant denominator and a general pair
+    for num, den in ((qp(1, -2, 0, 5), qp(1)), (qp(1, 1), qp(3)), (qp(2, 0, 1), qp(3, -1, 4))):
+        got = RationalFunction(num, den).series(7)
+        assert got == TruncatedSeries.from_counts(num.coeffs, 7) / TruncatedSeries.from_counts(
+            den.coeffs, 7
+        )
+        assert not any(isinstance(c, float) for c in got.coeffs)
+    # a free-algebra polynomial made monic divides exactly too
+    alphabet = Alphabet(["x", "y"])
+    p = NCPolynomial(alphabet, {b"\x00\x01": 2, b"\x01\x00": -1})
+    m = p.monic(MonomialOrder(alphabet))
+    assert m.terms == {b"\x00\x01": 1, b"\x01\x00": Fraction(-1, 2)}
+    assert [type(c) for c in m.terms.values()] == [int, Fraction]
 
 
 def test_rational_arith():
