@@ -4,9 +4,11 @@ Two independent routes to the chain languages of a finite antichain: the
 overlap recursion on chain elements (word plus split point), and Govorov's
 ideal set-algebra formulas inside a degree window.  The formulas are
 evaluated by membership: each candidate word, one that begins and ends with
-a basis word, is tested against the ideal by prefix, suffix and greedy-cut
-counts, so no power or product of the ideal is built.  The routes must
-agree, and the acceptance suite leans on that.
+a basis word, is tested against the ideal by the greedy-cut counts of the
+word, its suffix, its prefix and its middle, so no power or product of the
+ideal is built.  The ideal, the candidates and their counts are built once
+per (L1, d) and shared by every chain index.  The routes must agree, and
+the acceptance suite leans on that.
 
 The series pipeline assembles the Euler characteristic equation,
 E = 1 - n*t + E_1 - E_2 + ... from per-chain descriptors or one equation for
@@ -17,8 +19,10 @@ reciprocal polynomial (newton_series) and against the normal-word oracle.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .csys import DEFAULT_CERT_DEG, AlgebraicSystem, build_system
 from .errors import InputError, MismatchError
@@ -109,6 +113,38 @@ def chains_finite(L1, k_max):
     return levels, None
 
 
+@lru_cache(maxsize=1)
+def _govorov_window(L1, d):
+    """(w, p, pl, pr, pb) for each word w of L1 X* cap X* L1 up to length d:
+    the greedy-cut piece counts of w, w[1:], w[:-1] and w[1:-1] against the
+    ideal of L1, -1 where the slice is not defined, infinite when eps is in
+    the ideal (every word is then in every power of it).  Nothing here
+    depends on the chain index, so every index asked of one (L1, d) shares
+    one window."""
+    ideal = trunc_ideal(L1, d).words
+    pad = full_language(L1.alphabet, max(d - L1.min_length_bound(), 0))
+    candidates = trunc_boolean(
+        trunc_product(L1, pad, d), trunc_product(pad, L1, d), "intersection"
+    )
+
+    def pieces(w):
+        if EMPTY in ideal:
+            return math.inf
+        count, start = 0, 0
+        for end in range(1, len(w) + 1):
+            if w[start:end] in ideal:
+                count, start = count + 1, end
+        return count
+
+    return tuple(
+        (w, pieces(w),
+         pieces(w[1:]) if w else -1,
+         pieces(w[:-1]) if w else -1,
+         pieces(w[1:-1]) if len(w) >= 2 else -1)
+        for w in candidates.words
+    )
+
+
 def govorov_chains_trunc(L1, m, d):
     """The m-th chain language to degree d by ideal set algebra alone.
 
@@ -119,66 +155,30 @@ def govorov_chains_trunc(L1, m, d):
         C_(2k-1) = (X+ L^(k-1) X+  cap  L^k)  minus  (X+ L^k  cup  L^k X+)
 
     They are evaluated word by word, without building X+ or any power of L.
-    For k >= 1, L^k is an ideal, so w is in X+ L^k iff w[1:] is in L^k, in
-    L^k X+ iff w[:-1] is, and in X+ L^k X+ iff |w| >= 2 and w[1:-1] is;
-    X+ L^0 X+ is every word of length >= 2.  A word is in L^k iff the greedy
-    cut, which keeps taking the shortest prefix of the rest that lies in L,
-    finds at least k pieces.  Every word of C_m begins and ends with a word
-    of L1, so only the words of L1 X* cap X* L1 up to length d are tested.
+    A word is in L^k, k >= 1, iff the greedy cut, which keeps taking the
+    shortest prefix of the rest that lies in L, finds at least k pieces.
+    L^k is an ideal, so w is in X+ L^k iff w[1:] is in L^k, in L^k X+ iff
+    w[:-1] is, and in X+ L^k X+ iff |w| >= 2 and w[1:-1] is; X+ L^0 X+ is
+    every word of length >= 2.  Every word of C_m begins and ends with a
+    word of L1, so only the words of L1 X* cap X* L1 up to length d are
+    tested.  Their piece counts do not depend on m and come from one
+    window per (L1, d); each index then compares integers.
     """
     if m < 1:
         raise InputError("chain index must be >= 1")
     if L1.d < d:
         raise InputError("L1 window too small for the requested degree")
-    ideal = trunc_ideal(L1, d).words
-    pad = full_language(L1.alphabet, max(d - L1.min_length_bound(), 0))
-    candidates = trunc_boolean(
-        trunc_product(L1, pad, d), trunc_product(pad, L1, d), "intersection"
-    )
-
-    def in_power(w, k):
-        """w in L^k."""
-        if k == 0:
-            return w == EMPTY
-        if EMPTY in ideal:
-            return True
-        pieces, start = 0, 0
-        for end in range(1, len(w) + 1):
-            if w[start:end] in ideal:
-                pieces, start = pieces + 1, end
-        return pieces >= k
-
-    def left(w, k):
-        """w in X+ L^k, k >= 1."""
-        return len(w) >= 1 and in_power(w[1:], k)
-
-    def right(w, k):
-        """w in L^k X+, k >= 1."""
-        return len(w) >= 1 and in_power(w[:-1], k)
-
-    def both(w, k):
-        """w in X+ L^k X+."""
-        return len(w) >= 2 and (k == 0 or in_power(w[1:-1], k))
-
+    k = (m + 1) // 2
     if m % 2 == 0:
-        k = m // 2
-
-        def member(w):
-            return (
-                left(w, k) and right(w, k)
-                and not (both(w, k) or in_power(w, k + 1))
-            )
+        def member(p, pl, pr, pb):
+            return pl >= k and pr >= k and not (pb >= k or p >= k + 1)
     else:
-        k = (m + 1) // 2
-
-        def member(w):
-            return (
-                both(w, k - 1) and in_power(w, k)
-                and not (left(w, k) or right(w, k))
-            )
-
+        def member(p, pl, pr, pb):
+            return pb >= k - 1 and p >= k and not (pl >= k or pr >= k)
     return TruncatedLanguage(
-        L1.alphabet, d, frozenset(w for w in candidates.words if member(w))
+        L1.alphabet, d,
+        frozenset(w for w, p, pl, pr, pb in _govorov_window(L1, d)
+                  if member(p, pl, pr, pb)),
     )
 
 

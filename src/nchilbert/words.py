@@ -130,7 +130,7 @@ class TruncatedLanguage:
     def __post_init__(self):
         if self.d < 0:
             raise InputError("negative degree bound")
-        if any(len(w) > self.d for w in self.words):
+        if max(map(len, self.words), default=0) > self.d:
             raise InputError("word longer than the declared bound")
 
     def sorted_words(self):
@@ -200,10 +200,14 @@ def is_normal(word, basis):
 
 
 def full_language(alphabet, d):
-    """All words of length <= d, as a truncated language."""
-    words = set()
-    for k in range(d + 1):
-        words.update(alphabet.all_words(k))
+    """All words of length <= d, as a truncated language, one length layer
+    extending the last."""
+    letters = [bytes([i]) for i in range(alphabet.size)]
+    layer = [EMPTY]
+    words = set(layer)
+    for _ in range(d):
+        layer = [w + a for w in layer for a in letters]
+        words.update(layer)
     return TruncatedLanguage(alphabet, d, frozenset(words))
 
 

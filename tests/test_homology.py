@@ -32,6 +32,7 @@ from nchilbert.words import (
     TruncatedLanguage,
     full_language,
     is_antichain,
+    trunc_ideal,
 )
 
 XY = Alphabet(["x", "y"])
@@ -156,6 +157,61 @@ def test_govorov_triple_chains():
         for n in (2, 3, 4)
     }
     assert not govorov_chains_trunc(l1, 3, 12).words
+
+
+def test_govorov_window_built_once_per_l1_and_degree(monkeypatch):
+    calls = []
+
+    def counted(basis, d):
+        calls.append(d)
+        return trunc_ideal(basis, d)
+
+    monkeypatch.setattr(homology, "trunc_ideal", counted)
+    homology._govorov_window.cache_clear()
+    l1 = TruncatedLanguage(XY, 8, flang("x x", "x y x").words)
+    for m in range(1, 7):
+        govorov_chains_trunc(l1, m, 8)
+    assert calls == [8]
+
+
+def test_govorov_window_serves_no_stale_chains():
+    bases = [flang("x x", "x y x"), flang("x y y", "y x"), flang("x x", "x y x")]
+    for d in (7, 9):
+        for basis in bases:  # A, B, A: the window changes twice
+            levels, _ = chains_finite(basis, 4)
+            l1 = TruncatedLanguage(XY, d, basis.words)
+            for m in range(1, 5):
+                want = {w for w in levels[m - 1].words if len(w) <= d} if m <= len(levels) else set()
+                assert set(govorov_chains_trunc(l1, m, d).words) == want, (basis.texts(), d, m)
+
+
+def test_govorov_equal_l1_distinct_object():
+    basis = flang("x x y", "y x")
+    levels, _ = chains_finite(basis, 4)
+    first = TruncatedLanguage(XY, 8, basis.words)
+    again = TruncatedLanguage(XY, 8, frozenset(set(basis.words)))
+    assert again == first and again is not first
+    for m in range(1, 5):
+        want = {w for w in levels[m - 1].words if len(w) <= 8} if m <= len(levels) else set()
+        assert set(govorov_chains_trunc(first, m, 8).words) == want
+        assert set(govorov_chains_trunc(again, m, 8).words) == want
+
+
+def test_govorov_eps_in_ideal():
+    # eps in L1 puts every word in every power of the ideal; a finite
+    # stand-in for "infinitely many pieces" would keep x in C_4
+    X = Alphabet(["x"])
+    l1 = TruncatedLanguage(X, 2, frozenset({b"", b"\x00", b"\x00\x00"}))
+    assert _set_formula_chains(l1, 4, 1) == set()
+    assert not govorov_chains_trunc(l1, 4, 1).words
+
+
+def test_govorov_one_letter_basis():
+    # a one-letter word of L1 lies in no C_m: here every C_m is empty
+    l1 = TruncatedLanguage(XY, 6, flang("x").words)
+    for m in range(1, 6):
+        assert _set_formula_chains(l1, m, 6) == set()
+        assert not govorov_chains_trunc(l1, m, 6).words
 
 
 def test_oracle_fibonacci():

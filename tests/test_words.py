@@ -145,6 +145,22 @@ def test_trunc_ideal_matches_factor_scan():
         assert set(ideal.words) == scanned, words
 
 
+def test_truncated_language_rejects_word_past_bound():
+    assert len(tlang(2, "eps", "x y")) == 2  # a word at the bound is kept
+    with pytest.raises(InputError, match="longer than the declared bound"):
+        tlang(2, "x", "x y y")
+    with pytest.raises(InputError, match="longer than the declared bound"):
+        TruncatedLanguage(XY, 0, frozenset({b"\x00"}))
+
+
+def test_full_language_layers():
+    for d in range(5):
+        full = full_language(XY, d)
+        assert full.d == d
+        assert set(full.words) == {w for k in range(d + 1) for w in XY.all_words(k)}
+    assert full_language(XY, 4).counts() == [1, 2, 4, 8, 16]
+
+
 def test_language_file_roundtrip():
     text = "# comment\nx y\neps\ny y y\n"
     out = parse_language_file(text, XY)
