@@ -54,6 +54,7 @@ from .words import (
     FiniteLanguage,
     TruncatedLanguage,
     WORD_KEY,
+    is_antichain,
     parse_language_file,
 )
 from .regular import RegularLanguageHandle, myhill_nerode_grammar, right_quotient
@@ -184,6 +185,8 @@ def _parse_basis(text, alphabet):
     basis = parse_language_file(text, alphabet)
     if any(len(w) < 2 for w in basis.words):
         raise InputError("basis words must have length >= 2")
+    if not is_antichain(basis):
+        raise InputError("chain recursion needs an antichain")
     return basis
 
 

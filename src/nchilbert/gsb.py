@@ -146,15 +146,6 @@ def nc_reduce(f, basis, order):
     return NCPolynomial(f.alphabet, done)
 
 
-def _overlaps(w, v):
-    """Proper overlap widths o: a suffix of w of length o equals a prefix of v."""
-    out = []
-    for o in range(1, min(len(w), len(v))):
-        if w[-o:] == v[:o]:
-            out.append(o)
-    return out
-
-
 def gs_complete(relations, order, D, cap=20000):
     """Reduced truncated basis: all elements with leading monomial length <= D.
 
@@ -165,25 +156,41 @@ def gs_complete(relations, order, D, cap=20000):
     in the leading ideal and never returns, so a pair is stale exactly when
     one of its words is no longer a key. Input relations above D are kept
     but form no pairs. The cap counts popped pairs.
+
+    The overlap partners of a new leading word w come from two indexes over
+    the live leading words, by proper prefix and by proper suffix: w's
+    suffix of width o begins the words of the first index under it, and
+    w's prefix of width o ends those of the second.
     """
     for f in relations:
         if not f.is_homogeneous():
             raise InputError("relations must be homogeneous")
     basis = {}  # leading word -> monic element
+    starts = {}  # proper prefix -> the live leading words that begin with it
+    ends = {}  # proper suffix -> the live leading words that end with it
     queue = []
 
     def add(r):
         # r is nonzero and in normal form modulo the basis
         g = r.monic(order)
         w = g.lm(order)
-        displaced = [basis.pop(v) for v in [v for v in basis if w in v]]
+        displaced = []
+        for v in [v for v in basis if w in v]:
+            displaced.append(basis.pop(v))
+            for o in range(1, len(v)):
+                starts[v[:o]].remove(v)
+                ends[v[-o:]].remove(v)
         basis[w] = g
-        for v in basis:
-            for u, x in {(w, v), (v, w)}:
-                for o in _overlaps(u, x):
-                    deg = len(u) + len(x) - o
-                    if deg <= D:
-                        heapq.heappush(queue, (deg, u, x, o))
+        for o in range(1, len(w)):
+            starts.setdefault(w[:o], []).append(w)
+            ends.setdefault(w[-o:], []).append(w)
+        for o in range(1, len(w)):
+            pairs = [(w, v) for v in starts.get(w[-o:], ())]  # self-overlaps too
+            pairs += [(v, w) for v in ends.get(w[:o], ()) if v != w]
+            for u, x in pairs:
+                deg = len(u) + len(x) - o
+                if deg <= D:
+                    heapq.heappush(queue, (deg, u, x, o))
         for h in displaced:
             h = nc_reduce(h, basis, order)
             if h:

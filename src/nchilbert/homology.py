@@ -5,10 +5,10 @@ overlap recursion on chain elements (word plus split point), and Govorov's
 ideal set-algebra formulas inside a degree window.  The formulas are
 evaluated by membership: each candidate word, one that begins and ends with
 a basis word, is tested against the ideal by the greedy-cut counts of the
-word, its suffix, its prefix and its middle, so no power or product of the
-ideal is built.  The ideal, the candidates and their counts are built once
-per (L1, d) and shared by every chain index.  The routes must agree, and
-the acceptance suite leans on that.
+word, its suffix, its prefix and its middle, from two scans per word, so no
+power or product of the ideal is built.  The ideal, the candidates and their
+counts are built once per (L1, d) and shared by every chain index.  The
+routes must agree, and the acceptance suite leans on that.
 
 The series pipeline assembles the Euler characteristic equation,
 E = 1 - n*t + E_1 - E_2 + ... from per-chain descriptors or one equation for
@@ -120,29 +120,42 @@ def _govorov_window(L1, d):
     ideal of L1, -1 where the slice is not defined, infinite when eps is in
     the ideal (every word is then in every power of it).  Nothing here
     depends on the chain index, so every index asked of one (L1, d) shares
-    one window."""
+    one window.
+
+    Two scans per word give the four counts: the greedy cut of w[:-1] makes
+    the same cuts as that of w, less one that ends at |w|, and so does that
+    of w[1:-1] against w[1:].  Every piece is at least b =
+    L1.min_length_bound() long, so a scan tests its next piece b letters
+    after the last cut."""
     ideal = trunc_ideal(L1, d).words
-    pad = full_language(L1.alphabet, max(d - L1.min_length_bound(), 0))
+    b = L1.min_length_bound()
+    pad = full_language(L1.alphabet, max(d - b, 0))
     candidates = trunc_boolean(
         trunc_product(L1, pad, d), trunc_product(pad, L1, d), "intersection"
     )
+    if EMPTY in ideal:
+        inf = math.inf
+        return tuple(
+            (w, inf, inf if w else -1, inf if w else -1, inf if len(w) >= 2 else -1)
+            for w in candidates.words
+        )
 
-    def pieces(w):
-        if EMPTY in ideal:
-            return math.inf
-        count, start = 0, 0
-        for end in range(1, len(w) + 1):
+    def scan(w):
+        # (pieces, 1 if the last piece ends at |w| else 0); b >= 1 here
+        count, start, end, n = 0, 0, b, len(w)
+        while end <= n:
             if w[start:end] in ideal:
-                count, start = count + 1, end
-        return count
+                count, start, end = count + 1, end, end + b
+            else:
+                end += 1
+        return count, int(count > 0 and start == n)
 
-    return tuple(
-        (w, pieces(w),
-         pieces(w[1:]) if w else -1,
-         pieces(w[:-1]) if w else -1,
-         pieces(w[1:-1]) if len(w) >= 2 else -1)
-        for w in candidates.words
-    )
+    window = []
+    for w in candidates.words:  # eps is not one: it would put eps in the ideal
+        p, p_last = scan(w)
+        pl, pl_last = scan(w[1:])
+        window.append((w, p, pl, p - p_last, pl - pl_last if len(w) >= 2 else -1))
+    return tuple(window)
 
 
 def govorov_chains_trunc(L1, m, d):

@@ -9,6 +9,9 @@ which for equal lengths coincides with the natural byte order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import groupby, product, starmap
+from operator import add
 
 from .errors import BoundError, InputError
 
@@ -68,13 +71,6 @@ class Alphabet:
         if not word:
             return "eps"
         return " ".join(self.symbols[b] for b in word)
-
-    def all_words(self, length):
-        """All words of exactly the given length, in canonical order."""
-        if length == 0:
-            return [EMPTY]
-        prev = self.all_words(length - 1)
-        return [w + bytes([i]) for w in prev for i in range(self.size)]
 
     def union(self, other):
         """Disjoint union; rejects symbol-name collisions."""
@@ -145,11 +141,10 @@ class TruncatedLanguage:
     def __iter__(self):
         return iter(self.sorted_words())
 
+    @cached_property
     def by_length(self):
-        buckets = {}
-        for w in self.words:
-            buckets.setdefault(len(w), set()).add(w)
-        return buckets
+        """Length to the list of words of that length, computed once."""
+        return {n: list(ws) for n, ws in groupby(sorted(self.words, key=len), len)}
 
     def counts(self, d=None):
         """Number of words per length, indices 0..d."""
@@ -168,7 +163,7 @@ class TruncatedLanguage:
         Exact when the window is nonempty (truncation keeps all short words);
         otherwise every word is longer than d, so d+1 is a valid bound.
         """
-        return min((len(w) for w in self.words), default=self.d + 1)
+        return min(self.by_length, default=self.d + 1)
 
 
 def _proper_factors(word):
@@ -203,12 +198,10 @@ def full_language(alphabet, d):
     """All words of length <= d, as a truncated language, one length layer
     extending the last."""
     letters = [bytes([i]) for i in range(alphabet.size)]
-    layer = [EMPTY]
-    words = set(layer)
+    layers = [[EMPTY]]
     for _ in range(d):
-        layer = [w + a for w in layer for a in letters]
-        words.update(layer)
-    return TruncatedLanguage(alphabet, d, frozenset(words))
+        layers.append(list(starmap(add, product(layers[-1], letters))))
+    return TruncatedLanguage(alphabet, d, frozenset().union(*layers))
 
 
 def trunc_product(a, b, d):
@@ -227,30 +220,33 @@ def trunc_product(a, b, d):
             "product to degree %d needs factor windows of at least %d and %d "
             "(got %d and %d)" % (d, d - min_b, d - min_a, a.d, b.d)
         )
-    buckets_a = a.by_length()
-    buckets_b = b.by_length()
     out = set()
-    for la, words_a in buckets_a.items():
-        if la > d:
-            continue
-        for lb, words_b in buckets_b.items():
-            if la + lb > d:
-                continue
-            out.update(u + v for u in words_a for v in words_b)
+    for la, words_a in a.by_length.items():
+        for lb, words_b in b.by_length.items():
+            if la + lb <= d:
+                out.update(starmap(add, product(words_a, words_b)))
     return TruncatedLanguage(a.alphabet, d, frozenset(out))
 
 
 def trunc_ideal(basis, d):
     """All words of length <= d containing some basis element as a factor.
 
-    Built as X^{<=d-b} . basis . X^{<=d-b}, b the minimum basis length, with
-    two bounded products.  A basis holding eps gives every word; a basis
-    with no word of length <= d gives the empty set.
+    Built one length layer at a time: a word lies in the ideal iff it
+    begins with a basis word or its tail w[1:] lies in the ideal, and it
+    begins with a basis word iff w[:-1] does or it is one.  A basis holding
+    eps gives every word; a basis with no word of length <= d gives the
+    empty set.
     """
     if basis.d < d:
         raise BoundError("ideal to degree %d from a basis window of %d" % (d, basis.d))
-    pad = full_language(basis.alphabet, max(d - basis.min_length_bound(), 0))
-    return trunc_product(trunc_product(pad, basis, d), pad, d)
+    letters = [bytes([i]) for i in range(basis.alphabet.size)]
+    heads, layer, layers = set(), [], []  # heads: begin with a basis word
+    for n in range(d + 1):
+        heads = set(starmap(add, product(heads, letters)))
+        heads.update(basis.by_length.get(n, ()))
+        layer = list(heads.union(starmap(add, product(letters, layer))))
+        layers.append(layer)
+    return TruncatedLanguage(basis.alphabet, d, frozenset().union(*layers))
 
 
 def trunc_boolean(a, b, op):
@@ -258,8 +254,10 @@ def trunc_boolean(a, b, op):
     if a.alphabet != b.alphabet:
         raise InputError("boolean operation over different alphabets")
     d = min(a.d, b.d)
-    wa = {w for w in a.words if len(w) <= d}
-    wb = {w for w in b.words if len(w) <= d}
+    wa, wb = (
+        lang.words if lang.d == d else {w for w in lang.words if len(w) <= d}
+        for lang in (a, b)
+    )
     if op == "union":
         res = wa | wb
     elif op == "intersection":

@@ -136,6 +136,18 @@ def test_chains_and_govorov(tmp_path, capsys):
     assert "chain-2: x x x" in out
 
 
+@pytest.mark.parametrize("command", ["chains", "govorov-chains"])
+def test_non_antichain_basis_exits_2(tmp_path, capsys, command):
+    # x x is a factor of x x y: both routes need an antichain
+    lf = write(tmp_path, "l1.lang", "x x\nx x y\n")
+    argv = [command, lf, "--alphabet", "x y"]
+    if command == "govorov-chains":
+        argv += ["--index", "1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "input error: %s: chain recursion needs an antichain\n" % lf
+
+
 def test_oracle(tmp_path, capsys):
     rf = write(tmp_path, "rels.txt", "alphabet: x y\nx x\n")
     code, out, _ = run(capsys, ["oracle", rf, "--max-deg", "6"])

@@ -7,13 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from nchilbert import gsb
 from nchilbert.errors import InputError
 from nchilbert.examples import FP_FAMILY, FP_FINITE, FP_PRESENTATION
 from nchilbert.grammar import parse_grammar
 from nchilbert.gsb import (
     MonomialOrder,
     NCPolynomial,
-    _overlaps,
     compare_leading,
     gs_complete,
     leading_language,
@@ -25,6 +25,11 @@ from nchilbert.words import Alphabet, FiniteLanguage
 
 # fp's leading language at D = 8, 10 and 12, recorded by the benchmark
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+def overlaps(w, v):
+    """Proper overlap widths o: the suffix of w of length o begins v."""
+    return [o for o in range(1, min(len(w), len(v))) if w[-o:] == v[:o]]
 
 
 def poly(alphabet, *signed_texts):
@@ -154,7 +159,7 @@ def test_spoly_remainders_vanish():
     for i, gi in enumerate(basis):
         for gj in basis[: i + 1]:
             wi, wj = gi.lm(order), gj.lm(order)
-            for o in _overlaps(wi, wj):
+            for o in overlaps(wi, wj):
                 if len(wi) + len(wj) - o > 5:
                     continue
                 s = gi.sandwich(b"", wj[o:]) - gj.sandwich(wi[: len(wi) - o], b"")
@@ -192,7 +197,7 @@ def test_completion_properties_on_random_presentations():
             for t in g.terms:
                 assert not any(v in t for v in others)
             for v, h in reduced.items():
-                for o in _overlaps(w, v):
+                for o in overlaps(w, v):
                     if len(w) + len(v) - o <= D:
                         s = g.sandwich(b"", v[o:]) - h.sandwich(w[:-o], b"")
                         assert not nc_reduce(s, reduced, order)
@@ -203,3 +208,49 @@ def test_completion_properties_on_random_presentations():
         lost_leads += any(f and f.lm(order) not in reduced for f in relations)
     # some inputs' leading words leave the basis: pop-and-re-reduce runs
     assert lost_leads
+
+
+def test_queued_pairs_match_brute_force_overlaps(monkeypatch):
+    # gs_complete finds overlap partners in its prefix and suffix indexes;
+    # replay its additions and test every pair of live leading words instead
+    events = []
+    real_monic, real_push = NCPolynomial.monic, gsb.heapq.heappush
+
+    def monic(self, order):  # called once per addition, on the new element
+        g = real_monic(self, order)
+        events.append(("add", g.lm(order)))
+        return g
+
+    def push(queue, item):
+        events.append(("push", item))
+        real_push(queue, item)
+
+    monkeypatch.setattr(NCPolynomial, "monic", monic)
+    monkeypatch.setattr(gsb.heapq, "heappush", push)
+    rng = random.Random(22)
+    cases = [random_presentation(rng) for _ in range(150)]
+    _, order, relations = fp_setup()
+    displaced_with_overlaps = 0
+    for order, relations, D in cases + [(order, relations, 8)]:
+        events.clear()
+        gs_complete(relations, order, D)
+        live, want, got = set(), [], []
+        for kind, item in events:
+            if kind == "push":
+                got[-1].append(item)
+                continue
+            w = item
+            gone = {v for v in live if w in v}
+            displaced_with_overlaps += any(overlaps(w, v) or overlaps(v, w) for v in gone)
+            live = (live - gone) | {w}
+            want.append(sorted(
+                (len(u) + len(x) - o, u, x, o)
+                for v in live
+                for u, x in {(w, v), (v, w)}
+                for o in overlaps(u, x)
+                if len(u) + len(x) - o <= D
+            ))
+            got.append([])
+        assert [sorted(pushed) for pushed in got] == want
+    # some displaced word overlaps its successor: a stale index entry shows
+    assert displaced_with_overlaps

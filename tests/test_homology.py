@@ -1,8 +1,10 @@
 """Chain languages, oracle counting, and the assembled series pipelines."""
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -32,6 +34,7 @@ from nchilbert.words import (
     TruncatedLanguage,
     full_language,
     is_antichain,
+    minimize_antichain,
     trunc_ideal,
 )
 
@@ -172,6 +175,50 @@ def test_govorov_window_built_once_per_l1_and_degree(monkeypatch):
     for m in range(1, 7):
         govorov_chains_trunc(l1, m, 8)
     assert calls == [8]
+
+
+def _four_scan_window(l1, d):
+    """The window's tuples with one greedy cut each of w, w[1:], w[:-1] and
+    w[1:-1], over candidates found by testing every word up to length d."""
+    ideal = trunc_ideal(l1, d).words
+
+    def pieces(w):
+        if b"" in ideal:
+            return math.inf
+        count, start = 0, 0
+        for end in range(1, len(w) + 1):
+            if w[start:end] in ideal:
+                count, start = count + 1, end
+        return count
+
+    return {
+        (w, pieces(w),
+         pieces(w[1:]) if w else -1,
+         pieces(w[:-1]) if w else -1,
+         pieces(w[1:-1]) if len(w) >= 2 else -1)
+        for w in full_language(l1.alphabet, d).words
+        if any(w.startswith(v) for v in l1.words) and any(w.endswith(v) for v in l1.words)
+    }
+
+
+def test_govorov_window_matches_four_scans():
+    rng = random.Random(20261019)
+    for _ in range(80):
+        n = rng.choice((2, 3))
+        alphabet = Alphabet(list("xyz"[:n]))
+        words = {bytes(rng.randrange(n) for _ in range(rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 4))}
+        basis = minimize_antichain(FiniteLanguage(alphabet, frozenset(words)))
+        d = rng.randint(0, 8)
+        l1 = TruncatedLanguage(alphabet, d, frozenset(w for w in basis.words if len(w) <= d))
+        assert set(homology._govorov_window(l1, d)) == _four_scan_window(l1, d), (words, d)
+    # eps in L1: every count is infinite, but a slice of eps stays undefined
+    for words in ({b""}, {b"", b"\x00\x01"}):
+        l1 = TruncatedLanguage(XY, 3, frozenset(words))
+        window = set(homology._govorov_window(l1, 3))
+        assert window == _four_scan_window(l1, 3)
+        assert (b"", math.inf, -1, -1, -1) in window
+        assert (b"\x01", math.inf, math.inf, math.inf, -1) in window
 
 
 def test_govorov_window_serves_no_stale_chains():
@@ -321,7 +368,7 @@ def _overlap_brute(R, Rp, length):
     """(R X* cap X* R') minus R X* R', word by word up to the given length."""
     out = set()
     for n in range(length + 1):
-        for w in R.alphabet.all_words(n):
+        for w in map(bytes, product(range(R.alphabet.size), repeat=n)):
             ends = [i for i in range(len(w) + 1) if w[:i] in R]
             starts = [j for j in range(len(w) + 1) if w[j:] in Rp]
             # in R X* and X* R', and no prefix in R and suffix in R' side by side

@@ -3,6 +3,7 @@ Q(t) arithmetic."""
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from math import gcd
 from operator import mul
 
@@ -30,6 +31,12 @@ from nchilbert.words import (
 )
 
 XY = Alphabet(["x", "y"])
+
+
+def words_of_length(alphabet, n):
+    """Every word of length n over the alphabet."""
+    return [bytes(t) for t in product(range(alphabet.size), repeat=n)]
+
 
 word_st = st.lists(st.integers(0, 1), min_size=1, max_size=4).map(bytes)
 lang_st = st.frozensets(word_st, max_size=6).map(
@@ -61,7 +68,7 @@ def test_normal_plus_ideal_is_total(lang, d):
     ideal = trunc_ideal(TruncatedLanguage(XY, d, window), d)
     for k in range(d + 1):
         normal = sum(
-            1 for w in XY.all_words(k) if is_normal(w, basis)
+            1 for w in words_of_length(XY, k) if is_normal(w, basis)
         )
         inside = sum(1 for w in ideal.words if len(w) == k)
         assert normal + inside == 2 ** k
@@ -73,8 +80,31 @@ def test_count_normal_matches_brute_force(words):
     # the word set may hold eps, whose ideal is everything
     basis = minimize_antichain(FiniteLanguage(XY, words))
     assert count_normal(basis, 6) == [
-        sum(1 for w in XY.all_words(k) if is_normal(w, basis)) for k in range(7)
+        sum(1 for w in words_of_length(XY, k) if is_normal(w, basis)) for k in range(7)
     ]
+
+
+XYZ = Alphabet(["x", "y", "z"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.frozensets(st.lists(st.integers(0, 2), max_size=6).map(bytes), max_size=5),
+    st.integers(0, 5),
+    st.integers(0, 2),
+)
+@example(frozenset({b""}), 3, 0)
+@example(frozenset({b"\x00", b"\x00\x01", b"\x02\x02"}), 4, 0)  # not an antichain
+@example(frozenset({b"\x01\x02", b"\x00\x00\x00\x00\x00\x00"}), 3, 1)  # past d
+def test_trunc_ideal_matches_factor_scan_random(words, d, wider):
+    # the window reaches past d by `wider`, or further to hold every word
+    window = max(d + wider, max(map(len, words), default=0))
+    ideal = trunc_ideal(TruncatedLanguage(XYZ, window, words), d)
+    assert ideal.d == d
+    assert set(ideal.words) == {
+        w for k in range(d + 1) for w in words_of_length(XYZ, k)
+        if any(v in w for v in words)
+    }
 
 
 @settings(max_examples=40)

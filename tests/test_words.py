@@ -1,5 +1,7 @@
 """Word and truncated-language layer."""
 
+from itertools import product
+
 import pytest
 
 from nchilbert.errors import BoundError, InputError
@@ -157,7 +159,7 @@ def test_full_language_layers():
     for d in range(5):
         full = full_language(XY, d)
         assert full.d == d
-        assert set(full.words) == {w for k in range(d + 1) for w in XY.all_words(k)}
+        assert set(full.words) == {bytes(t) for k in range(d + 1) for t in product(range(2), repeat=k)}
     assert full_language(XY, 4).counts() == [1, 2, 4, 8, 16]
 
 
