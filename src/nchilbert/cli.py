@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .csys import DEFAULT_CERT_DEG, gamma_algebraic
 from .errors import (
@@ -52,6 +53,7 @@ from .homology import (
 from .words import (
     Alphabet,
     FiniteLanguage,
+    MAX_LETTERS,
     TruncatedLanguage,
     WORD_KEY,
     is_antichain,
@@ -258,16 +260,19 @@ def cmd_hilbert(args):
 
 
 def _chain_oracle(spec, k):
-    """(hilbert_oracle to degree k on chain 1's relations, None), or (None,
-    why the oracle cannot count this algebra)."""
+    """(hilbert_oracle to degree k on chain 1's relations over n letters,
+    None), or (None, why the oracle cannot count this algebra)."""
     rels = chain_relations(*spec.descriptors[0]) if spec.descriptors else None
     if rels is None:
         why = "rational" if spec.descriptors else "absent"
         return None, "skipped: chain 1 is %s" % why
-    size = rels.alphabet.size
-    if size != spec.n:
-        return None, "skipped: chain 1 has %d letters, n is %d" % (size, spec.n)
-    return hilbert_oracle(rels, k), None
+    symbols = rels.alphabet.symbols
+    if not len(symbols) <= spec.n <= MAX_LETTERS:
+        return None, "skipped: chain 1 has %d letters, n is %d" % (len(symbols), spec.n)
+    # the letters past chain 1's are free; a name longer than every symbol is new
+    pad = "_" * (1 + max(map(len, symbols), default=0))
+    free = tuple(pad + str(i) for i in range(len(symbols), spec.n))
+    return hilbert_oracle(replace(rels, alphabet=Alphabet(symbols + free)), k), None
 
 
 def _hilbert_report(rep, spec, args):

@@ -48,7 +48,6 @@ from .words import (
     content_lines,
     full_language,
     is_antichain,
-    minimize_antichain,
     parse_language_file,
     trunc_boolean,
     trunc_ideal,
@@ -101,16 +100,10 @@ def chains_finite(L1, k_max):
     basis_words = set(L1.words)
     levels = []
     current = {ChainElement(w, 1) for w in L1.words}
-    for i in range(1, k_max + 1):
-        if not current:
-            return levels, len(levels) + 1
-        levels.append(
-            FiniteLanguage(L1.alphabet, frozenset(el.word for el in current))
-        )
+    while current and len(levels) < k_max:
+        levels.append(FiniteLanguage(L1.alphabet, frozenset(el.word for el in current)))
         current = _next_chains(current, basis_words)
-    if not current:
-        return levels, len(levels) + 1
-    return levels, None
+    return levels, None if current else len(levels) + 1
 
 
 @lru_cache(maxsize=1)
@@ -206,22 +199,13 @@ class PatternFamily:
     parts: tuple  # items: ("word", bytes) | ("grammar", CFGrammar)
 
     def words_upto(self, d):
-        langs = []
         fixed = sum(len(p) for kind, p in self.parts if kind == "word")
-        for kind, p in self.parts:
-            if kind == "word":
-                langs.append({p})
-            else:
-                bound = d - fixed
-                if bound < 0:
-                    return set()
-                inner = enumerate_words(p, bound)
-                langs.append(set(inner.words))
+        if fixed > d:
+            return set()
         acc = {EMPTY}
-        for block in langs:
+        for kind, p in self.parts:
+            block = (p,) if kind == "word" else enumerate_words(p, d - fixed).words
             acc = {u + v for u in acc for v in block if len(u) + len(v) <= d}
-            if not acc:
-                break
         return acc
 
 
@@ -239,35 +223,31 @@ class RelationSet:
             words |= fam.words_upto(d)
         return words
 
-    def basis_upto(self, d):
-        return minimize_antichain(
-            FiniteLanguage(self.alphabet, frozenset(self.words_upto(d)))
-        )
 
-
-def count_normal(basis, d):
-    """Number of normal words per length, by DP over the ideal automaton."""
-    handle = ideal_automaton(basis)
-    dfa = handle.dfa
-    n = len(dfa.alphabet.symbols)
+def count_normal(lang, d):
+    """Number of normal words per length, 0..d, by DP over the ideal
+    automaton of the finite word set `lang` (any set: its minimal basis
+    gives the same automaton)."""
+    dfa = ideal_automaton(lang).dfa
     vec = [0] * dfa.n_states
     vec[dfa.initial] = 1
     counts = []
     for _ in range(d + 1):
         counts.append(sum(c for s, c in enumerate(vec) if s not in dfa.accepting))
         nxt = [0] * dfa.n_states
-        for s, c in enumerate(vec):
-            if c:
-                for a in range(n):
-                    nxt[dfa.transitions[s][a]] += c
+        for c, row in zip(vec, dfa.transitions):
+            for t in row:
+                nxt[t] += c
         vec = nxt
     return counts
 
 
 def hilbert_oracle(rels, d):
-    """HS coefficients of F modulo the relation ideal, lengths 0..d, exact."""
-    basis = rels.basis_upto(d)
-    return TruncatedSeries.from_counts(count_normal(basis, d), d)
+    """HS coefficients of F modulo the relation ideal, lengths 0..d, exact:
+    the normal words counted on the automaton of the relation words of
+    length <= d, which generate the ideal's part up to degree d."""
+    words = FiniteLanguage(rels.alphabet, frozenset(rels.words_upto(d)))
+    return TruncatedSeries.from_counts(count_normal(words, d), d)
 
 
 def chain_relations(kind, payload):

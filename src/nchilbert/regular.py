@@ -1,11 +1,14 @@
-"""Regular-language engine: quotient automata of monomial ideals, automata
-of right-linear grammars, right quotients and the Myhill-Nerode grammar
-construction.
+"""Regular-language engine: the factor automaton of a monomial ideal,
+automata of right-linear grammars, right quotients and the Myhill-Nerode
+grammar construction.
 
 Every automaton is built by one breadth-first search over a deterministic
 transition function (`_explore`), and every `RegularLanguageHandle` holds the
 minimal DFA with its states numbered in breadth-first order from the initial
-state 0, so equal languages give equal automata.
+state 0, so equal languages give equal automata.  The ideal X* S X* of any
+finite word set S has one Aho-Corasick automaton (`ideal_automaton`), and
+Moore's refinement (`refine`) both minimizes automata and merges equal
+unknowns of an equation system.
 
 No closure operations (concatenation, products) are needed: the sandwich
 relations R * L(G) * R' take finite R and R', which homology treats as
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, ResourceCapError
 from .grammar import CFGrammar
-from .words import Alphabet, is_antichain
+from .words import Alphabet
 
 DEFAULT_STATE_CAP = 10**5
 
@@ -82,22 +85,25 @@ def refine(cls, signature):
 
 
 def minimize(dfa):
-    """Moore's refinement over the reachable part, from the accepting and the
-    other states; a state's signature is its row of successor classes.
-    Classes are numbered by their first state in breadth-first order, which
-    is the breadth-first order of the minimal DFA, with the initial class 0."""
-    states, rows = _explore(
-        dfa.initial, lambda s, i: dfa.transitions[s][i], dfa.alphabet.size
-    )
+    """Moore's refinement over every state, from the accepting and the other
+    states; a state's signature is its successors' classes, built one letter
+    column at a time and zipped into rows.  The minimal DFA is the part of
+    the quotient reachable from the initial class, numbered breadth-first by
+    `_explore`, so the initial state is 0 and equal languages give equal
+    automata."""
+    rows = dfa.transitions
+    columns = list(zip(*rows)) or [[0] * len(rows)]  # no letters: no splits
     cls = refine(
-        [int(s in dfa.accepting) for s in states],
-        lambda cls: [tuple(cls[t] for t in row) for row in rows],
+        [int(s in dfa.accepting) for s in range(len(rows))],
+        lambda cls: zip(*[[cls[t] for t in col] for col in columns]),
     )
-    class_rows = {}
-    for c, row in zip(cls, rows):
-        class_rows.setdefault(c, tuple(cls[t] for t in row))
-    accepting = frozenset(c for c, s in zip(cls, states) if s in dfa.accepting)
-    return DFA(dfa.alphabet, tuple(class_rows.values()), accepting, 0)
+    member = dict(zip(cls, rows))  # any member's row: they have equal classes
+    classes, min_rows = _explore(
+        cls[dfa.initial], lambda c, i: cls[member[c][i]], dfa.alphabet.size
+    )
+    final = {cls[s] for s in dfa.accepting}
+    accepting = frozenset(k for k, c in enumerate(classes) if c in final)
+    return DFA(dfa.alphabet, tuple(min_rows), accepting, 0)
 
 
 class RegularLanguageHandle:
@@ -130,28 +136,41 @@ class RegularLanguageHandle:
         return cls(DFA(g.terminals, tuple(rows), final, 0))
 
 
-def ideal_automaton(basis):
-    """Deterministic suffix-tracking automaton for X* basis X*.
+def ideal_automaton(lang):
+    """Aho-Corasick automaton (Aho & Corasick 1975) of X* S X* for any finite
+    word set S: S and its minimal basis generate one ideal, so they give one
+    handle, and S need not be an antichain.
 
-    A state is the frozenset of proper nonempty basis prefixes matched as
-    suffixes of the read word, or None once the word contains a basis word
-    (the accepting sink; the start state when the basis holds eps).
+    A state is the longest suffix of the word read that is a proper prefix of
+    a word of S, or None once the word has a factor in S: the accepting sink,
+    and the start state when S holds eps.  fail[p] is the state of p's
+    longest proper suffix, and goto[p + x] the step from p on letter x.
+    Breadth-first order is length order, so fail[p]'s steps are in `goto`
+    before p's are taken.
     """
-    if not is_antichain(basis):
-        raise InputError("ideal automaton needs an antichain basis")
-    bwords = basis.words
-    prefixes = {w[:k] for w in bwords for k in range(1, len(w))}
+    words = lang.words
+    prefixes = {w[:k] for w in words for k in range(1, len(w))}
+    letters = [bytes([i]) for i in range(lang.alphabet.size)]
+    fail, goto = {}, {}
 
-    def step(state, sym):
-        if state is None:
+    def step(p, i):
+        if p is None:
             return None
-        ext = {s + bytes([sym]) for s in state} | {bytes([sym])}
-        return None if ext & bwords else frozenset(ext & prefixes)
+        q = p + letters[i]
+        if q in words:
+            t = None
+        else:
+            t = goto[fail[p] + letters[i]] if p else b""  # q's longest proper suffix
+            if t is not None and q in prefixes:
+                fail[q] = t
+                t = q
+        goto[q] = t
+        return t
 
-    start = None if b"" in bwords else frozenset()
-    states, rows = _explore(start, step, basis.alphabet.size)
+    start = None if b"" in words else b""
+    states, rows = _explore(start, step, lang.alphabet.size)
     accepting = frozenset(k for k, s in enumerate(states) if s is None)
-    return RegularLanguageHandle(DFA(basis.alphabet, tuple(rows), accepting, 0))
+    return RegularLanguageHandle(DFA(lang.alphabet, tuple(rows), accepting, 0))
 
 
 def right_quotient(handle, word):

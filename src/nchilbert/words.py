@@ -19,6 +19,8 @@ Word = bytes
 
 EMPTY: Word = b""
 
+MAX_LETTERS = 255  # an Alphabet's largest size: a letter is one byte
+
 WORD_KEY = lambda w: (len(w), w)  # noqa: E731  - canonical order, used everywhere
 
 
@@ -32,8 +34,8 @@ class Alphabet:
         for s in symbols:
             if not s or any(c.isspace() for c in s):
                 raise InputError("bad symbol name: %r" % (s,))
-        if len(symbols) > 255:
-            raise InputError("alphabet too large (max 255 symbols)")
+        if len(symbols) > MAX_LETTERS:
+            raise InputError("alphabet too large (max %d symbols)" % MAX_LETTERS)
         self.symbols = tuple(symbols)
         self._index = {s: i for i, s in enumerate(symbols)}
 

@@ -408,13 +408,39 @@ def test_hilbert_oracle_line(tmp_path, capsys, max_deg, cert_deg, k):
 @pytest.mark.parametrize("text, why", [
     ("n: 2\nchain 1: rational t^2\n", "chain 1 is rational"),
     ("n: 2\n", "chain 1 is absent"),
-    ("n: 3\nchain 1: grammar ab.gf\n", "chain 1 has 2 letters, n is 3"),
+    ("n: 2\nchain 1: grammar abc.gf\n", "chain 1 has 3 letters, n is 2"),
+    ("n: 300\nchain 1: grammar ab.gf\n", "chain 1 has 2 letters, n is 300"),  # > 255 letters
 ])
 def test_hilbert_oracle_skipped(tmp_path, capsys, text, why):
     write(tmp_path, "ab.gf", "terminals: a b\nvariables: S\nstart: S\nS -> a b\n")
+    write(tmp_path, "abc.gf", "terminals: a b c\nvariables: S\nstart: S\nS -> a b\n")
     code, out, _ = run(capsys, ["hilbert", write(tmp_path, "spec.hs", text)])
     assert code == 0
     assert out.splitlines()[-1] == "series-vs-oracle: skipped: " + why
+
+
+@pytest.mark.parametrize("terminals, n", [("a b", "3"), ("a b", "x y z"), ("_2 __2", "3")])
+def test_hilbert_oracle_counts_free_letters(tmp_path, capsys, terminals, n):
+    # chain 1 uses 2 of the n letters; the others are free generators, whose
+    # names must not clash with chain 1's
+    rule = "S -> %s\n" % terminals
+    write(tmp_path, "ab.gf", "terminals: %s\nvariables: S\nstart: S\n" % terminals + rule)
+    spec = write(tmp_path, "spec.hs", "n: %s\nchain 1: grammar ab.gf\n" % n)
+    code, out, _ = run(capsys, ["hilbert", spec, "--max-deg", "6"])
+    assert code == 0
+    lines = out.splitlines()
+    assert "series: 1,3,8,21,55,144,377" in lines
+    assert lines[-1] == "series-vs-oracle: ok to degree 6"
+
+
+def test_hilbert_oracle_on_free_letters_catches_a_dropped_chain(tmp_path, capsys):
+    # {a b a, b a b} over 3 letters has a nonempty chain 2; without it the
+    # spec's series is wrong, and counting over all 3 letters shows it
+    write(tmp_path, "r.gf", "terminals: a b\nvariables: S\nstart: S\nS -> a b a | b a b\n")
+    spec = write(tmp_path, "spec.hs", "n: 3\nchain 1: grammar r.gf\n")
+    code, _, err = run(capsys, ["hilbert", spec, "--max-deg", "6"])
+    assert code == 1
+    assert "disagrees with the oracle to degree 6" in err
 
 
 def test_hilbert_chain_mismatch_keeps_report(tmp_path, capsys):

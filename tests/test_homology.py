@@ -25,8 +25,17 @@ from nchilbert.homology import (
     parse_rational,
     parse_relation_file,
 )
-from nchilbert.examples import DYCK, LUKASIEWICZ, TRIPLE_L1
+from nchilbert.examples import (
+    DYCK,
+    FP_FAMILY,
+    FP_FINITE,
+    FP_PRESENTATION,
+    LUKASIEWICZ,
+    TRIPLE_L1,
+    _predicted_relations,
+)
 from nchilbert.grammar import enumerate_words, parse_grammar
+from nchilbert.gsb import parse_presentation
 from nchilbert.ratfunc import QPoly, RationalFunction, TruncatedSeries
 from nchilbert.words import (
     Alphabet,
@@ -271,6 +280,20 @@ def test_oracle_free_algebra():
     z = Alphabet(["x", "y", "z"])
     rels = RelationSet(z, FiniteLanguage(z, frozenset()))
     assert list(hilbert_oracle(rels, 3).coeffs) == [1, 3, 9, 27]
+
+
+# normal-word counts of fp's predicted relations (3641 words to degree 16),
+# recorded from the subset-construction automaton of their minimal basis
+FP_ORACLE_D16 = [
+    1, 7, 36, 166, 730, 3139, 13350, 56466, 238175, 1003236, 4222864,
+    17768827, 74753916, 314463889, 1322782385, 5564119026, 23404513366,
+]
+
+
+def test_oracle_fp_predicted_relations_deep():
+    alphabet = parse_presentation(FP_PRESENTATION)[0]
+    rels = _predicted_relations(alphabet, FP_FINITE, FP_FAMILY)
+    assert list(hilbert_oracle(rels, 16).coeffs) == FP_ORACLE_D16
 
 
 def test_trivial_spec_free_on_one_letter():

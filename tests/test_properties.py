@@ -87,6 +87,30 @@ def test_count_normal_matches_brute_force(words):
 XYZ = Alphabet(["x", "y", "z"])
 
 
+@st.composite
+def word_sets(draw):
+    """Any finite word set over 1-3 letters: eps, prefixes and factors of
+    one another, the empty set."""
+    n = draw(st.integers(1, 3))
+    word = st.lists(st.integers(0, n - 1), max_size=5).map(bytes)
+    return FiniteLanguage(Alphabet(XYZ.symbols[:n]), draw(st.frozensets(word, max_size=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_sets())
+@example(FiniteLanguage.from_texts(XY, ["x", "x y"]))  # not an antichain
+@example(FiniteLanguage.from_texts(XYZ, ["y", "x y z", "eps"]))
+@example(FiniteLanguage(XYZ, frozenset()))
+@example(FiniteLanguage(Alphabet([]), frozenset()))  # no letters: one state
+def test_ideal_automaton_of_any_word_set(lang):
+    # S and its minimal basis generate one ideal, so one minimal automaton
+    assert ideal_automaton(lang).dfa == ideal_automaton(minimize_antichain(lang)).dfa
+    assert count_normal(lang, 6) == [
+        sum(1 for w in words_of_length(lang.alphabet, k) if not any(v in w for v in lang.words))
+        for k in range(7)
+    ]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.frozensets(st.lists(st.integers(0, 2), max_size=6).map(bytes), max_size=5),
