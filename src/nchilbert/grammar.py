@@ -4,17 +4,18 @@ bounded unambiguity certificates.
 Enumeration, derivation counts and per-word parse counts are three modes of
 one kernel, `_layers`, which builds the words of length k of every variable
 from the shorter ones.  The facts it needs about a grammar (nullable,
-productive and live variables) are computed once per grammar, as cached
-properties.  Symbols on production right-hand sides are ints: ``0..n-1``
-are terminal positions, ``n+j`` is variable ``j``.
+productive and live variables, and a layer plan per variable set) are
+computed once per grammar and kept on it.  Symbols on production right-hand
+sides are ints: ``0..n-1`` are terminal positions, ``n+j`` is variable ``j``.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
+from itertools import product, starmap
+from operator import add, mul
 
 from .errors import DivergenceError, InputError, ResourceCapError
 from .words import EMPTY, Alphabet, TruncatedLanguage, WORD_KEY, content_lines
@@ -54,6 +55,7 @@ class CFGrammar:
         self.variables = variables
         self.start = start
         self.productions = tuple(prods)
+        self._plans = {}  # variable set -> its `_layer_plan`, filled by `_layers`
 
     @property
     def n(self):
@@ -187,11 +189,11 @@ def _layer_plan(g, variables):
 
 # What a length layer holds, as (empty word, one letter, product, sum of an
 # iterable): parse-tree counts, the set of words, or word -> parse-tree count.
-_COUNTS = (1, lambda a: 1, operator.mul, sum)
+_COUNTS = (1, lambda a: 1, mul, sum)
 _WORDS = (
-    {EMPTY},
+    frozenset({EMPTY}),
     lambda a: {bytes([a])},
-    lambda x, y: {u + v for u in x for v in y},
+    lambda x, y: starmap(add, product(x, y)) if x and y else (),
     lambda xs: set().union(*xs),
 )
 
@@ -209,6 +211,7 @@ _PARSES = (
     lambda x, y: {u + v: cu * cv for u, cu in x.items() for v, cv in y.items()},
     _sum_parses,
 )
+_SUM, _LETTER, _CONVOLVE = range(3)
 
 
 def _layers(g, d, variables, mode, cap=None):
@@ -218,32 +221,44 @@ def _layers(g, d, variables, mode, cap=None):
     productions.  Layer k of each step is built from the layers below k and
     from the layer-k values of the steps before it in the plan, so each split
     of a body costs one product (the recursive method of Flajolet, Zimmermann
-    and Van Cutsem, 1994).  A unit/epsilon cycle raises DivergenceError before
-    any layer is built.  With `cap`, more than `cap` words held over all
-    layers raises ResourceCapError.
+    and Van Cutsem, 1994).  Each call resolves the grammar's kept plan into
+    flat steps: a prefix ending in a letter is its head's layer k - 1 times
+    the letter, and a one-body variable or one-variable prefix shares that
+    layer.  A unit/epsilon cycle raises DivergenceError before any layer is
+    built.  With `cap`, more than `cap` words held over all steps raises
+    ResourceCapError.
     """
-    unit, letter, mul, total = mode
+    unit, letter, times, total = mode
     zero = total(())
-    order, steps = _layer_plan(g, variables)
-    vals = {(): [unit] + [zero] * d}
-    vals.update((a, [zero, letter(a)]) for a in range(g.n))
-    vals.update((key, []) for key in order)
+    if variables not in g._plans:
+        g._plans[variables] = _layer_plan(g, variables)
+    order, steps = g._plans[variables]
+    vals = {key: [] for key in order}
+    vals[()] = [unit] + [zero] * d
+    run = []  # (layer list, kind, x, y, least l, k - greatest l)
+    for key in order:
+        step = steps[key]
+        if isinstance(key, int):
+            run.append((vals[key], _SUM, [vals[body] for body in step], None, 0, 0))
+        else:
+            head, s, lo, off = step
+            if not g.is_var(s):
+                run.append((vals[key], _LETTER, vals[head], letter(s), lo, off))
+            elif head:
+                run.append((vals[key], _CONVOLVE, vals[head], vals[s], lo, off))
+            else:
+                run.append((vals[key], _SUM, [vals[s]], None, 0, 0))
     held = 0
     for k in range(d + 1):
-        for key in order:
-            step = steps[key]
-            if isinstance(key, int):
-                value = total(vals[body][k] for body in step)
-            else:
-                head, s, lo, off = step
-                head, last = vals[head], vals[s]
-                top = k - off if g.is_var(s) else min(k - off, 1)
-                value = total(
-                    mul(head[k - l], last[l])
-                    for l in range(lo, top + 1)
-                    if head[k - l] and last[l]
-                )
-            vals[key].append(value)
+        for out, kind, x, y, lo, off in run:
+            if kind == _CONVOLVE:  # x[k - l] times y[l] for l = lo .. k - off
+                xs, ys = x[off : k - lo + 1], y[lo : k - off + 1]
+                value = total(map(times, xs, reversed(ys)))
+            elif kind == _LETTER:
+                value = total((times(x[k - 1], y),)) if k > off else zero
+            else:  # a variable's bodies; one body shares its layer
+                value = total([body[k] for body in x]) if len(x) > 1 else x[0][k]
+            out.append(value)
             if cap is not None:
                 held += len(value)
                 if held > cap:
@@ -254,7 +269,7 @@ def _layers(g, d, variables, mode, cap=None):
 def enumerate_words(g, d, cap=DEFAULT_WORD_CAP):
     """Distinct generated words of length <= d."""
     layers = _layers(g, d, g.live, _WORDS, cap).get(g.start, ())
-    return TruncatedLanguage(g.terminals, d, frozenset().union(*layers))
+    return TruncatedLanguage._built(g.terminals, d, frozenset().union(*layers))
 
 
 def count_derivations(g, d):

@@ -181,7 +181,7 @@ def govorov_chains_trunc(L1, m, d):
     else:
         def member(p, pl, pr, pb):
             return pb >= k - 1 and p >= k and not (pl >= k or pr >= k)
-    return TruncatedLanguage(
+    return TruncatedLanguage._built(
         L1.alphabet, d,
         frozenset(w for w, p, pl, pr, pb in _govorov_window(L1, d)
                   if member(p, pl, pr, pb)),

@@ -8,6 +8,7 @@ which for equal lengths coincides with the natural byte order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby, product, starmap
@@ -131,6 +132,15 @@ class TruncatedLanguage:
         if max(map(len, self.words), default=0) > self.d:
             raise InputError("word longer than the declared bound")
 
+    @classmethod
+    def _built(cls, alphabet, d, words):
+        """A window whose words are no longer than d by construction: no length walk."""
+        if d < 0:
+            raise InputError("negative degree bound")
+        lang = object.__new__(cls)
+        lang.__dict__.update(alphabet=alphabet, d=d, words=words)
+        return lang
+
     def sorted_words(self):
         return sorted(self.words, key=WORD_KEY)
 
@@ -153,11 +163,8 @@ class TruncatedLanguage:
         d = self.d if d is None else d
         if d > self.d:
             raise BoundError("counts requested beyond the exactness bound")
-        out = [0] * (d + 1)
-        for w in self.words:
-            if len(w) <= d:
-                out[len(w)] += 1
-        return out
+        per_length = Counter(map(len, self.words))
+        return [per_length[n] for n in range(d + 1)]
 
     def min_length_bound(self):
         """Lower bound for the minimum word length of the underlying language.
@@ -203,7 +210,7 @@ def full_language(alphabet, d):
     layers = [[EMPTY]]
     for _ in range(d):
         layers.append(list(starmap(add, product(layers[-1], letters))))
-    return TruncatedLanguage(alphabet, d, frozenset().union(*layers))
+    return TruncatedLanguage._built(alphabet, d, frozenset().union(*layers))
 
 
 def trunc_product(a, b, d):
@@ -227,7 +234,7 @@ def trunc_product(a, b, d):
         for lb, words_b in b.by_length.items():
             if la + lb <= d:
                 out.update(starmap(add, product(words_a, words_b)))
-    return TruncatedLanguage(a.alphabet, d, frozenset(out))
+    return TruncatedLanguage._built(a.alphabet, d, frozenset(out))
 
 
 def trunc_ideal(basis, d):
@@ -248,7 +255,7 @@ def trunc_ideal(basis, d):
         heads.update(basis.by_length.get(n, ()))
         layer = list(heads.union(starmap(add, product(letters, layer))))
         layers.append(layer)
-    return TruncatedLanguage(basis.alphabet, d, frozenset().union(*layers))
+    return TruncatedLanguage._built(basis.alphabet, d, frozenset().union(*layers))
 
 
 def trunc_boolean(a, b, op):
@@ -268,7 +275,7 @@ def trunc_boolean(a, b, op):
         res = wa - wb
     else:
         raise InputError("unknown boolean op %r" % (op,))
-    return TruncatedLanguage(a.alphabet, d, frozenset(res))
+    return TruncatedLanguage._built(a.alphabet, d, frozenset(res))
 
 
 def content_lines(text):

@@ -2,16 +2,18 @@
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nchilbert import cli, csys, gsb, homology
+from nchilbert import cli, csys, grammar, gsb, homology
 from nchilbert.cli import main
 from nchilbert.errors import NchilbertError
 from nchilbert.examples import (
@@ -22,6 +24,7 @@ from nchilbert.examples import (
     FPV_CHAINS,
     IFTHENELSE,
     LUKAS1_CHAINS,
+    REGISTRY,
 )
 from nchilbert.grammar import parse_grammar
 from nchilbert.ratfunc import TruncatedSeries
@@ -277,6 +280,17 @@ def test_resource_cap_exits_3(tmp_path, capsys, monkeypatch):
     assert err == "resource cap: completion pair cap 1 exceeded\n"
 
 
+def test_word_cap_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        grammar, "enumerate_words", partial(grammar.enumerate_words, cap=5)
+    )
+    gf = write(tmp_path, "g.gf", IFTHENELSE)
+    code, out, err = run(capsys, ["ambiguity", gf, "--max-deg", "6"])
+    assert code == 3
+    assert out == ""
+    assert err == "resource cap: enumeration exceeded word cap 5\n"
+
+
 def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
@@ -293,6 +307,18 @@ def test_verify_example(capsys):
     code, out, _ = run(capsys, ["verify-example", "xystar"])
     assert code == 0
     assert "result: ok" in out
+
+
+# the nine reports as the benchmark recorded them, at the default degrees
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_example_report_matches_reference(name):
+    with open(REFERENCE) as fh:
+        recorded = json.load(fh)["examples"][name]
+    report = REGISTRY[name]()
+    assert {"ok": report.ok, "lines": list(report.lines)} == recorded
 
 
 def _lukas1_spec(tmp_path):

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from nchilbert import grammar
-from nchilbert.errors import DivergenceError
+from nchilbert.errors import DivergenceError, ResourceCapError
 from nchilbert.examples import DYCK, IFTHENELSE, LUKASIEWICZ, palindrome_grammar
 from nchilbert.grammar import (
     CFGrammar,
@@ -52,8 +52,29 @@ def test_validate_dyck():
 
 def test_validate_flags_unit_cycle():
     g = parse_grammar("terminals: a\nvariables: S\nstart: S\nS -> S | a")
-    with pytest.raises(DivergenceError):
-        count_derivations(g, 4)
+    for d in (4, 4, 0):  # no plan is kept for a cyclic grammar
+        with pytest.raises(DivergenceError, match="unit/epsilon cycle through S"):
+            count_derivations(g, d)
+        with pytest.raises(DivergenceError):
+            enumerate_words(g, d)
+
+
+def test_layer_plan_made_once_per_variable_set(monkeypatch):
+    calls = []
+    plan = grammar._layer_plan
+
+    def counted(g, variables):
+        calls.append(variables)
+        return plan(g, variables)
+
+    monkeypatch.setattr(grammar, "_layer_plan", counted)
+    # B is productive but unreachable, so live and productive differ
+    g = parse_grammar("terminals: x\nvariables: S B\nstart: S\nS -> eps | x S\nB -> x")
+    for d in (3, 8, 5):
+        count_derivations(g, d)
+        enumerate_words(g, d)
+        certify_unambiguous(g, d)
+    assert calls == [g.productive, g.live]
 
 
 def test_validate_xystar_report():
@@ -171,6 +192,34 @@ def test_enumeration_agrees_with_parse_counts():
     count, _ = parse_counter(g)
     for w in full_language(g.terminals, 6).words:
         assert (w in lang) == (count(g.n + g.start, w) >= 1)
+
+
+# (grammar, d, least word cap that enumerate_words(g, d) stays within),
+# recorded before single-body layers were shared; the cap counts a shared
+# layer again, so the trigger must not move
+WORD_CAP_PINS = [
+    (IFTHENELSE, 8, 610),
+    (DYCK, 10, 176),
+    (LUKASIEWICZ, 9, 56),
+    (DESTAR, 6, 86),
+    ("terminals: x y\nvariables: S T\nstart: S\nS -> eps | x T y\nT -> S S", 10, 147),
+    ("terminals: a b\nvariables: S A\nstart: S\nS -> eps | b | A b\nA -> S", 7, 40),
+    (
+        "terminals: a\nvariables: S A B\nstart: S\n"
+        "S -> a S S | A | A A\nA -> eps | a A S\nB -> eps",
+        8,
+        69,
+    ),
+]
+
+
+@pytest.mark.parametrize("text, d, least", WORD_CAP_PINS)
+def test_word_cap_triggers_where_recorded(text, d, least):
+    g = parse_grammar(text)
+    assert enumerate_words(g, d, cap=least).words == enumerate_words(g, d).words
+    with pytest.raises(ResourceCapError) as exc:
+        enumerate_words(g, d, cap=least - 1)
+    assert str(exc.value) == "enumeration exceeded word cap %d" % (least - 1)
 
 
 def test_grammar_format_roundtrip():
@@ -323,3 +372,21 @@ def test_kernel_against_independent_routes():
         if ambiguous:
             seen.add("ambiguous")
     assert seen == {"nullable start", "unit rule", "ambiguous", "divergent"}
+
+
+def test_parse_layers_agree_with_counts_and_words():
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 60:
+        g = random_grammar(rng)
+        d = rng.randint(6, 10)
+        try:
+            counts = count_derivations(g, d)[g.start]
+            parses = grammar._layers(g, d, g.live, grammar._PARSES).get(g.start)
+        except DivergenceError:
+            continue
+        if parses is None:  # the start derives no word
+            continue
+        assert [sum(layer.values()) for layer in parses] == counts
+        assert set().union(*parses) == enumerate_words(g, d).words
+        checked += 1

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nchilbert.grammar import count_derivations, enumerate_words
-from nchilbert.homology import count_normal
+from nchilbert.examples import DYCK, IFTHENELSE, LUKASIEWICZ
+from nchilbert.grammar import count_derivations, enumerate_words, parse_grammar
+from nchilbert.homology import count_normal, govorov_chains_trunc
 from nchilbert.ratfunc import QPoly, RationalFunction
 from nchilbert.regular import (
     ideal_automaton,
@@ -26,6 +27,7 @@ from nchilbert.words import (
     full_language,
     is_normal,
     minimize_antichain,
+    trunc_boolean,
     trunc_ideal,
     trunc_product,
 )
@@ -138,6 +140,33 @@ def test_trunc_product_associative(a, b, c):
     left = trunc_product(trunc_product(a, b, d), c, d)
     right = trunc_product(a, trunc_product(b, c, d), d)
     assert left.words == right.words
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.frozensets(short_word_st, max_size=5),
+    st.frozensets(short_word_st, max_size=5),
+    st.integers(0, 5),
+    st.integers(1, 4),
+    st.sampled_from([DYCK, IFTHENELSE, LUKASIEWICZ]),
+)
+def test_built_windows_hold_no_word_past_their_bound(ws, vs, d, m, grammar):
+    # these builders skip the per-word length check of TruncatedLanguage
+    a, b = (TruncatedLanguage(XY, d, frozenset(w for w in xs if len(w) <= d))
+            for xs in (ws, vs))
+    wide = TruncatedLanguage(XY, 9, vs)
+    windows = [
+        full_language(XY, d),
+        trunc_product(a, b, d),
+        trunc_ideal(a, d),
+        enumerate_words(parse_grammar(grammar), d),
+        govorov_chains_trunc(a, m, d),
+    ]
+    for op in ("union", "intersection", "difference"):
+        windows.append(trunc_boolean(a, wide, op))
+    for lang in windows:
+        assert lang.d == d
+        assert max(map(len, lang.words), default=0) <= d
 
 
 @settings(max_examples=30)
