@@ -21,7 +21,6 @@ from .words import (
     TruncatedLanguage,
     full_language,
     is_antichain,
-    is_normal,
     minimize_antichain,
     parse_language_file,
     trunc_boolean,
@@ -47,13 +46,7 @@ from .ratfunc import QPoly, RationalFunction, TruncatedSeries
 from .multipoly import MultiPolynomial, RatPoly
 from .groebner import assert_groebner, buchberger_lex, eliminate_univariate
 from .newton import newton_series, reciprocal_poly
-from .csys import (
-    build_system,
-    gamma_algebraic,
-    gamma_linear,
-    residual_series,
-    solution_series,
-)
+from .csys import build_system, gamma_algebraic, gamma_linear
 from .homology import (
     HomologySpec,
     PatternFamily,

@@ -111,16 +111,3 @@ def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None):
     )
     return GammaResult(poly, series, cert_deg, certified, witness)
 
-
-def solution_series(g, d):
-    """One counting series per unknown, straight from derivation counts."""
-    counts = count_derivations(g, d)
-    return {
-        name: TruncatedSeries(counts[j], d)
-        for j, name in enumerate(g.variables.symbols)
-    }
-
-
-def residual_series(system, assignment, d):
-    """Evaluate every equation at the assignment; all-zero means consistency."""
-    return [eq.eval_series(assignment, d) for eq in system.equations]

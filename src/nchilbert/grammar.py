@@ -56,6 +56,7 @@ class CFGrammar:
         self.start = start
         self.productions = tuple(prods)
         self._plans = {}  # variable set -> its `_layer_plan`, filled by `_layers`
+        self._certs = {}  # degree -> its `certify_unambiguous` result
 
     @property
     def n(self):
@@ -285,7 +286,14 @@ def certify_unambiguous(g, d):
 
     On failure also returns the shortlex-least word with >= 2 parse trees:
     parse trees are counted per word only at the first length that differs.
+    The result is kept on the grammar, one per degree.
     """
+    if d not in g._certs:
+        g._certs[d] = _certify(g, d)
+    return g._certs[d]
+
+
+def _certify(g, d):
     derivations = count_derivations(g, d)[g.start]
     per_len = enumerate_words(g, d).counts()
     if derivations == per_len:

@@ -1,15 +1,27 @@
-"""Buchberger's algorithm over Q(t) for the lexicographic order, plus
-univariate elimination from the reduced lex basis of a system whose
-unknowns with equal equations are merged first.
+"""Buchberger's algorithm for the lexicographic order, run fraction-free
+in Z[t][X], plus univariate elimination over Q(t) from the reduced lex basis
+of a system whose unknowns with equal equations are merged first.
 
 Lex order is plain tuple order on exponent vectors, the first variable
-highest: the leading monomial of p is `max(p.terms)`.
+highest: the leading monomial of p is `max(p)`.
+
+Inside the loop a polynomial is a dict from exponent vectors to nonzero
+integer polynomials in t (`QPoly`s with int coefficients), and every basis
+element is primitive: its content, the gcd of its coefficients in Z[t], is
+taken out, and its leading coefficient's leading integer is positive.  A
+reduction step is a pseudo-division step (Knuth, TAOCP 2, 4.6.1): to cancel
+the top term c x^e with g, whose leading coefficient is a, the remainder is
+scaled by a/h and (c/h) x^(e - lt g) g is subtracted, h = gcd(a, c).  The
+content is taken out once per remainder, as in the primitive remainder
+sequence of Brown & Traub (1971).  Only the final reduced basis is made
+monic over Q(t).
 
 The postcondition `assert_groebner` proves the same statement as reducing
 every S-pair: a pair whose leading monomials are coprime reduces to zero by
 Buchberger's first criterion (Gebauer & Moeller 1988), so only the other
-pairs are reduced.  The Q(t) coefficients are `RationalFunction`s: each is
-a reduced pair of integer polynomials, and its arithmetic runs on ints.
+pairs are reduced.  It works on Z[t] multiples of the Q(t) basis, each
+element times the product of its distinct denominators: a nonzero scalar
+does not change reduction to zero.
 """
 
 from __future__ import annotations
@@ -17,75 +29,94 @@ from __future__ import annotations
 import heapq
 from functools import cache
 from itertools import groupby
-from operator import itemgetter
+from math import gcd, lcm
+from operator import add, itemgetter, le, mul, sub
 
 from .errors import EliminationError, ResourceCapError
-from .multipoly import MultiPolynomial
-from .ratfunc import RF_ZERO
+from .multipoly import MultiPolynomial, integral_terms, primitive_terms
+from .ratfunc import RF_ZERO, QPoly, RationalFunction, _zgcd
 from .regular import refine
+
+_ZERO = QPoly()
 
 
 def _divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 def _lcm(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
+    return tuple(map(max, e1, e2))
 
 
 def _coprime(e1, e2):
-    return all(a == 0 or b == 0 for a, b in zip(e1, e2))
+    return not any(map(mul, e1, e2))
 
 
-def _sub_multiple(work, g, lead, shift, q):
-    """work -= q * x^shift * (g minus its leading term), in place."""
-    for v, cv in g.terms.items():
-        if v != lead:
-            u = tuple(a + b for a, b in zip(v, shift))
-            nu = work.get(u, RF_ZERO) - q * cv
-            if nu:
-                work[u] = nu
-            else:
-                work.pop(u, None)
+def _cofactors(a, c):
+    """a / h and c / h for h = gcd(a, c) in Z[t]."""
+    q, r = c.divmod(a)
+    if not r:  # q = c / a, and a / h is the least integer m with m q in Z[t]
+        m = lcm(*(x.denominator for x in q.coeffs))
+        return QPoly((m,)), q * m
+    h = _zgcd(a, c)  # None unless a and c share a factor of positive degree
+    if h is not None:
+        a, c = a // h, c // h
+    k = gcd(*a.coeffs, *c.coeffs)
+    if k == 1:
+        return a, c
+    return QPoly([x // k for x in a.coeffs]), QPoly([x // k for x in c.coeffs])
 
 
-def reduce_poly(p, basis):
-    """Full multivariate division remainder of p modulo the basis, worked in
-    place on one dict of terms like `gsb.nc_reduce`."""
-    leads = [(max(g.terms), g) for g in basis if g]
+def reduce_poly(f, basis, g=None):
+    """Full multivariate division remainder of f modulo the basis in Z[t][X],
+    by pseudo-division: a primitive multiple of the remainder over Q(t), or
+    {} for zero.  With g, the remainder of the S-polynomial of f and g: f
+    shifted to the lcm of the two leading monomials, its top term cancelled
+    by g.  Worked in place on one dict of terms like `gsb.nc_reduce`."""
+    leads = [(max(h), h) for h in basis if h]
+    if g is None:
+        work, first = dict(f), None
+    else:
+        first = [(max(g), g)]
+        shift = tuple(map(sub, _lcm(max(f), first[0][0]), max(f)))
+        work = {tuple(map(add, e, shift)): c for e, c in f.items()}
     done = {}
-    work = dict(p.terms)
     while work:
         e = max(work)
         c = work.pop(e)
-        for ge, g in leads:
-            if _divides(ge, e):
-                shift = tuple(a - b for a, b in zip(e, ge))
-                _sub_multiple(work, g, ge, shift, c / g.terms[ge])
+        for he, h in first or leads:
+            if _divides(he, e):
                 break
         else:
             done[e] = c  # every later top term is smaller, so e never returns
-    return MultiPolynomial(p.variables, done)
-
-
-def s_polynomial(f, g):
-    """f and g made monic and shifted to the lcm of their leading monomials,
-    subtracted; the leading terms cancel and are never formed."""
-    fe, ge = max(f.terms), max(g.terms)
-    lcm = _lcm(fe, ge)
-    work = {}
-    for h, he, q in ((f, fe, -f.terms[fe].inverse()), (g, ge, g.terms[ge].inverse())):
-        _sub_multiple(work, h, he, tuple(a - b for a, b in zip(lcm, he)), q)
-    return MultiPolynomial(f.variables, work)
+            continue
+        first = None
+        m, q = _cofactors(h[he], c)
+        if m.coeffs != (1,):
+            for u, x in work.items():
+                work[u] = x * m
+            for u, x in done.items():
+                done[u] = x * m
+        shift = tuple(map(sub, e, he))
+        for v, cv in h.items():
+            if v != he:
+                u = tuple(map(add, v, shift))
+                nu = work.get(u, _ZERO) - cv * q
+                if nu:
+                    work[u] = nu
+                else:
+                    work.pop(u, None)
+    return primitive_terms(done) if done else done
 
 
 def buchberger_lex(gens, cap=2000):
-    """Reduced lex Groebner basis, sorted by leading monomial.  The cap
-    counts the S-pairs that are reduced, not those the criteria skip."""
-    basis = [g for g in gens if g]
+    """Reduced lex Groebner basis over Q(t), sorted by leading monomial, each
+    element monic.  The cap counts the S-pairs that are reduced, not those
+    the criteria skip."""
+    basis = [primitive_terms(integral_terms(g.terms)) for g in gens if g]
     if not basis:
         return []
-    lts = [max(g.terms) for g in basis]
+    lts = [max(g) for g in basis]
     # normal selection: smallest lcm of leading monomials first, ties in
     # pair order; `pending` is the same pairs as a set, for the chain test
     heap = []
@@ -116,10 +147,10 @@ def buchberger_lex(gens, cap=2000):
         steps += 1
         if steps > cap:
             raise ResourceCapError("Buchberger pair cap %d exceeded" % cap)
-        r = reduce_poly(s_polynomial(basis[i], basis[j]), basis)
+        r = reduce_poly(basis[i], basis, basis[j])
         if r:
             basis.append(r)
-            lts.append(max(r.terms))
+            lts.append(max(r))
             for k in range(len(basis) - 1):
                 add_pair(len(basis) - 1, k)
     # minimal: drop elements whose leading monomial is divisible by another's
@@ -132,29 +163,31 @@ def buchberger_lex(gens, cap=2000):
         )
     ]
     # reduced, bottom up: in increasing leading-monomial order, each element
-    # is reduced against the ones already reduced and made monic.  A tail term
-    # lies below its own leading monomial, so no larger leading monomial
-    # divides it.
+    # is reduced against the ones already reduced.  A tail term lies below
+    # its own leading monomial, so no larger leading monomial divides it.
     out = []
-    for g in sorted(keep, key=lambda p: max(p.terms)):
-        r = reduce_poly(g, out)
-        out.append(r * r.terms[max(r.terms)].inverse())
-    return out
+    for g in sorted(keep, key=max):
+        out.append(reduce_poly(g, out))
+    return [
+        MultiPolynomial(gens[0].variables, {e: RationalFunction(c, a) for e, c in g.items()})
+        for g, a in zip(out, [g[max(g)] for g in out])
+    ]
 
 
 def assert_groebner(basis, gens):
     """Postconditions: every input reduces to zero modulo the basis, and every
     S-pair does too.  Pairs with coprime leading monomials are not reduced:
     Buchberger's first criterion proves they reduce to zero."""
+    basis = [integral_terms(g.terms) for g in basis]
     for g in gens:
-        if reduce_poly(g, basis):
+        if reduce_poly(integral_terms(g.terms), basis):
             raise EliminationError("input does not reduce to zero modulo the basis")
-    lts = [max(g.terms) for g in basis]
+    lts = [max(g) for g in basis]
     for i in range(len(basis)):
         for j in range(i):
             if _coprime(lts[i], lts[j]):
                 continue
-            if reduce_poly(s_polynomial(basis[i], basis[j]), basis):
+            if reduce_poly(basis[i], basis, basis[j]):
                 raise EliminationError("S-polynomial fails to reduce to zero")
 
 

@@ -29,7 +29,10 @@ class MonomialOrder:
         return (len(word), tuple(-b for b in word))
 
     def max_word(self, words):
-        return max(words, key=self.key)
+        # the key's maximum without a key per word: among the longest words,
+        # the bytes-least (earlier symbols are smaller bytes)
+        n = max(map(len, words))
+        return min(w for w in words if len(w) == n)
 
 
 class NCPolynomial:

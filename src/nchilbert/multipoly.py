@@ -1,9 +1,9 @@
-"""Multivariate and univariate polynomials over Q(t)."""
+"""Multivariate and univariate polynomials over Q(t), and their multiples in Z[t]."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from math import gcd
 
 from .errors import InputError
 from .ratfunc import QPoly, RationalFunction, RF_ONE, RF_ZERO, TruncatedSeries
@@ -19,8 +19,7 @@ class MultiPolynomial:
         self.variables = tuple(variables)
         clean = {}
         for exps, c in (terms or {}).items():
-            if not isinstance(c, RationalFunction):
-                c = RationalFunction(c)
+            c = _as_rational(c)
             if len(exps) != len(self.variables):
                 raise InputError("exponent vector length mismatch")
             if c:
@@ -29,14 +28,13 @@ class MultiPolynomial:
 
     @classmethod
     def const(cls, variables, c):
-        exps = (0,) * len(variables)
-        return cls(variables, {exps: RationalFunction(c) if not isinstance(c, RationalFunction) else c})
+        return cls(variables, {(0,) * len(variables): c})
 
     @classmethod
-    def var(cls, variables, name, coeff=None):
+    def var(cls, variables, name, coeff=RF_ONE):
         exps = [0] * len(variables)
         exps[list(variables).index(name)] = 1
-        return cls(variables, {tuple(exps): coeff if coeff is not None else RF_ONE})
+        return cls(variables, {tuple(exps): coeff})
 
     @classmethod
     def monomial(cls, variables, exps, coeff):
@@ -78,9 +76,7 @@ class MultiPolynomial:
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QPoly, RationalFunction)):
-            other = MultiPolynomial.const(self.variables, other)
-        return self + (-other)
+        return self + (-other)  # __add__ takes a constant too
 
     def __mul__(self, c):
         """Scale every coefficient by a constant of Q(t)."""
@@ -99,17 +95,6 @@ class MultiPolynomial:
             coeffs[e[i]] = c
         deg = max(coeffs, default=0)
         return RatPoly(name, [coeffs.get(k, RF_ZERO) for k in range(deg + 1)])
-
-    def eval_series(self, assignment, d):
-        """Substitute a truncated series for every variable."""
-        out = TruncatedSeries([0] * (d + 1), d)
-        for e, c in self.terms.items():
-            term = c.series(d)
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    term = term * assignment[self.variables[i]]
-            out = out + term
-        return out
 
     def rename(self, mapping, variables):
         """New variable list; exponents moved through the name mapping."""
@@ -148,10 +133,36 @@ def _as_rational(c):
     return c if isinstance(c, RationalFunction) else RationalFunction(c)
 
 
-def _zlcm(a, b):
-    """A common multiple of a and b in Z[t]: a times b's cofactor of their
-    primitive gcd."""
-    return a * (b // QPoly(primitive_part(a.gcd(b).coeffs)))
+def integral_terms(terms):
+    """The nonzero Q(t) coefficients {key: c} times the product of their
+    distinct denominators: {key: c's multiple in Z[t], an int QPoly}."""
+    dens = {c.zden.coeffs: c.zden for c in terms.values()}
+    out = {}
+    for key, c in terms.items():
+        num = c.znum
+        for k, den in dens.items():
+            if k != c.zden.coeffs:
+                num = num * den
+        out[key] = num
+    return out
+
+
+def primitive_terms(terms):
+    """Nonzero Z[t] coefficients {key: c} over their content, the gcd of the
+    c in Z[t], with the leading integer of the largest key's c positive."""
+    coeffs = iter(terms.values())
+    h = next(coeffs)
+    for c in coeffs:
+        if h.degree <= 0:
+            break
+        h = c.gcd(h) if c.degree > 0 else c
+    if h.degree > 0:
+        h = QPoly(primitive_part(h.coeffs))
+        terms = {key: c // h for key, c in terms.items()}
+    k = gcd(*(x for c in terms.values() for x in c.coeffs))
+    if terms[max(terms)].coeffs[-1] < 0:
+        k = -k
+    return terms if k == 1 else {key: QPoly([x // k for x in c.coeffs]) for key, c in terms.items()}
 
 
 class RatPoly(QPoly):
@@ -201,17 +212,12 @@ class RatPoly(QPoly):
 
     def cleared(self):
         """Scale by an element of Q(t) so coefficients are primitive Z[t]
-        polynomials with no common polynomial factor, lex-leading one positive.
-        The integer pairs are brought to a common denominator in Z[t]."""
+        polynomials with no common factor, the leading one's leading integer
+        positive."""
         if not self:
             return self
-        den = reduce(_zlcm, (c.zden for c in self.coeffs))
-        polys = [c.znum * (den // c.zden) for c in self.coeffs]
-        g = QPoly(primitive_part(reduce(QPoly.gcd, polys).coeffs))
-        ints = iter(primitive_part([c for p in polys for c in (p // g).coeffs]))
-        return RatPoly(
-            self.var, [RationalFunction(QPoly([next(ints) for _ in p.coeffs])) for p in polys]
-        )
+        p = primitive_terms(integral_terms({k: c for k, c in enumerate(self.coeffs) if c}))
+        return RatPoly(self.var, [p.get(k, RF_ZERO) for k in range(self.degree + 1)])
 
     def proportional_to(self, other):
         """Equal up to a nonzero scalar in Q(t)."""

@@ -10,7 +10,9 @@ Fraction appears only where a value is not integral."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import starmap, zip_longest
 from math import gcd, lcm
+from operator import add, sub
 
 from .errors import InputError
 
@@ -85,17 +87,17 @@ class QPoly:
     def __getitem__(self, k):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else self._zero
 
-    def __add__(self, other):
+    def __add__(self, other, op=add):
         if not isinstance(other, type(self)):
             other = self._new((other,))
-        n = max(len(self.coeffs), len(other.coeffs))
-        return self._new(tuple(self[i] + other[i] for i in range(n)))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=self._zero)
+        return self._new(tuple(starmap(op, pairs)))
 
     def __neg__(self):
         return self._new(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, sub)
 
     def __mul__(self, other):
         if not isinstance(other, type(self)):

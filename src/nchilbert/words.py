@@ -198,11 +198,6 @@ def is_antichain(lang):
     return all(lang.words.isdisjoint(_proper_factors(w)) for w in lang.words)
 
 
-def is_normal(word, basis):
-    """True iff no basis element occurs as a contiguous factor of word."""
-    return not any(v in word for v in basis.words)
-
-
 def full_language(alphabet, d):
     """All words of length <= d, as a truncated language, one length layer
     extending the last."""

@@ -184,7 +184,7 @@ def test_criterion_10_property_suites(capsys):
         palindrome_grammar("xy"),
         palindrome_grammar("xyz"),
     ]
-    from nchilbert.csys import residual_series, solution_series
+    from helpers import residual_series, solution_series
 
     for g in grammars:
         system = build_system(g)

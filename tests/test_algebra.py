@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
+from nchilbert import csys
 from nchilbert.csys import AlgebraicSystem, build_system, gamma_algebraic, gamma_linear
 from nchilbert.errors import (
     DivergenceError,
@@ -26,6 +27,7 @@ from nchilbert.examples import (
     LUKAS1_SERIES,
     LUKAS2_CHAINS,
     _chain_spec,
+    example_ifthenelse,
     ratpoly,
     xystar_handle,
 )
@@ -225,6 +227,45 @@ def test_assert_groebner_postcondition(case):
             assert_groebner(basis, gens)
 
 
+def damaged_bases(basis):
+    """The basis with one element dropped, or with one tail coefficient of
+    one element raised by 1."""
+    for i, g in enumerate(basis):
+        yield basis[:i] + basis[i + 1:]
+        for e in g.terms:
+            if e != max(g.terms):
+                terms = dict(g.terms)
+                terms[e] = terms[e] + 1
+                yield basis[:i] + [MultiPolynomial(g.variables, terms)] + basis[i + 1:]
+
+
+def test_assert_groebner_rejects_a_damaged_basis():
+    # a damaged reduced basis with all inputs and S-pairs reducing to zero
+    # would be a reduced Groebner basis of the same ideal, which is unique
+    for keep in "SAB":
+        gens = keep_lowest(ifthenelse_equations(), keep)
+        basis = buchberger_lex(gens)
+        assert_groebner(basis, gens)
+        damaged = list(damaged_bases(basis))
+        assert len(damaged) > len(basis)
+        for other in damaged:
+            with pytest.raises(EliminationError):
+                assert_groebner(other, gens)
+
+
+def test_ifthenelse_example_eliminates_each_unknown_once(monkeypatch):
+    kept = []
+    eliminate = csys.eliminate_univariate
+
+    def counted(system, keep):
+        kept.append(keep)
+        return eliminate(system, keep)
+
+    monkeypatch.setattr(csys, "eliminate_univariate", counted)
+    assert example_ifthenelse().ok
+    assert sorted(kept) == ["A", "B", "S"]
+
+
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_series_below_derivative_valuation(d):
     # val q'(h) is 3 for lukas1's H, and > 2 for its chain grammars' series
@@ -371,6 +412,59 @@ def proper_grammars(draw):
         reject()
     assume(g.start in g.productive)
     return g
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def sympy_poly(sympy, p, keep):
+    """The RatPoly p as a sympy Poly in keep over QQ(t)."""
+    t = sympy.Symbol("t")
+    field = sympy.QQ.frac_field(t)
+    expr = sum(
+        sympy_coeff(c, t) * sympy.Symbol(keep) ** k for k, c in enumerate(p.coeffs)
+    )
+    return sympy.Poly(expr, sympy.Symbol(keep), domain=field)
+
+
+def sympy_coeff(c, t):
+    def value(q):
+        return sum(x * t**i for i, x in enumerate(q.coeffs))
+
+    return value(c.znum) / value(c.zden)
+
+
+def sympy_eliminants(sympy, system, keep):
+    """The elements in keep alone of sympy's reduced lex Groebner basis over
+    QQ(t), keep lowest, of the system and X - rep(X) for each unknown X that
+    merge_unknowns merges into rep(X): the ideal the merged system's
+    elimination ideal comes from."""
+    t = sympy.Symbol("t")
+    names = {v: sympy.Symbol(v) for v in system.unknowns}
+    polys = [
+        sum(
+            sympy_coeff(c, t) * sympy.Mul(*(names[v] ** k for v, k in zip(eq.variables, e)))
+            for e, c in eq.terms.items()
+        )
+        for eq in system.equations
+    ]
+    rep = merge_unknowns(system, keep)
+    polys += [names[u] - names[r] for u, r in rep.items() if u != r]
+    order = [names[v] for v in system.unknowns if v != keep] + [names[keep]]
+    basis = sympy.groebner(polys, *order, order="lex", domain=sympy.QQ.frac_field(t))
+    return [
+        sympy.Poly(g, names[keep], domain=sympy.QQ.frac_field(t))
+        for g in basis.exprs
+        if g.free_symbols <= {t, names[keep]}
+    ]
+
+
+def test_sympy_reproduces_the_ifthenelse_quadratic(sympy):
+    (want,) = sympy_eliminants(sympy, ifthenelse_system(), "S")
+    pinned = ratpoly("S", [[1], [-1, 2], [0, -1, 2]])
+    assert want.monic() == sympy_poly(sympy, pinned, "S").monic()
 
 
 @settings(max_examples=60, deadline=None)
@@ -543,3 +637,15 @@ def test_merging_keeps_the_certified_series(g, data):
     j = g.variables.index(keep)
     f = newton_series(q, lambda D: TruncatedSeries(count_derivations(g, D)[j], D), d)
     assert list(f.coeffs) == counts[j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.one_of(proper_grammars(), twinned_grammars()))
+def test_eliminant_matches_sympy(sympy, g):
+    system = build_system(g)
+    try:
+        q = eliminate_univariate(system, "S")
+    except EliminationError:
+        reject()
+    (want,) = sympy_eliminants(sympy, system, "S")
+    assert sympy_poly(sympy, q, "S").monic() == want.monic()

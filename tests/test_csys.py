@@ -1,12 +1,7 @@
 """Grammar-to-system pipeline: certified algebraic counting series."""
 
-from nchilbert.csys import (
-    DEFAULT_CERT_DEG,
-    build_system,
-    gamma_algebraic,
-    residual_series,
-    solution_series,
-)
+from helpers import residual_series, solution_series
+from nchilbert.csys import DEFAULT_CERT_DEG, build_system, gamma_algebraic
 from nchilbert.examples import DYCK, IFTHENELSE, LUKASIEWICZ
 from nchilbert.grammar import parse_grammar
 

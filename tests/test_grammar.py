@@ -77,6 +77,23 @@ def test_layer_plan_made_once_per_variable_set(monkeypatch):
     assert calls == [g.productive, g.live]
 
 
+def test_certificate_kept_per_degree(monkeypatch):
+    g = parse_grammar(IFTHENELSE)
+    first = certify_unambiguous(g, 8)
+    degrees = []
+    words = grammar.enumerate_words
+
+    def counted(g, d, *args):
+        degrees.append(d)
+        return words(g, d, *args)
+
+    monkeypatch.setattr(grammar, "enumerate_words", counted)
+    assert certify_unambiguous(g, 8) == first
+    assert degrees == []
+    assert certify_unambiguous(g, 9) == (True, None)
+    assert degrees == [9]
+
+
 def test_validate_xystar_report():
     g = parse_grammar(XYSTAR)
     assert g.is_right_linear

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nchilbert import gsb
 from nchilbert.errors import InputError
@@ -49,6 +51,13 @@ def fp_predicted(alphabet):
     )
     family = PatternFamily((("grammar", parse_grammar(FP_FAMILY)),))
     return RelationSet(alphabet, finite, (family,))
+
+
+@given(st.lists(st.binary(max_size=4), min_size=1))
+def test_max_word_is_the_key_maximum(words):
+    order = MonomialOrder(Alphabet(["x", "y", "z"]))
+    words = [bytes(b % 3 for b in w) for w in words]
+    assert order.max_word(words) == max(words, key=order.key)
 
 
 def test_order_key():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import is_normal
 from nchilbert.examples import DYCK, IFTHENELSE, LUKASIEWICZ
 from nchilbert.grammar import count_derivations, enumerate_words, parse_grammar
 from nchilbert.homology import count_normal, govorov_chains_trunc
@@ -25,7 +26,6 @@ from nchilbert.words import (
     FiniteLanguage,
     TruncatedLanguage,
     full_language,
-    is_normal,
     minimize_antichain,
     trunc_boolean,
     trunc_ideal,

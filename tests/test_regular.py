@@ -2,6 +2,7 @@
 
 import random
 
+from helpers import is_normal
 from nchilbert.examples import xystar_handle
 from nchilbert.grammar import enumerate_words, parse_grammar
 from nchilbert.regular import (
@@ -11,7 +12,7 @@ from nchilbert.regular import (
     myhill_nerode_grammar,
     right_quotient,
 )
-from nchilbert.words import Alphabet, FiniteLanguage, full_language, is_normal
+from nchilbert.words import Alphabet, FiniteLanguage, full_language
 
 XY = Alphabet(["x", "y"])
 

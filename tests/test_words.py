@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from helpers import is_normal
 from nchilbert.errors import BoundError, InputError
 from nchilbert.words import (
     Alphabet,
@@ -11,7 +12,6 @@ from nchilbert.words import (
     TruncatedLanguage,
     full_language,
     is_antichain,
-    is_normal,
     minimize_antichain,
     parse_language_file,
     trunc_boolean,
