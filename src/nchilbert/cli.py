@@ -25,18 +25,8 @@ from .errors import (
     RootMismatchError,
 )
 from .examples import REGISTRY, run_example
-from .grammar import (
-    certify_unambiguous,
-    enumerate_words,
-    format_grammar,
-    parse_grammar,
-)
-from .gsb import (
-    compare_leading,
-    gs_complete,
-    leading_language,
-    parse_presentation,
-)
+from .grammar import certify_unambiguous, enumerate_words, format_grammar, parse_grammar
+from .gsb import compare_leading, gs_complete, leading_language, parse_presentation
 from .homology import (
     HomologySpec,
     PatternFamily,

@@ -15,7 +15,7 @@ from .grammar import count_derivations, certify_unambiguous
 from .groebner import eliminate_univariate
 from .multipoly import MultiPolynomial
 from .newton import newton_series
-from .ratfunc import QPoly, RationalFunction, RF_ONE, TruncatedSeries
+from .ratfunc import QPoly, TruncatedSeries
 
 DEFAULT_CERT_DEG = 12
 
@@ -26,38 +26,32 @@ class AlgebraicSystem:
     equations: tuple  # MultiPolynomial, one per unknown, A_i - sum of images
 
 
-def production_image(g, rhs, variables):
-    """Commutative image of a right-hand side: t^(#terminals) * product of
-    unknowns for the variables, in any order."""
-    exps = [0] * len(variables)
-    t_deg = 0
-    for s in rhs:
-        if g.is_var(s):
-            exps[variables.index(g.sym_text(s))] += 1
-        else:
-            t_deg += 1
-    coeff = RationalFunction(QPoly.t_power(t_deg)) if t_deg else RF_ONE
-    return MultiPolynomial.monomial(variables, tuple(exps), coeff)
-
-
 def build_system(g):
-    """One unknown per productive variable.  An unproductive variable's
-    series is 0, so it is no unknown and a body that uses it is dropped; an
-    unproductive start is an InputError."""
+    """One unknown per productive variable, whose equation is the unknown
+    minus each body's commutative image: t^(#terminals) times its unknowns.
+    An unproductive variable's series is 0, so it is no unknown and a body
+    that uses it is dropped; an unproductive start is an InputError."""
     if g.start not in g.productive:
         raise InputError(
             "start variable %s derives no word" % g.variables.symbols[g.start]
         )
     productive = sorted(g.productive)
     names = tuple(g.variables.symbols[j] for j in productive)
+    n = g.n
+    slot = {n + j: i for i, j in enumerate(productive)}
     by_var = g.by_variable()
     equations = []
-    for j, name in zip(productive, names):
-        eq = MultiPolynomial.var(names, name)
+    for i, j in enumerate(productive):
+        terms = {tuple(int(m == i) for m in range(len(names))): QPoly.const(1)}
         for rhs in by_var[j]:
-            if all(not g.is_var(s) or g.var_of(s) in g.productive for s in rhs):
-                eq = eq - production_image(g, rhs, names)
-        equations.append(eq)
+            if all(s < n or s in slot for s in rhs):
+                exps = [0] * len(names)
+                for s in rhs:
+                    if s >= n:
+                        exps[slot[s]] += 1
+                key, t_deg = tuple(exps), len(rhs) - sum(exps)
+                terms[key] = terms.get(key, QPoly()) - QPoly.t_power(t_deg)
+        equations.append(MultiPolynomial(names, terms))
     return AlgebraicSystem(names, tuple(equations))
 
 

@@ -3,10 +3,13 @@ bounded unambiguity certificates.
 
 Enumeration, derivation counts and per-word parse counts are three modes of
 one kernel, `_layers`, which builds the words of length k of every variable
-from the shorter ones.  The facts it needs about a grammar (nullable,
-productive and live variables, and a layer plan per variable set) are
-computed once per grammar and kept on it.  Symbols on production right-hand
-sides are ints: ``0..n-1`` are terminal positions, ``n+j`` is variable ``j``.
+from the shorter ones, a run of terminals at a time: a run that opens a body
+is a constant word, a later run, or a variable after an opening run, shifts
+a lower layer by a word, and a variable after a variable or a later run is a
+convolution.  The word cap still charges every body prefix.  The nullable,
+productive and live variables, and a layer plan per variable set, are found
+once per grammar and kept on it.  Symbols on production right-hand sides are
+ints: ``0..n-1`` are terminal positions, ``n+j`` is variable ``j``.
 """
 
 from __future__ import annotations
@@ -31,21 +34,15 @@ class CFGrammar:
             raise InputError("terminals and variables must be disjoint")
         if not 0 <= start < variables.size:
             raise InputError("start variable out of range")
-        prods = []
-        seen = set()
-        n = terminals.size
-        for var, rhs in productions:
-            rhs = tuple(rhs)
+        prods = tuple((var, tuple(rhs)) for var, rhs in productions)
+        for var, rhs in prods:
             if not 0 <= var < variables.size:
                 raise InputError("production for unknown variable")
-            if any(not 0 <= s < n + variables.size for s in rhs):
+            if any(not 0 <= s < terminals.size + variables.size for s in rhs):
                 raise InputError("bad symbol in production body")
-            if (var, rhs) in seen:
-                raise InputError("duplicate production")
-            seen.add((var, rhs))
-            prods.append((var, rhs))
-        have = {v for v, _ in prods}
-        missing = set(range(variables.size)) - have
+        if len(set(prods)) < len(prods):
+            raise InputError("duplicate production")
+        missing = set(range(variables.size)) - {v for v, _ in prods}
         if missing:
             raise InputError(
                 "variables without productions: %s"
@@ -54,7 +51,7 @@ class CFGrammar:
         self.terminals = terminals
         self.variables = variables
         self.start = start
-        self.productions = tuple(prods)
+        self.productions = prods
         self._plans = {}  # variable set -> its `_layer_plan`, filled by `_layers`
         self._certs = {}  # degree -> its `certify_unambiguous` result
 
@@ -101,10 +98,9 @@ class CFGrammar:
         by_var = self.by_variable()
         while stack:
             for rhs in by_var[stack.pop()]:
-                for s in rhs:
-                    if self.is_var(s) and self.var_of(s) not in reachable:
-                        reachable.add(self.var_of(s))
-                        stack.append(self.var_of(s))
+                new = {s - self.n for s in rhs if s >= self.n} - reachable
+                reachable |= new
+                stack += new
         return self.productive & reachable
 
     @property
@@ -143,39 +139,62 @@ def _layer_plan(g, variables):
     """The steps that build one length layer of `variables`, in order.
 
     Only productions of `variables` whose body variables all lie in
-    `variables` are kept.  A step is a variable (keyed by its symbol), whose
-    layer is the sum of its bodies' layers, or a nonempty body prefix (a tuple
-    of symbols), whose layer k sums, over the splits k = j + l, layer j of the
-    prefix one symbol shorter times layer l of its last symbol.  Inside layer
-    k a split reads a layer-k value only when l = 0 (the last symbol is
-    nullable, by `g.nullable`) or j = 0 (the shorter prefix is nullable);
-    those reads order the steps, and a cycle among them is a unit/epsilon
-    cycle.
+    `variables` are kept.  A body splits into maximal runs of terminals and
+    single variables, and the body prefix that each ends is a step, keyed by
+    its symbols (a variable by its symbol, the empty body by ()): a run w that
+    opens the body is a constant, w at length |w|; a variable V that opens it
+    is V's layer itself; V after an opening run w is V's layer k - |w| behind
+    w; a run w after any other prefix H is H's layer k - |w| followed by w;
+    and V after H is a convolution, whose layer k sums, over the splits
+    k = j + l, layer j of H times layer l of V.  A variable's layer sums its
+    bodies'.  Inside layer k a split reads a layer-k value only when l = 0 (V
+    is nullable, by `g.nullable`) or j = 0 (H is nullable), and a variable
+    reads its bodies'; those reads order the steps, and a cycle among them is
+    a unit/epsilon cycle.
 
-    Returns (order, steps): a variable's step lists its bodies, a prefix's is
-    (shorter prefix, last symbol, least l, k - greatest l).
+    Returns (constants, order, steps, charges): (key, word) pairs; the step
+    keys in order; per key (_SUM, its bodies' keys), (_SHIFT, key shifted,
+    word, whether the word goes before, |word|) or (_CONVOLVE, H, V, least l,
+    k - greatest l); and the word cap's (key, j) pairs, one per step and per
+    body prefix that is none (a constant, inside a run, an opening variable):
+    at length k that prefix holds as many words as layer k - j of the key.
     """
-
-    def null(s):
-        return g.is_var(s) and g.var_of(s) in g.nullable
-
-    steps, reads = {}, {}
+    n = g.n
+    null = {n + v for v in g.nullable}
+    kept = {n + v for v in variables}
+    constants, steps, reads, charges = {}, {}, {}, {}
     for var, rhs in g.productions:
-        if var not in variables or any(
-            g.is_var(s) and g.var_of(s) not in variables for s in rhs
-        ):
+        if var not in variables or any(s >= n and s not in kept for s in rhs):
             continue
-        steps.setdefault(g.n + var, []).append(rhs)
-        reads.setdefault(g.n + var, set()).add(rhs)
-        for i, s in enumerate(rhs):
-            head, key = rhs[:i], rhs[: i + 1]
-            head_null = all(map(null, head))
-            steps[key] = (head, s, 0 if null(s) else 1, 0 if head_null else 1)
-            reads[key] = {head} if null(s) else set()
-            if head_null:
-                reads[key].add(s)
-    # the empty body and the terminals are given, not built
-    graph = {key: {x for x in xs if x in steps} for key, xs in reads.items()}
+        head, head_null, i = (), True, 0  # the key of rhs[:i], and its nullability
+        while i < len(rhs):
+            j = i + 1
+            if rhs[i] >= n:
+                s, key = rhs[i], rhs[:j]
+                if not i:
+                    charges[key], key = (s, 0), s  # no step: V's own layer
+                elif head in constants:  # V behind the opening run
+                    steps[key] = (_SHIFT, s, constants[head], True, i)
+                else:
+                    lo, off = int(s not in null), int(not head_null)
+                    steps[key] = (_CONVOLVE, head, s, lo, off)
+                    reads[key] = {x for x, r in ((head, not lo), (s, not off)) if r}
+                head_null = head_null and s in null
+            else:
+                while j < len(rhs) and rhs[j] < n:
+                    j += 1
+                key = rhs[:j]
+                for m in range(i + 1, j + 1):
+                    charges.setdefault(rhs[:m], (head, m - i))
+                if i:
+                    steps[key] = (_SHIFT, head, bytes(rhs[i:j]), False, j - i)
+                else:
+                    constants[key] = bytes(key)
+                head_null = False
+            head, i = key, j
+        steps.setdefault(n + var, (_SUM, [], None, 0, 0))[1].append(head)
+        reads.setdefault(n + var, set()).add(head)
+    graph = {key: steps.keys() & reads.get(key, ()) for key in steps}
     try:
         order = list(TopologicalSorter(graph).static_order())
     except CycleError as exc:
@@ -185,92 +204,87 @@ def _layer_plan(g, variables):
         raise DivergenceError(
             "unit/epsilon cycle through %s" % " ".join(names)
         ) from None
-    return order, steps
+    charges = [(key, 0) for key in order] + [
+        c for key, c in charges.items() if key not in steps
+    ]
+    return list(constants.items()), order, steps, charges
 
 
-# What a length layer holds, as (empty word, one letter, product, sum of an
-# iterable): parse-tree counts, the set of words, or word -> parse-tree count.
-_COUNTS = (1, lambda a: 1, mul, sum)
+# What a length layer holds, as (one word, product, sum of an iterable, the
+# shift by a word before or after): parse-tree counts, the set of words, or
+# word -> parse-tree count.
+_COUNTS = (lambda w: 1, mul, sum, lambda c, w, before: c)
 _WORDS = (
-    frozenset({EMPTY}),
-    lambda a: {bytes([a])},
+    lambda w: {w},
     lambda x, y: starmap(add, product(x, y)) if x and y else (),
     lambda xs: set().union(*xs),
+    lambda x, w, before: {w + u for u in x} if before else {u + w for u in x},
 )
-
-
-def _sum_parses(xs):
-    out = Counter()
-    for x in xs:
-        out.update(x)
-    return out
-
-
 _PARSES = (
-    {EMPTY: 1},
-    lambda a: {bytes([a]): 1},
+    lambda w: {w: 1},
     lambda x, y: {u + v: cu * cv for u, cu in x.items() for v, cv in y.items()},
-    _sum_parses,
+    lambda xs: sum(map(Counter, xs), Counter()),
+    lambda x, w, before: {(w + u if before else u + w): c for u, c in x.items()},
 )
-_SUM, _LETTER, _CONVOLVE = range(3)
+_SUM, _SHIFT, _CONVOLVE = range(3)
 
 
 def _layers(g, d, variables, mode, cap=None):
     """Length layers 0..d of each variable in `variables`, by variable index.
 
     `variables` must be productive and closed under the bodies of their
-    productions.  Layer k of each step is built from the layers below k and
-    from the layer-k values of the steps before it in the plan, so each split
-    of a body costs one product (the recursive method of Flajolet, Zimmermann
-    and Van Cutsem, 1994).  Each call resolves the grammar's kept plan into
-    flat steps: a prefix ending in a letter is its head's layer k - 1 times
-    the letter, and a one-body variable or one-variable prefix shares that
-    layer.  A unit/epsilon cycle raises DivergenceError before any layer is
-    built.  With `cap`, more than `cap` words held over all steps raises
-    ResourceCapError.
+    productions.  Layer k of each step of the grammar's kept plan
+    (`_layer_plan`) is built from the layers below k and the layer-k values
+    of the steps before it, so each split of a body costs one product (the
+    recursive method of Flajolet, Zimmermann and Van Cutsem, 1994).  A
+    constant is filled once per call, a shift attaches its word to one lower
+    layer, and a variable whose bodies are all empty at a length but one
+    shares that body's layer.  A unit/epsilon cycle raises DivergenceError
+    before any layer is built.  With `cap`, ResourceCapError is raised after
+    the first length at which all body prefixes and variables hold more than
+    `cap` words.
     """
-    unit, letter, times, total = mode
+    word, times, total, shift = mode
     zero = total(())
     if variables not in g._plans:
         g._plans[variables] = _layer_plan(g, variables)
-    order, steps = g._plans[variables]
-    vals = {key: [] for key in order}
-    vals[()] = [unit] + [zero] * d
-    run = []  # (layer list, kind, x, y, least l, k - greatest l)
+    constants, order, steps, charges = g._plans[variables]
+    vals = {(): [word(EMPTY)] + [zero] * d}
+    for key, w in constants:  # w at length |w|
+        vals[key] = ([zero] * len(w) + [word(w)] + [zero] * d)[: d + 1]
+    vals.update((key, []) for key in order)
+    run = []  # (layer list, kind, x, y, lo, off), as in the plan's steps
     for key in order:
-        step = steps[key]
-        if isinstance(key, int):
-            run.append((vals[key], _SUM, [vals[body] for body in step], None, 0, 0))
-        else:
-            head, s, lo, off = step
-            if not g.is_var(s):
-                run.append((vals[key], _LETTER, vals[head], letter(s), lo, off))
-            elif head:
-                run.append((vals[key], _CONVOLVE, vals[head], vals[s], lo, off))
-            else:
-                run.append((vals[key], _SUM, [vals[s]], None, 0, 0))
+        kind, x, y, lo, off = steps[key]
+        x = [vals[body] for body in x] if kind == _SUM else vals[x]
+        run.append((vals[key], kind, x, vals[y] if kind == _CONVOLVE else y, lo, off))
+    charges = [(vals[key], j) for key, j in charges]
     held = 0
     for k in range(d + 1):
         for out, kind, x, y, lo, off in run:
             if kind == _CONVOLVE:  # x[k - l] times y[l] for l = lo .. k - off
                 xs, ys = x[off : k - lo + 1], y[lo : k - off + 1]
                 value = total(map(times, xs, reversed(ys)))
-            elif kind == _LETTER:
-                value = total((times(x[k - 1], y),)) if k > off else zero
-            else:  # a variable's bodies; one body shares its layer
-                value = total([body[k] for body in x]) if len(x) > 1 else x[0][k]
+            elif kind == _SHIFT:  # x[k - off] with the word y before (lo) or after
+                value = shift(x[k - off], y, lo) if k >= off else zero
+            else:  # a variable's bodies; a lone nonempty one shares its layer
+                parts = [body[k] for body in x if body[k]]
+                value = parts[0] if len(parts) == 1 else total(parts)
             out.append(value)
-            if cap is not None:
-                held += len(value)
-                if held > cap:
-                    raise ResourceCapError("enumeration exceeded word cap %d" % cap)
+        if cap is not None:
+            held += sum(len(layer[k - j]) for layer, j in charges if k >= j)
+            if held > cap:
+                raise ResourceCapError("enumeration exceeded word cap %d" % cap)
     return {key - g.n: vals[key] for key in order if isinstance(key, int)}
 
 
 def enumerate_words(g, d, cap=DEFAULT_WORD_CAP):
-    """Distinct generated words of length <= d."""
+    """Distinct generated words of length <= d, by length in `by_length`."""
     layers = _layers(g, d, g.live, _WORDS, cap).get(g.start, ())
-    return TruncatedLanguage._built(g.terminals, d, frozenset().union(*layers))
+    by_length = {k: layer for k, layer in enumerate(layers) if layer}
+    return TruncatedLanguage._built(
+        g.terminals, d, frozenset().union(*layers), by_length
+    )
 
 
 def count_derivations(g, d):
@@ -284,9 +298,10 @@ def count_derivations(g, d):
 def certify_unambiguous(g, d):
     """True iff derivation counts match distinct-word counts for all k <= d.
 
-    On failure also returns the shortlex-least word with >= 2 parse trees:
-    parse trees are counted per word only at the first length that differs.
-    The result is kept on the grammar, one per degree.
+    Both count over `g.live`, so a unit/epsilon cycle that the start cannot
+    reach does not stop it.  On failure also returns the shortlex-least word
+    with >= 2 parse trees: parse trees are counted per word only at the first
+    length that differs.  The result is kept on the grammar, one per degree.
     """
     if d not in g._certs:
         g._certs[d] = _certify(g, d)
@@ -294,7 +309,7 @@ def certify_unambiguous(g, d):
 
 
 def _certify(g, d):
-    derivations = count_derivations(g, d)[g.start]
+    derivations = _layers(g, d, g.live, _COUNTS).get(g.start, [0] * (d + 1))
     per_len = enumerate_words(g, d).counts()
     if derivations == per_len:
         return True, None

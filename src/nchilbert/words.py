@@ -8,7 +8,6 @@ which for equal lengths coincides with the natural byte order.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby, product, starmap
@@ -133,12 +132,15 @@ class TruncatedLanguage:
             raise InputError("word longer than the declared bound")
 
     @classmethod
-    def _built(cls, alphabet, d, words):
-        """A window whose words are no longer than d by construction: no length walk."""
+    def _built(cls, alphabet, d, words, by_length=None):
+        """A window whose words are no longer than d by construction: no length
+        walk.  `by_length`, when given, is taken as the window's `by_length`."""
         if d < 0:
             raise InputError("negative degree bound")
         lang = object.__new__(cls)
         lang.__dict__.update(alphabet=alphabet, d=d, words=words)
+        if by_length is not None:
+            lang.__dict__["by_length"] = by_length
         return lang
 
     def sorted_words(self):
@@ -155,7 +157,7 @@ class TruncatedLanguage:
 
     @cached_property
     def by_length(self):
-        """Length to the list of words of that length, computed once."""
+        """Each length that has words to the words of that length, computed once."""
         return {n: list(ws) for n, ws in groupby(sorted(self.words, key=len), len)}
 
     def counts(self, d=None):
@@ -163,8 +165,7 @@ class TruncatedLanguage:
         d = self.d if d is None else d
         if d > self.d:
             raise BoundError("counts requested beyond the exactness bound")
-        per_length = Counter(map(len, self.words))
-        return [per_length[n] for n in range(d + 1)]
+        return [len(self.by_length.get(n, ())) for n in range(d + 1)]
 
     def min_length_bound(self):
         """Lower bound for the minimum word length of the underlying language.

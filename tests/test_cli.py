@@ -105,6 +105,19 @@ def test_ambiguity_certifies_dyck(tmp_path, capsys):
     assert "unambiguous to degree 12" in out
 
 
+def test_ambiguity_ignores_an_unreachable_cycle(tmp_path, capsys):
+    # A's epsilon cycle is unreachable from S, so the certificate stands;
+    # gamma still counts A's derivations for its series and refuses
+    gf = write(
+        tmp_path, "cyc.gf",
+        "terminals: x\nvariables: S A B\nstart: S\nS -> x\nA -> A A | eps\nB -> x\n",
+    )
+    code, out, _ = run(capsys, ["ambiguity", gf])
+    assert (code, out) == (0, "certified: unambiguous to degree 12\n")
+    code, _, err = run(capsys, ["gamma", gf])
+    assert (code, err) == (2, "input error: unit/epsilon cycle through A\n")
+
+
 def test_quotient_grammar(tmp_path, capsys):
     gf = write(
         tmp_path, "rl.gf",

@@ -1,9 +1,14 @@
 """Grammar-to-system pipeline: certified algebraic counting series."""
 
+import pytest
+
 from helpers import residual_series, solution_series
+from nchilbert import examples
 from nchilbert.csys import DEFAULT_CERT_DEG, build_system, gamma_algebraic
 from nchilbert.examples import DYCK, IFTHENELSE, LUKASIEWICZ
 from nchilbert.grammar import parse_grammar
+from nchilbert.multipoly import MultiPolynomial
+from nchilbert.ratfunc import RationalFunction
 
 
 def test_gamma_algebraic_lukasiewicz():
@@ -51,3 +56,50 @@ def test_gamma_with_unproductive_variables():
     res = gamma_algebraic(parse_grammar(UNPRODUCTIVE), 6)
     assert res.poly.degree == 1
     assert list(res.series.coeffs) == [0, 1, 0, 0, 0, 0, 0]
+
+
+def system_by_terms(g):
+    """The unknowns and equations of build_system, one monomial at a time:
+    each productive variable minus t^(#terminals) times the unknowns of each
+    of its bodies that uses no unproductive variable."""
+    names = tuple(g.variables.symbols[j] for j in sorted(g.productive))
+    equations = []
+    for name in names:
+        eq = MultiPolynomial.var(names, name)
+        for var, rhs in g.productions:
+            used = [g.sym_text(s) for s in rhs if g.is_var(s)]
+            if g.variables.symbols[var] != name or not set(used) <= set(names):
+                continue
+            exps = [used.count(x) for x in names]
+            coeff = RationalFunction.t_power(len(rhs) - len(used))
+            eq = eq - MultiPolynomial.monomial(names, exps, coeff)
+        equations.append(eq)
+    return names, tuple(equations)
+
+
+SYSTEM_GRAMMARS = [
+    IFTHENELSE,
+    DYCK,
+    LUKASIEWICZ,
+    examples.TRIPLE_L1,
+    *examples.LUKAS1_CHAINS,
+    *examples.LUKAS2_CHAINS,
+    *examples.FP_CHAINS,
+    *examples.FPV_CHAINS,
+    UNPRODUCTIVE,
+    # unit rules, eps bodies and repeated images (x S and S x)
+    "terminals: x y\nvariables: S A B\nstart: S\n"
+    "S -> A | x S | S x | B B\nA -> eps | B\nB -> y A y | eps",
+    # a unit self-rule cancels the unknown's own term
+    "terminals: a\nvariables: S\nstart: S\nS -> S | a | a S S",
+    # bodies that use the unproductive U are dropped, the others kept
+    "terminals: a b\nvariables: S U T\nstart: S\n"
+    "S -> a U | T b T | U S | eps\nU -> a U\nT -> S a | b",
+]
+
+
+@pytest.mark.parametrize("text", SYSTEM_GRAMMARS)
+def test_build_system_matches_monomials(text):
+    g = parse_grammar(text)
+    system = build_system(g)
+    assert (system.unknowns, system.equations) == system_by_terms(g)

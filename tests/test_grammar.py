@@ -1,13 +1,21 @@
 """Grammar validation, enumeration, counting, ambiguity certification."""
 
 import random
-from itertools import combinations_with_replacement
+import re
 
 import pytest
 
 from nchilbert import grammar
 from nchilbert.errors import DivergenceError, ResourceCapError
-from nchilbert.examples import DYCK, IFTHENELSE, LUKASIEWICZ, palindrome_grammar
+from nchilbert import examples
+from nchilbert.examples import (
+    DYCK,
+    IFTHENELSE,
+    LUKAS1_CHAINS,
+    LUKASIEWICZ,
+    TRIPLE_L1,
+    palindrome_grammar,
+)
 from nchilbert.grammar import (
     CFGrammar,
     certify_unambiguous,
@@ -16,6 +24,7 @@ from nchilbert.grammar import (
     format_grammar,
     parse_grammar,
 )
+from nchilbert.regular import myhill_nerode_grammar
 from nchilbert.words import WORD_KEY, Alphabet, full_language
 
 XYSTAR = """
@@ -211,9 +220,20 @@ def test_enumeration_agrees_with_parse_counts():
         assert (w in lang) == (count(g.n + g.start, w) >= 1)
 
 
+# Two bodies share the mid-body run prefix "b c" after "a b T", which ends a
+# run in the third body.
+SHARED_RUNS = """
+terminals: a b c
+variables: S T
+start: S
+S -> a b T b c a T | a b T b c b | a b T b c | T b c T c a | eps
+T -> c | a b T b | a b c
+"""
+
 # (grammar, d, least word cap that enumerate_words(g, d) stays within),
-# recorded before single-body layers were shared; the cap counts a shared
-# layer again, so the trigger must not move
+# recorded before single-body layers were shared, and the last three before
+# terminal runs became single steps; the cap counts a shared layer again and
+# every body prefix inside a run, so the trigger must not move
 WORD_CAP_PINS = [
     (IFTHENELSE, 8, 610),
     (DYCK, 10, 176),
@@ -227,6 +247,9 @@ WORD_CAP_PINS = [
         8,
         69,
     ),
+    (LUKAS1_CHAINS[1], 12, 279),
+    (SHARED_RUNS, 10, 102),
+    (TRIPLE_L1, 12, 55),
 ]
 
 
@@ -255,6 +278,8 @@ def test_count_derivations_unreachable_epsilon_cycle():
     with pytest.raises(DivergenceError):
         count_derivations(g, 12)
     assert set(enumerate_words(g, 12).words) == {b"\x00"}
+    # the certificate counts over the live variables, as the enumeration does
+    assert certify_unambiguous(g, 12) == (True, None)
 
 
 def random_grammar(rng):
@@ -292,10 +317,11 @@ class Cycle(Exception):
 def parse_counter(g):
     """count(symbol, word) = parse trees, by memoised splitting of the word.
 
-    Only productive bodies are split, the empty parts of a split must be
-    nullable, and the parts are counted shortest first, stopping at a zero:
-    so reaching a pair again is a unit/epsilon cycle of a productive
-    variable, and raises Cycle.
+    Only productive bodies are split: a body's first symbol takes a prefix
+    of the word, which must be nonempty unless the symbol is nullable, and it
+    is counted only when the rest of the body derives the rest of the word.
+    So a pair is reached again only through a unit/epsilon cycle of a
+    productive variable, and that raises Cycle.
     """
     short = shortest_words(g)
     bodies = {
@@ -306,7 +332,7 @@ def parse_counter(g):
         ]
         for var in short
     }
-    memo, active = {}, set()
+    memo, splits, active = {}, {}, set()
 
     def nullable(s):
         return g.is_var(s) and short.get(g.var_of(s)) == b""
@@ -314,22 +340,17 @@ def parse_counter(g):
     def split(rhs, w):
         if not rhs:
             return int(not w)
-        total = 0
-        for cuts in combinations_with_replacement(range(len(w) + 1), len(rhs) - 1):
-            ends = (0, *cuts, len(w))
-            parts = sorted(
-                zip(rhs, (w[i:j] for i, j in zip(ends, ends[1:]))),
-                key=lambda p: len(p[1]),
-            )
-            if any(not part and not nullable(s) for s, part in parts):
-                continue
-            prod = 1
-            for s, part in parts:
-                prod *= count(s, part)
-                if not prod:
-                    break
-            total += prod
-        return total
+        s = rhs[0]
+        if not g.is_var(s):
+            return split(rhs[1:], w[1:]) if w[:1] == bytes([s]) else 0
+        if (rhs, w) not in splits:
+            total = 0
+            for i in range(0 if nullable(s) else 1, len(w) + 1):
+                rest = split(rhs[1:], w[i:])
+                if rest:
+                    total += count(s, w[:i]) * rest
+            splits[rhs, w] = total
+        return splits[rhs, w]
 
     def count(s, w):
         if not g.is_var(s):
@@ -347,6 +368,18 @@ def parse_counter(g):
     return count, short
 
 
+def has_cycle(g, variables):
+    """True iff counting a shortest word of some variable in `variables`
+    reaches a unit/epsilon cycle."""
+    count, short = parse_counter(g)
+    try:
+        for var in variables:
+            count(g.n + var, short[var])
+    except Cycle:
+        return True
+    return False
+
+
 def test_kernel_against_independent_routes():
     rng = random.Random(20261018)
     seen = set()
@@ -355,12 +388,10 @@ def test_kernel_against_independent_routes():
         d = rng.randint(0, 5)
         words = full_language(g.terminals, d).words
         count, short = parse_counter(g)
-        try:
-            for var, w in short.items():
-                count(g.n + var, w)
-            cyclic = False
-        except Cycle:
-            cyclic = True
+        # a cycle stops the counts of every productive variable, but the
+        # enumeration and the certificate only when the start reaches it
+        cyclic_live = has_cycle(g, g.live)
+        cyclic = cyclic_live or has_cycle(g, short)
         if short.get(g.start) == b"":
             seen.add("nullable start")
         if any(len(rhs) == 1 and g.is_var(rhs[0]) for _, rhs in g.productions):
@@ -369,26 +400,30 @@ def test_kernel_against_independent_routes():
             lang = set(enumerate_words(g, d).words)
             assert lang == {w for w in words if count(g.n + g.start, w) >= 1}
         except DivergenceError:
-            assert cyclic
+            assert cyclic_live
         if cyclic:
-            seen.add("divergent")
+            seen.add("divergent" if cyclic_live else "unreachable cycle")
             with pytest.raises(DivergenceError):
                 count_derivations(g, d)
+        else:
+            counts = count_derivations(g, d)
+            for var in range(g.variables.size):
+                want = [0] * (d + 1)
+                for w in words:
+                    want[len(w)] += count(g.n + var, w)
+                assert counts[var] == want
+        if cyclic_live:
             with pytest.raises(DivergenceError):
                 certify_unambiguous(g, d)
             continue
-        counts = count_derivations(g, d)
-        for var in range(g.variables.size):
-            want = [0] * (d + 1)
-            for w in words:
-                want[len(w)] += count(g.n + var, w)
-            assert counts[var] == want
         ambiguous = [w for w in words if count(g.n + g.start, w) >= 2]
         witness = min(ambiguous, key=WORD_KEY) if ambiguous else None
         assert certify_unambiguous(g, d) == (witness is None, witness)
         if ambiguous:
             seen.add("ambiguous")
-    assert seen == {"nullable start", "unit rule", "ambiguous", "divergent"}
+    assert seen == {
+        "nullable start", "unit rule", "ambiguous", "divergent", "unreachable cycle"
+    }
 
 
 def test_parse_layers_agree_with_counts_and_words():
@@ -407,3 +442,110 @@ def test_parse_layers_agree_with_counts_and_words():
         assert [sum(layer.values()) for layer in parses] == counts
         assert set().union(*parses) == enumerate_words(g, d).words
         checked += 1
+
+
+def run_grammar(rng):
+    """2 terminals, 1-3 variables, 1-3 bodies each of 0-6 symbols: variables
+    and runs of 2-4 letters, cut from three drawn runs so that bodies share
+    run prefixes, at the start, in the middle and at the end of a body."""
+    m = rng.randint(1, 3)
+    runs = [tuple(rng.randrange(2) for _ in range(4)) for _ in range(3)]
+    prods = set()
+    for var in range(m):
+        for _ in range(rng.randint(1, 3)):
+            body = ()
+            for _ in range(rng.randint(0, 3)):
+                if rng.random() < 0.6:
+                    body += rng.choice(runs)[: rng.randint(2, 4)]
+                else:
+                    body += (2 + rng.randrange(m),)
+            prods.add((var, body[:6]))
+    return CFGrammar(Alphabet(["a", "b"]), Alphabet(list("SAB"[:m])), 0, sorted(prods))
+
+
+def run_shapes(g):
+    """Where the grammar's bodies hold runs of two or more letters, and
+    whether two bodies share a prefix that ends in a letter."""
+    shapes = set()
+    for _, rhs in g.productions:
+        letters = "".join("v" if g.is_var(s) else "t" for s in rhs)
+        if letters.startswith("tt") and "v" in letters:
+            shapes.add("leading run")
+        if re.search("vtt+v", letters):
+            shapes.add("middle run")
+        if letters.endswith("tt") and "v" in letters:
+            shapes.add("trailing run")
+    bodies = sorted({rhs for _, rhs in g.productions})
+    for x, y in zip(bodies, bodies[1:]):
+        common = next((i for i, (s, t) in enumerate(zip(x, y)) if s != t), None)
+        i = min(len(x), len(y)) if common is None else common
+        if i and not g.is_var(x[i - 1]):
+            shapes.add("shared prefix")
+    return shapes
+
+
+def test_kernel_on_terminal_runs():
+    rng = random.Random(20261020)
+    shapes, checked = set(), 0
+    while checked < 150:
+        g = run_grammar(rng)
+        d = rng.randint(4, 8)
+        if has_cycle(g, g.productive):
+            with pytest.raises(DivergenceError):
+                count_derivations(g, d)
+            continue
+        count, short = parse_counter(g)
+        words = full_language(g.terminals, d).words
+        counts = count_derivations(g, d)
+        for var in range(g.variables.size):
+            want = [0] * (d + 1)
+            for w in words:
+                want[len(w)] += count(g.n + var, w)
+            assert counts[var] == want
+        want = {w for w in words if count(g.n + g.start, w)}
+        assert enumerate_words(g, d).words == want
+        for var, layers in grammar._layers(g, d, g.live, grammar._PARSES).items():
+            for k, layer in enumerate(layers):
+                want = {w: count(g.n + var, w) for w in words if len(w) == k}
+                assert dict(layer) == {w: c for w, c in want.items() if c}
+        shapes |= run_shapes(g)
+        checked += 1
+    assert shapes == {"leading run", "middle run", "trailing run", "shared prefix"}
+
+
+def example_grammars():
+    """Every grammar the nine built-in examples run."""
+    texts = [
+        IFTHENELSE, DYCK, TRIPLE_L1, examples.FP_FAMILY, examples.FPV_FAMILY,
+        *LUKAS1_CHAINS, *examples.LUKAS2_CHAINS,
+        *examples.FP_CHAINS, *examples.FPV_CHAINS,
+    ]
+    return [parse_grammar(text) for text in texts] + [
+        palindrome_grammar("xy"),
+        palindrome_grammar("xyz"),
+        myhill_nerode_grammar(examples.xystar_handle()),
+    ]
+
+
+def test_layer_plans_step_over_whole_runs():
+    # a terminal run is one step, never one per letter: every body prefix
+    # that is a key ends a run or a variable in some body, and a body's
+    # leading run is a constant
+    for g in example_grammars():
+        for variables in {g.productive, g.live}:
+            constants, order, steps, _ = grammar._layer_plan(g, variables)
+            bodies = [rhs for _, rhs in g.productions]
+
+            def ends_a_run_or_variable(key, rhs):
+                return rhs[: len(key)] == key and (
+                    g.is_var(key[-1]) or len(rhs) == len(key) or g.is_var(rhs[len(key)])
+                )
+
+            keys = [k for k in steps if isinstance(k, tuple)] + [k for k, _ in constants]
+            for key in keys:
+                assert any(ends_a_run_or_variable(key, rhs) for rhs in bodies), key
+            for rhs in bodies:
+                j = next((i for i, s in enumerate(rhs) if g.is_var(s)), len(rhs))
+                if j:
+                    assert (rhs[:j], bytes(rhs[:j])) in constants
+                    assert rhs[:j] not in steps
