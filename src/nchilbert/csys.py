@@ -89,7 +89,8 @@ def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None):
 
     The eliminant generates the elimination ideal; it annihilates the series
     but can be reducible.  The series is the derivation counts to degree d,
-    checked against the eliminant by newton_series's one residual test.
+    over the variables the kept unknown reaches, checked against the
+    eliminant by newton_series's one residual test.
     """
     system = build_system(g)
     name = keep or g.variables.symbols[g.start]
@@ -100,7 +101,7 @@ def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None):
     poly = eliminate_univariate(system, name)
     series = newton_series(
         poly,
-        lambda D: TruncatedSeries(count_derivations(g, D)[index], D),
+        lambda D: TruncatedSeries(count_derivations(g, D, index)[index], D),
         d,
     )
     return GammaResult(poly, series, cert_deg, certified, witness)

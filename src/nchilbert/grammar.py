@@ -54,6 +54,7 @@ class CFGrammar:
         self.productions = prods
         self._plans = {}  # variable set -> its `_layer_plan`, filled by `_layers`
         self._certs = {}  # degree -> its `certify_unambiguous` result
+        self._reached = {}  # variable -> its `reached_from` set
 
     @property
     def n(self):
@@ -91,17 +92,25 @@ class CFGrammar:
         """Variables that derive some terminal word."""
         return _deriving(self, terminals=True)
 
-    @cached_property
+    @property
     def live(self):
         """Productive variables reachable from the start."""
-        reachable, stack = {self.start}, [self.start]
-        by_var = self.by_variable()
-        while stack:
-            for rhs in by_var[stack.pop()]:
-                new = {s - self.n for s in rhs if s >= self.n} - reachable
-                reachable |= new
-                stack += new
-        return self.productive & reachable
+        return self.reached_from(self.start)
+
+    def reached_from(self, var):
+        """Productive variables reachable from variable `var`, itself included
+        when productive: a set closed under the bodies that derive words.
+        Found once per variable and kept on the grammar."""
+        if var not in self._reached:
+            reachable, stack = {var}, [var]
+            by_var = self.by_variable()
+            while stack:
+                for rhs in by_var[stack.pop()]:
+                    new = {s - self.n for s in rhs if s >= self.n} - reachable
+                    reachable |= new
+                    stack += new
+            self._reached[var] = self.productive & reachable
+        return self._reached[var]
 
     @property
     def is_right_linear(self):
@@ -287,11 +296,14 @@ def enumerate_words(g, d, cap=DEFAULT_WORD_CAP):
     )
 
 
-def count_derivations(g, d):
+def count_derivations(g, d, root=None):
     """c[A][k] = number of leftmost derivations (= parse trees) from A of words
     of length k, for k <= d, for every variable A (zero when A is not in
-    `g.productive`)."""
-    layers = _layers(g, d, g.productive, _COUNTS)
+    `g.productive`, or, given a variable index `root`, not in
+    `g.reached_from(root)`, so a unit/epsilon cycle that root cannot reach
+    does not stop the count)."""
+    variables = g.productive if root is None else g.reached_from(root)
+    layers = _layers(g, d, variables, _COUNTS)
     return {j: layers.get(j, [0] * (d + 1)) for j in range(g.variables.size)}
 
 

@@ -119,8 +119,16 @@ def _govorov_window(L1, d):
     the same cuts as that of w, less one that ends at |w|, and so does that
     of w[1:-1] against w[1:].  Every piece is at least b =
     L1.min_length_bound() long, so a scan tests its next piece b letters
-    after the last cut."""
-    ideal = trunc_ideal(L1, d).words
+    after the last cut.
+
+    The ideal is built only to l, the length of the longest word of L1 up
+    to d, not to d.  Every piece w[start:end] that a scan tests has
+    w[start:end-1] outside the ideal: on a first test that slice is shorter
+    than b, and on a retry the shorter test just failed.  So the piece lies
+    in the ideal iff a word of L1 is a suffix of it, iff
+    w[max(start, end - l):end] lies in the ideal truncated at l."""
+    ell = max((len(v) for v in L1.words if len(v) <= d), default=0)
+    ideal = trunc_ideal(L1, ell).words
     b = L1.min_length_bound()
     pad = full_language(L1.alphabet, max(d - b, 0))
     candidates = trunc_boolean(
@@ -137,7 +145,8 @@ def _govorov_window(L1, d):
         # (pieces, 1 if the last piece ends at |w| else 0); b >= 1 here
         count, start, end, n = 0, 0, b, len(w)
         while end <= n:
-            if w[start:end] in ideal:
+            lo = end - ell  # the lemma's clamp, as an expression: max() is slower
+            if w[lo if lo > start else start:end] in ideal:
                 count, start, end = count + 1, end, end + b
             else:
                 end += 1
@@ -168,7 +177,10 @@ def govorov_chains_trunc(L1, m, d):
     every word of length >= 2.  Every word of C_m begins and ends with a
     word of L1, so only the words of L1 X* cap X* L1 up to length d are
     tested.  Their piece counts do not depend on m and come from one
-    window per (L1, d); each index then compares integers.
+    window per (L1, d); each index then compares integers.  The ideal is
+    built only to l, the longest word of L1 up to d: a piece that the greedy
+    cut tests is one letter longer than a slice outside L, so a word of L1
+    in it is a suffix, and the piece lies in L iff its last l letters do.
     """
     if m < 1:
         raise InputError("chain index must be >= 1")
@@ -302,7 +314,7 @@ class Uchain2Spec:
 def _descriptor_series(kind, payload, d):
     if kind == "grammar":
         return TruncatedSeries.from_counts(
-            count_derivations(payload, d)[payload.start], d
+            count_derivations(payload, d, payload.start)[payload.start], d
         )
     return _descriptor_poly(kind, payload).series(d)
 

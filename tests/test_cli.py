@@ -106,15 +106,18 @@ def test_ambiguity_certifies_dyck(tmp_path, capsys):
 
 
 def test_ambiguity_ignores_an_unreachable_cycle(tmp_path, capsys):
-    # A's epsilon cycle is unreachable from S, so the certificate stands;
-    # gamma still counts A's derivations for its series and refuses
+    # A's epsilon cycle is unreachable from S, so the certificate stands, and
+    # gamma counts S's series over the variables S reaches; kept, A refuses
     gf = write(
         tmp_path, "cyc.gf",
         "terminals: x\nvariables: S A B\nstart: S\nS -> x\nA -> A A | eps\nB -> x\n",
     )
     code, out, _ = run(capsys, ["ambiguity", gf])
     assert (code, out) == (0, "certified: unambiguous to degree 12\n")
-    code, _, err = run(capsys, ["gamma", gf])
+    code, out, _ = run(capsys, ["gamma", gf, "--max-deg", "6"])
+    assert code == 0
+    assert "polynomial: S + -t\nseries: 0,1,0,0,0,0,0\n" in out
+    code, _, err = run(capsys, ["gamma", gf, "--keep", "A"])
     assert (code, err) == (2, "input error: unit/epsilon cycle through A\n")
 
 
@@ -515,7 +518,7 @@ def test_count_off_by_one_is_a_math_failure(tmp_path, capsys, monkeypatch, comma
         real = csys.count_derivations
         monkeypatch.setattr(
             csys, "count_derivations",
-            lambda g, d: {j: _bump_top(c) for j, c in real(g, d).items()},
+            lambda g, d, root=None: {j: _bump_top(c) for j, c in real(g, d, root).items()},
         )
         with pytest.raises(NchilbertError):
             csys.gamma_algebraic(parse_grammar(IFTHENELSE), 12)
@@ -693,12 +696,12 @@ MALFORMED = {
         "g.gf", "terminals: a\nvariables: S A\nstart: S\nS -> a | A\nA -> A A\n",
         ["gamma", "--keep", "A"],
     ),
-    # A is productive, unreachable and on an epsilon cycle: counting every
-    # variable must refuse it at once
+    # A is productive, unreachable from S and on an epsilon cycle: S's series
+    # ignores it, but counting the kept A must refuse it at once
     "gamma-unreachable-epsilon-cycle": (
         "g.gf",
         "terminals: x\nvariables: S A B\nstart: S\nS -> x\nA -> A A | eps\nB -> x\n",
-        ["gamma"],
+        ["gamma", "--keep", "A"],
     ),
     "gamma-duplicate-production": (
         "g.gf", "terminals: x\nvariables: S\nstart: S\nS -> x | x\n", ["gamma"],

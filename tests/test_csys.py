@@ -5,6 +5,7 @@ import pytest
 from helpers import residual_series, solution_series
 from nchilbert import examples
 from nchilbert.csys import DEFAULT_CERT_DEG, build_system, gamma_algebraic
+from nchilbert.errors import DivergenceError
 from nchilbert.examples import DYCK, IFTHENELSE, LUKASIEWICZ
 from nchilbert.grammar import parse_grammar
 from nchilbert.multipoly import MultiPolynomial
@@ -56,6 +57,21 @@ def test_gamma_with_unproductive_variables():
     res = gamma_algebraic(parse_grammar(UNPRODUCTIVE), 6)
     assert res.poly.degree == 1
     assert list(res.series.coeffs) == [0, 1, 0, 0, 0, 0, 0]
+
+
+# A's epsilon cycle makes its counts infinite, but S does not reach A
+UNREACHABLE_CYCLE = "terminals: x\nvariables: S A B\nstart: S\nS -> x\nA -> A A | eps\nB -> x"
+
+
+def test_gamma_ignores_an_unreachable_cycle():
+    g = parse_grammar(UNREACHABLE_CYCLE)
+    assert build_system(g).unknowns == ("S", "A", "B")  # the system keeps A
+    res = gamma_algebraic(g, 6)
+    assert res.poly.degree == 1 and res.certified
+    assert list(res.series.coeffs) == [0, 1, 0, 0, 0, 0, 0]
+    assert list(gamma_algebraic(g, 6, keep="B").series.coeffs) == [0, 1, 0, 0, 0, 0, 0]
+    with pytest.raises(DivergenceError):
+        gamma_algebraic(g, 6, keep="A")
 
 
 def system_by_terms(g):

@@ -277,6 +277,11 @@ def test_count_derivations_unreachable_epsilon_cycle():
     )
     with pytest.raises(DivergenceError):
         count_derivations(g, 12)
+    with pytest.raises(DivergenceError):
+        count_derivations(g, 12, 1)
+    # counted from S, only the variables S reaches are counted
+    assert g.reached_from(g.start) == g.live == {0} and g.reached_from(1) == {1}
+    assert count_derivations(g, 4, g.start) == {0: [0, 1, 0, 0, 0], 1: [0] * 5, 2: [0] * 5}
     assert set(enumerate_words(g, 12).words) == {b"\x00"}
     # the certificate counts over the live variables, as the enumeration does
     assert certify_unambiguous(g, 12) == (True, None)

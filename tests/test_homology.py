@@ -183,7 +183,7 @@ def test_govorov_window_built_once_per_l1_and_degree(monkeypatch):
     l1 = TruncatedLanguage(XY, 8, flang("x x", "x y x").words)
     for m in range(1, 7):
         govorov_chains_trunc(l1, m, 8)
-    assert calls == [8]
+    assert calls == [3]  # min(d, the longest word of L1): x y x
 
 
 def _four_scan_window(l1, d):
@@ -228,6 +228,47 @@ def test_govorov_window_matches_four_scans():
         assert window == _four_scan_window(l1, 3)
         assert (b"", math.inf, -1, -1, -1) in window
         assert (b"\x01", math.inf, math.inf, math.inf, -1) in window
+
+
+def test_govorov_window_matches_four_scans_beyond_antichains():
+    # the ideal stops at L1's longest word: non-antichains, words longer than
+    # d/2, words beyond d in a wider window, and an empty L1
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(150):
+        n = rng.choice((1, 2, 3))
+        alphabet = Alphabet(list("xyz"[:n]))
+        d = rng.randint(0, 7 if n == 3 else 9)
+        window = d + rng.choice((0, 0, 1, 2))
+        words = {bytes(rng.randrange(n) for _ in range(rng.randint(1, max(window, 1))))
+                 for _ in range(rng.choice((0, 1, 2, 3, 4)))}
+        words = {w for w in words if len(w) <= window}
+        l1 = TruncatedLanguage(alphabet, window, frozenset(words))
+        assert set(homology._govorov_window(l1, d)) == _four_scan_window(l1, d), (words, d)
+        seen.add(("antichain", is_antichain(FiniteLanguage(alphabet, frozenset(words)))))
+        seen.add(("long", any(2 * len(w) > d for w in words if len(w) <= d)))
+        seen.add(("beyond d", any(len(w) > d for w in words)))
+        seen.add(("empty", not words))
+    wanted = {(flag, value) for flag in ("antichain", "long", "beyond d", "empty")
+              for value in (True, False)}
+    assert wanted <= seen
+
+
+@pytest.mark.parametrize("text, degrees, nonempty", [
+    (DYCK, range(9), False),  # eps in L1: every count infinite
+    (DYCK, range(2, 10), True),
+    (LUKASIEWICZ, range(1, 9), False),
+    (TRIPLE_L1, (5, 6, 7, 8), False),
+], ids=["dyck", "dyck-nonempty", "lukasiewicz", "triple"])
+def test_govorov_window_on_grammar_windows(text, degrees, nonempty):
+    # a grammar's window has a word of length d or d - 1: the ideal is cut
+    # at most one letter short of d
+    g = parse_grammar(text)
+    for d in degrees:
+        words = enumerate_words(g, d).words - ({b""} if nonempty else set())
+        assert max(map(len, words)) in (d, d - 1)
+        l1 = TruncatedLanguage(g.terminals, d, words)
+        assert set(homology._govorov_window(l1, d)) == _four_scan_window(l1, d), d
 
 
 def test_govorov_window_serves_no_stale_chains():
