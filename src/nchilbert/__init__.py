@@ -1,7 +1,7 @@
 """Hilbert series of noncommutative monomial algebras.
 
 Chain-language homology, unambiguous grammar enumeration, algebraic systems
-over Q(t), lex Groebner elimination, and truncated Groebner-Shirshov bases,
+in Z[t], lex Groebner elimination, and truncated Groebner-Shirshov bases,
 all in exact rational arithmetic.
 """
 
@@ -43,7 +43,7 @@ from .regular import (
     right_quotient,
 )
 from .ratfunc import QPoly, RationalFunction, TruncatedSeries
-from .multipoly import MultiPolynomial, RatPoly
+from .multipoly import RatPoly
 from .groebner import assert_groebner, buchberger_lex, eliminate_univariate
 from .newton import newton_series, reciprocal_poly
 from .csys import build_system, gamma_algebraic, gamma_linear

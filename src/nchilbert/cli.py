@@ -25,7 +25,7 @@ from .errors import (
     RootMismatchError,
 )
 from .examples import REGISTRY, run_example
-from .grammar import certify_unambiguous, enumerate_words, format_grammar, parse_grammar
+from .grammar import certify_unambiguous, format_grammar, parse_grammar
 from .gsb import compare_leading, gs_complete, leading_language, parse_presentation
 from .homology import (
     HomologySpec,
@@ -132,7 +132,7 @@ def cmd_gamma(args):
     res = gamma_algebraic(g, args.max_deg, cert_deg=args.cert_deg, keep=args.keep)
     rep = Report(args.format)
     rep.add("unknown", args.keep or g.variables.symbols[g.start])
-    rep.add("polynomial", repr(res.poly.cleared()))
+    rep.add("polynomial", repr(res.poly))
     rep.series("series", res.series)
     _cert_line(rep, res.certified, res.cert_bound, res.counterexample, g.terminals)
     rep.flush()
@@ -200,14 +200,6 @@ def cmd_govorov_chains(args):
     return 0
 
 
-def _descriptor_words(kind, payload, c):
-    if kind == "finite":
-        return {w for w in payload.words if len(w) <= c}
-    if kind == "grammar":
-        return set(enumerate_words(payload, c).words)
-    return None
-
-
 def _verify_chains(spec, c, rep):
     """One chain-i-verify line per chain i >= 2, then one for the chain after
     the last given one, which must be empty to degree c; False if any line
@@ -220,14 +212,14 @@ def _verify_chains(spec, c, rep):
     for i in range(2, len(spec.descriptors) + 1):
         got = govorov_chains_trunc(l1, i, c)
         kind, payload = spec.descriptors[i - 1]
-        want = _descriptor_words(kind, payload, c)
+        want = chain_relations(kind, payload)
         if want is None:
             # rational descriptor: compare coefficient counts only
             want_counts = payload.series(c)
             got_counts = got.counts(c)
             ok = all(want_counts[k] == got_counts[k] for k in range(c + 1))
         else:
-            ok = want == set(got.words)
+            ok = want.words_upto(c) == set(got.words)
         rep.add("chain-%d-verify" % i, "ok to degree %d" % c if ok else "MISMATCH")
         all_ok = all_ok and ok
     nxt = len(spec.descriptors) + 1
@@ -276,7 +268,7 @@ def _hilbert_report(rep, spec, args):
         rep.add("gldim", "infinite")
         for key, gamma in zip(("gamma-R", "gamma-Rp", "gamma-Q"), u.gammas()):
             rep.add(key, repr(gamma))
-    rep.add("euler-polynomial", repr(res.poly_e.cleared()))
+    rep.add("euler-polynomial", repr(res.poly_e))
     rep.add("hilbert-polynomial", repr(res.poly_h.cleared()))
     if res.closed_form:
         rep.add("closed-form", res.closed_form)

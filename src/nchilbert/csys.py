@@ -1,4 +1,4 @@
-"""From grammars to algebraic systems over Q(t) and back to counting series.
+"""From grammars to algebraic systems in Z[t] and back to counting series.
 
 Each production contributes its commutative image: terminals become t, the
 variable multiset survives.  For an unambiguous grammar the tuple of counting
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .errors import InputError
 from .grammar import count_derivations, certify_unambiguous
 from .groebner import eliminate_univariate
-from .multipoly import MultiPolynomial
 from .newton import newton_series
 from .ratfunc import QPoly, TruncatedSeries
 
@@ -23,12 +22,14 @@ DEFAULT_CERT_DEG = 12
 @dataclass(frozen=True)
 class AlgebraicSystem:
     unknowns: tuple  # the head of each equation
-    equations: tuple  # MultiPolynomial, one per unknown, A_i - sum of images
+    # one term dict per unknown, slot j for unknowns[j]: {exponents: QPoly}
+    equations: tuple
 
 
 def build_system(g):
     """One unknown per productive variable, whose equation is the unknown
-    minus each body's commutative image: t^(#terminals) times its unknowns.
+    minus each body's commutative image, t^(#terminals) times its unknowns,
+    as a term dict with no zero term.
     An unproductive variable's series is 0, so it is no unknown and a body
     that uses it is dropped; an unproductive start is an InputError."""
     if g.start not in g.productive:
@@ -51,7 +52,7 @@ def build_system(g):
                         exps[slot[s]] += 1
                 key, t_deg = tuple(exps), len(rhs) - sum(exps)
                 terms[key] = terms.get(key, QPoly()) - QPoly.t_power(t_deg)
-        equations.append(MultiPolynomial(names, terms))
+        equations.append({e: c for e, c in terms.items() if c})
     return AlgebraicSystem(names, tuple(equations))
 
 
@@ -62,7 +63,7 @@ def gamma_linear(g):
     The start unknown is eliminated as in gamma_algebraic, so the result
     passes assert_groebner and the run is bounded by Buchberger's pair cap
     (2000 S-pairs reduced; the pairs its criteria skip are not counted).  A
-    linear system leaves a monic S - c, and its root c is the series; any
+    linear system leaves p1*S + p0, and its root -p0/p1 is the series; any
     other degree raises InputError.
     """
     system = build_system(g)
@@ -72,12 +73,12 @@ def gamma_linear(g):
             "start unknown's polynomial has degree %d; a linear grammar gives 1"
             % poly.degree
         )
-    return -poly[0]
+    return -poly[0] / poly[1]
 
 
 @dataclass(frozen=True)
 class GammaResult:
-    poly: object  # the elimination ideal's monic generator in the start unknown
+    poly: object  # the elimination ideal's generator in the kept unknown, cleared
     series: TruncatedSeries
     cert_bound: int
     certified: bool

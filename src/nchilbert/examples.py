@@ -107,7 +107,7 @@ def example_ifthenelse(max_deg=20):
         report.check(
             "poly_%s" % name,
             res.poly.proportional_to(expected),
-            repr(res.poly.cleared()),
+            repr(res.poly),
         )
     res = results["S"]
     expected = [comb(k, k // 2) for k in range(max_deg + 1)]
@@ -268,7 +268,7 @@ def _chain_checks(report, result, series, quad):
         report.check(
             "quadratic",
             result.poly_e.proportional_to(ratpoly("E", quad)),
-            repr(result.poly_e.cleared()),
+            repr(result.poly_e),
         )
     report.check("certified", all(ok for _, ok, _ in result.certifications))
     report.info("series_out", ",".join(str(c) for c in result.series.coeffs))

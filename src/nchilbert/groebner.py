@@ -1,27 +1,26 @@
 """Buchberger's algorithm for the lexicographic order, run fraction-free
-in Z[t][X], plus univariate elimination over Q(t) from the reduced lex basis
-of a system whose unknowns with equal equations are merged first.
+in Z[t][X], plus univariate elimination from the reduced lex basis of a
+system whose unknowns with equal equations are merged first.
 
 Lex order is plain tuple order on exponent vectors, the first variable
 highest: the leading monomial of p is `max(p)`.
 
-Inside the loop a polynomial is a dict from exponent vectors to nonzero
-integer polynomials in t (`QPoly`s with int coefficients), and every basis
-element is primitive: its content, the gcd of its coefficients in Z[t], is
-taken out, and its leading coefficient's leading integer is positive.  A
-reduction step is a pseudo-division step (Knuth, TAOCP 2, 4.6.1): to cancel
-the top term c x^e with g, whose leading coefficient is a, the remainder is
-scaled by a/h and (c/h) x^(e - lt g) g is subtracted, h = gcd(a, c).  The
-content is taken out once per remainder, as in the primitive remainder
-sequence of Brown & Traub (1971).  Only the final reduced basis is made
-monic over Q(t).
+A polynomial is a term dict from exponent vectors to nonzero integer
+polynomials in t (`QPoly`s with int coefficients), as `build_system` writes
+it, and every basis element is primitive: its content, the gcd of its
+coefficients in Z[t], is taken out, and its leading coefficient's leading
+integer is positive.  A reduction step is a pseudo-division step (Knuth,
+TAOCP 2, 4.6.1): to cancel the top term c x^e with g, whose leading
+coefficient is a, the remainder is scaled by a/h and (c/h) x^(e - lt g) g
+is subtracted, h = gcd(a, c).  The content is taken out once per
+remainder, as in the primitive remainder sequence of Brown & Traub (1971).
+The reduced basis is returned in this primitive form, never made monic: a
+nonzero scalar of Q(t) changes neither the ideal nor reduction to zero.
 
 The postcondition `assert_groebner` proves the same statement as reducing
 every S-pair: a pair whose leading monomials are coprime reduces to zero by
 Buchberger's first criterion (Gebauer & Moeller 1988), so only the other
-pairs are reduced.  It works on Z[t] multiples of the Q(t) basis, each
-element times the product of its distinct denominators: a nonzero scalar
-does not change reduction to zero.
+pairs are reduced.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from math import gcd, lcm
 from operator import add, itemgetter, le, mul, sub
 
 from .errors import EliminationError, ResourceCapError
-from .multipoly import MultiPolynomial, integral_terms, primitive_terms
-from .ratfunc import RF_ZERO, QPoly, RationalFunction, _zgcd
+from .multipoly import RatPoly, primitive_terms, rename_terms
+from .ratfunc import QPoly, _zgcd
 from .regular import refine
 
 _ZERO = QPoly()
@@ -110,10 +109,11 @@ def reduce_poly(f, basis, g=None):
 
 
 def buchberger_lex(gens, cap=2000):
-    """Reduced lex Groebner basis over Q(t), sorted by leading monomial, each
-    element monic.  The cap counts the S-pairs that are reduced, not those
+    """Reduced lex Groebner basis over Q(t) of the term dicts gens, sorted by
+    leading monomial, each element primitive in Z[t][X] with a positive
+    leading integer.  The cap counts the S-pairs that are reduced, not those
     the criteria skip."""
-    basis = [primitive_terms(integral_terms(g.terms)) for g in gens if g]
+    basis = [primitive_terms(g) for g in gens if g]
     if not basis:
         return []
     lts = [max(g) for g in basis]
@@ -168,19 +168,15 @@ def buchberger_lex(gens, cap=2000):
     out = []
     for g in sorted(keep, key=max):
         out.append(reduce_poly(g, out))
-    return [
-        MultiPolynomial(gens[0].variables, {e: RationalFunction(c, a) for e, c in g.items()})
-        for g, a in zip(out, [g[max(g)] for g in out])
-    ]
+    return out
 
 
 def assert_groebner(basis, gens):
     """Postconditions: every input reduces to zero modulo the basis, and every
     S-pair does too.  Pairs with coprime leading monomials are not reduced:
     Buchberger's first criterion proves they reduce to zero."""
-    basis = [integral_terms(g.terms) for g in basis]
     for g in gens:
-        if reduce_poly(integral_terms(g.terms), basis):
+        if reduce_poly(g, basis):
             raise EliminationError("input does not reduce to zero modulo the basis")
     lts = [max(g) for g in basis]
     for i in range(len(basis)):
@@ -195,7 +191,8 @@ def merge_unknowns(system, keep):
     """Each unknown's representative, the first unknown of its class.  The
     classes are refined from {keep} and the other unknowns until the members
     of each class have equal equations once every unknown is renamed to its
-    class; equations[i] is the equation of unknowns[i], X - F(X).
+    class; equations[i] is the equation of unknowns[i], X - F(X) up to a
+    factor in Z[t], and its slot j is unknowns[j].
 
     Moore's refinement (`regular.refine`) compares integer signatures: per
     term of the renamed equation, the sorted classes of its unknowns, with
@@ -209,7 +206,6 @@ def merge_unknowns(system, keep):
     members of a class equal values, since their renamed equations are
     equal, so merged unknowns have equal series.
     """
-    pos = {name: i for i, name in enumerate(system.unknowns)}
     ids, coeffs = {}, []  # coefficient -> id, id -> coefficient
 
     def coeff_id(c):
@@ -220,13 +216,13 @@ def merge_unknowns(system, keep):
 
     @cache
     def summed(cids):
-        return coeff_id(sum((coeffs[i] for i in cids), RF_ZERO))
+        return coeff_id(sum((coeffs[i] for i in cids), _ZERO))
 
-    zero = coeff_id(RF_ZERO)
+    zero = coeff_id(_ZERO)
     terms = [
         [
-            (tuple(pos[v] for v, k in zip(eq.variables, e) for _ in range(k)), coeff_id(c))
-            for e, c in eq.terms.items()
+            (tuple(j for j, k in enumerate(e) for _ in range(k)), coeff_id(c))
+            for e, c in eq.items()
         ]
         for eq in system.equations
     ]
@@ -250,26 +246,28 @@ def merge_unknowns(system, keep):
 
 
 def eliminate_univariate(system, keep):
-    """Monic generator of the elimination ideal in `keep` of the merged
-    system: unknowns with equal equations are merged first (merge_unknowns),
-    and the representatives are renamed to the others in reverse declaration
-    order, then `keep` lowest, so the checked reduced basis has it first, if
-    it has one.  The generator annihilates keep's series but can be
-    reducible."""
+    """Generator of the elimination ideal in `keep` of the merged system, the
+    reduced basis element in keep alone, primitive in Z[t] with a positive
+    leading integer: unknowns with equal equations are merged first
+    (merge_unknowns), and the representatives are renamed to the others in
+    reverse declaration order, then `keep` lowest, so the checked reduced
+    basis has it first, if it has one.  The generator annihilates keep's
+    series but can be reducible."""
     if not system.equations:
         raise EliminationError("empty generating set")
     if keep not in system.unknowns:
         raise EliminationError("unknown variable %r" % (keep,))
     rep = merge_unknowns(system, keep)
-    reps = [v for v in system.equations[0].variables if rep[v] == v]
+    reps = [v for v in system.unknowns if rep[v] == v]
     order = tuple(v for v in reversed(reps) if v != keep) + (keep,)
     gens = [
-        eq.rename(rep, order)
+        rename_terms(eq, system.unknowns, rep, order)
         for u, eq in zip(system.unknowns, system.equations)
         if rep[u] == u
     ]
     basis = buchberger_lex(gens)
     assert_groebner(basis, gens)
-    if not basis or any(max(basis[0].terms)[:-1]):
+    if not basis or any(max(basis[0])[:-1]):
         raise EliminationError("elimination ideal contains no univariate relation")
-    return basis[0].restrict_univariate(keep)
+    coeffs = {e[-1]: c for e, c in basis[0].items()}
+    return RatPoly(keep, [coeffs.get(k, _ZERO) for k in range(max(coeffs) + 1)])

@@ -34,7 +34,7 @@ from .grammar import (
     parse_grammar,
 )
 from .groebner import eliminate_univariate
-from .multipoly import MultiPolynomial
+from .multipoly import rename_terms
 from .newton import newton_series, reciprocal_poly
 from .ratfunc import QPoly, RationalFunction, TruncatedSeries
 from .regular import ideal_automaton
@@ -131,9 +131,7 @@ def _govorov_window(L1, d):
     ideal = trunc_ideal(L1, ell).words
     b = L1.min_length_bound()
     pad = full_language(L1.alphabet, max(d - b, 0))
-    candidates = trunc_boolean(
-        trunc_product(L1, pad, d), trunc_product(pad, L1, d), "intersection"
-    )
+    candidates = trunc_boolean(trunc_product(L1, pad, d), trunc_product(pad, L1, d))
     if EMPTY in ideal:
         inf = math.inf
         return tuple(
@@ -335,7 +333,7 @@ def _descriptor_poly(kind, payload):
 
 @dataclass(frozen=True)
 class HilbertResult:
-    poly_e: object  # monic eliminant annihilating the Euler characteristic
+    poly_e: object  # cleared eliminant annihilating the Euler characteristic
     poly_h: object  # its reciprocal, annihilating the Hilbert series
     series: TruncatedSeries
     closed_form: str = None
@@ -358,52 +356,61 @@ def assemble_system(spec):
 
     For chains, E = 1 - n*t + E1 - E2 + ...; for a sandwich, with gR, gR'
     and gQ from Uchain2Spec.gammas, (E - 1 + n*t)(1 + gQ*E1) = gR*gR'*E1.
-    A grammar's start unknown is renamed to its E_i.  Auxiliary grammar
-    variables sharing a name across chains are merged and must carry
+    A rational descriptor p/q gives q*E_i - p, from its canonical pair in
+    Z[t].  A grammar's start unknown is renamed to its E_i.  Auxiliary
+    grammar variables sharing a name across chains are merged and must carry
     identical production sets (the usual shared-counter pattern).
     """
     names = ["E"]
     systems = {}
     for i, (kind, payload) in enumerate(spec.terms, start=1):
-        names.append("E%d" % i)
-        if kind == "grammar":
-            start = payload.variables.symbols[payload.start]
-            system = build_system(payload)
-            systems[i] = ({start: "E%d" % i}, system)
-            for sym in system.unknowns:
-                if sym == start:
-                    continue
-                if sym == "E" or re.fullmatch(r"E\d+", sym):
-                    raise InputError("auxiliary variable name %r is reserved" % sym)
-                if sym not in names:
-                    names.append(sym)
+        e_name = "E%d" % i
+        if kind != "grammar":
+            names.append(e_name)
+            continue
+        start = payload.variables.symbols[payload.start]
+        system = build_system(payload)
+        systems[i] = ({start: e_name}, system)
+        for sym in system.unknowns:
+            if sym != start and (sym == "E" or re.fullmatch(r"E\d+", sym)):
+                raise InputError("auxiliary variable name %r is reserved" % sym)
+            name = e_name if sym == start else sym
+            if name not in names:
+                names.append(name)
     names = tuple(names)
 
-    shift = RationalFunction.t_power(1) * spec.n - 1
-    eceq = MultiPolynomial.var(names, "E") + shift
+    def monomial(*unknowns):
+        exps = [0] * len(names)
+        for v in unknowns:
+            exps[names.index(v)] += 1
+        return tuple(exps)
+
+    shift = QPoly((-1, spec.n))
+    eceq = {monomial("E"): QPoly.const(1), monomial(): shift}
     if spec.uchain2 is not None:
-        g_r, g_rp, g_q = spec.uchain2.gammas()
-        both = (1, 1) + (0,) * (len(names) - 2)  # the monomial E * E1
-        eceq = eceq + MultiPolynomial.monomial(names, both, g_q)
-        eceq = eceq + MultiPolynomial.var(names, "E1", shift * g_q - g_r * g_rp)
+        # the gammas of finite word sets are polynomials: zden is 1
+        g_r, g_rp, g_q = (g.znum for g in spec.uchain2.gammas())
+        eceq[monomial("E", "E1")] = g_q
+        eceq[monomial("E1")] = shift * g_q - g_r * g_rp
     else:
         for i in range(1, len(spec.descriptors) + 1):
-            eceq = eceq + MultiPolynomial.var(names, "E%d" % i, (-1) ** i)
+            eceq[monomial("E%d" % i)] = QPoly.const((-1) ** i)
 
     heads = {"E": eceq}
     for i, (kind, payload) in enumerate(spec.terms, start=1):
         e_name = "E%d" % i
         if kind != "grammar":
             value = _descriptor_poly(kind, payload)
-            heads[e_name] = MultiPolynomial.var(names, e_name) - value
+            heads[e_name] = {monomial(e_name): value.zden, monomial(): -value.znum}
             continue
         rename, system = systems[i]
         for sym, eq in zip(system.unknowns, system.equations):
             name = rename.get(sym, sym)
-            eq = eq.rename(rename, names)
+            eq = rename_terms(eq, system.unknowns, rename, names)
             if heads.setdefault(name, eq) != eq:  # only an auxiliary recurs
                 raise InputError("shared variable %r has conflicting equations" % name)
-    return AlgebraicSystem(tuple(heads), tuple(heads.values()))
+    equations = ({e: c for e, c in heads[v].items() if c} for v in names)
+    return AlgebraicSystem(names, tuple(equations))
 
 
 def hilbert_from_homology(spec, d, cert_deg=DEFAULT_CERT_DEG, check_oracle=None):

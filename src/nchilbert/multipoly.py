@@ -1,132 +1,21 @@
-"""Multivariate and univariate polynomials over Q(t), and their multiples in Z[t]."""
+"""Polynomials in the unknowns of an equation system, and univariate ones
+over Q(t).
+
+A polynomial in several unknowns is a term dict: each exponent vector, one
+slot per unknown, to its nonzero coefficient, an integer polynomial in t (a
+`QPoly` with int coefficients).  Equation systems are built, merged and
+eliminated in this form, so their coefficients stay in Z[t] throughout.
+`RatPoly` is the univariate eliminant, with coefficients in Q(t).
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
-from .errors import InputError
-from .ratfunc import QPoly, RationalFunction, RF_ONE, RF_ZERO, TruncatedSeries
+from .ratfunc import QPoly, RationalFunction, RF_ZERO, TruncatedSeries
 from .ratfunc import format_qpoly, primitive_part
 
-
-class MultiPolynomial:
-    """Terms map exponent vectors (one slot per variable) to Q(t) coefficients."""
-
-    __slots__ = ("variables", "terms")
-
-    def __init__(self, variables, terms=None):
-        self.variables = tuple(variables)
-        clean = {}
-        for exps, c in (terms or {}).items():
-            c = _as_rational(c)
-            if len(exps) != len(self.variables):
-                raise InputError("exponent vector length mismatch")
-            if c:
-                clean[tuple(exps)] = c
-        self.terms = clean
-
-    @classmethod
-    def const(cls, variables, c):
-        return cls(variables, {(0,) * len(variables): c})
-
-    @classmethod
-    def var(cls, variables, name, coeff=RF_ONE):
-        exps = [0] * len(variables)
-        exps[list(variables).index(name)] = 1
-        return cls(variables, {tuple(exps): coeff})
-
-    @classmethod
-    def monomial(cls, variables, exps, coeff):
-        return cls(variables, {tuple(exps): coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiPolynomial)
-            and self.variables == other.variables
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
-
-    def _check(self, other):
-        if self.variables != other.variables:
-            raise InputError("polynomials over different variable lists")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, QPoly, RationalFunction)):
-            other = MultiPolynomial.const(self.variables, other)
-        self._check(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, RF_ZERO) + c
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
-        return MultiPolynomial(self.variables, terms)
-
-    def __neg__(self):
-        return MultiPolynomial(
-            self.variables, {e: -c for e, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)  # __add__ takes a constant too
-
-    def __mul__(self, c):
-        """Scale every coefficient by a constant of Q(t)."""
-        c = _as_rational(c)
-        return MultiPolynomial(
-            self.variables, {e: a * c for e, a in self.terms.items()}
-        )
-
-    def restrict_univariate(self, name):
-        """View as a RatPoly in one variable; fails if others occur."""
-        i = self.variables.index(name)
-        coeffs = {}
-        for e, c in self.terms.items():
-            if any(k for j, k in enumerate(e) if j != i):
-                raise InputError("polynomial is not univariate in %s" % name)
-            coeffs[e[i]] = c
-        deg = max(coeffs, default=0)
-        return RatPoly(name, [coeffs.get(k, RF_ZERO) for k in range(deg + 1)])
-
-    def rename(self, mapping, variables):
-        """New variable list; exponents moved through the name mapping."""
-        idx = {name: i for i, name in enumerate(variables)}
-        terms = {}
-        for e, c in self.terms.items():
-            new = [0] * len(variables)
-            for i, k in enumerate(e):
-                if k:
-                    new[idx[mapping.get(self.variables[i], self.variables[i])]] += k
-            key = tuple(new)
-            s = terms.get(key, RF_ZERO) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return MultiPolynomial(variables, terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                "%s^%d" % (v, k) if k > 1 else v
-                for v, k in zip(self.variables, e)
-                if k
-            )
-            cs = "(%r)" % c
-            parts.append(cs + ("*" + mono if mono else ""))
-        return " + ".join(parts)
+_ZERO = QPoly()
 
 
 def _as_rational(c):
@@ -163,6 +52,26 @@ def primitive_terms(terms):
     if terms[max(terms)].coeffs[-1] < 0:
         k = -k
     return terms if k == 1 else {key: QPoly([x // k for x in c.coeffs]) for key, c in terms.items()}
+
+
+def rename_terms(terms, variables, mapping, new_variables):
+    """The term dict over `variables` as one over `new_variables`, each
+    variable v becoming mapping.get(v, v): terms that meet are summed, and
+    those that cancel are dropped."""
+    idx = {v: j for j, v in enumerate(new_variables)}
+    slots = [idx[mapping.get(v, v)] for v in variables]
+    out = {}
+    for e, c in terms.items():
+        new = [0] * len(new_variables)
+        for j, k in zip(slots, e):
+            new[j] += k
+        key = tuple(new)
+        s = out.get(key, _ZERO) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
 
 
 class RatPoly(QPoly):

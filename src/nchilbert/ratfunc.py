@@ -405,7 +405,6 @@ def _coerce(x):
 
 
 RF_ZERO = RationalFunction.const(0)
-RF_ONE = RationalFunction.const(1)
 
 
 class TruncatedSeries:
@@ -465,9 +464,6 @@ class TruncatedSeries:
 
     def __neg__(self):
         return TruncatedSeries([-c for c in self.coeffs], self.d)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         d = min(self.d, other.d)

@@ -105,9 +105,6 @@ class FiniteLanguage:
     def __len__(self):
         return len(self.words)
 
-    def __iter__(self):
-        return iter(self.sorted_words())
-
     def min_length(self):
         """Length of the shortest word; None when empty."""
         return min((len(w) for w in self.words), default=None)
@@ -143,17 +140,8 @@ class TruncatedLanguage:
             lang.__dict__["by_length"] = by_length
         return lang
 
-    def sorted_words(self):
-        return sorted(self.words, key=WORD_KEY)
-
-    def __contains__(self, word):
-        return word in self.words
-
     def __len__(self):
         return len(self.words)
-
-    def __iter__(self):
-        return iter(self.sorted_words())
 
     @cached_property
     def by_length(self):
@@ -254,8 +242,8 @@ def trunc_ideal(basis, d):
     return TruncatedLanguage._built(basis.alphabet, d, frozenset().union(*layers))
 
 
-def trunc_boolean(a, b, op):
-    """Set-theoretic union/intersection/difference, exact to the common bound."""
+def trunc_boolean(a, b):
+    """Set-theoretic intersection, exact to the common bound."""
     if a.alphabet != b.alphabet:
         raise InputError("boolean operation over different alphabets")
     d = min(a.d, b.d)
@@ -263,15 +251,7 @@ def trunc_boolean(a, b, op):
         lang.words if lang.d == d else {w for w in lang.words if len(w) <= d}
         for lang in (a, b)
     )
-    if op == "union":
-        res = wa | wb
-    elif op == "intersection":
-        res = wa & wb
-    elif op == "difference":
-        res = wa - wb
-    else:
-        raise InputError("unknown boolean op %r" % (op,))
-    return TruncatedLanguage._built(a.alphabet, d, frozenset(res))
+    return TruncatedLanguage._built(a.alphabet, d, frozenset(wa & wb))
 
 
 def content_lines(text):

@@ -25,9 +25,9 @@ def residual_series(system, assignment, d):
     out = []
     for eq in system.equations:
         total = TruncatedSeries([0] * (d + 1), d)
-        for e, c in eq.terms.items():
-            term = c.series(d)
-            for name, k in zip(eq.variables, e):
+        for e, c in eq.items():
+            term = TruncatedSeries.from_counts(c.coeffs, d)
+            for name, k in zip(system.unknowns, e):
                 for _ in range(k):
                     term = term * assignment[name]
             total = total + term

@@ -29,6 +29,7 @@ from nchilbert.groebner import (
     eliminate_univariate,
 )
 from nchilbert.homology import chains_finite, govorov_chains_trunc
+from nchilbert.multipoly import rename_terms
 from nchilbert.newton import newton_series
 from nchilbert.ratfunc import QPoly, RationalFunction, TruncatedSeries
 from nchilbert.words import (
@@ -163,12 +164,12 @@ def test_criterion_10_property_suites(capsys):
 
     # (b) Buchberger postconditions on every elimination order used here
     ok_b = True
-    equations = build_system(parse_grammar(IFTHENELSE)).equations
-    names = equations[0].variables
+    system = build_system(parse_grammar(IFTHENELSE))
+    names = system.unknowns
     for keep in ("S", "A", "B"):
         # eliminate_univariate's lex order: the others reversed, keep lowest
         order = tuple(v for v in reversed(names) if v != keep) + (keep,)
-        gens = [eq.rename({}, order) for eq in equations]
+        gens = [rename_terms(eq, names, {}, order) for eq in system.equations]
         basis = buchberger_lex(gens)
         try:
             assert_groebner(basis, gens)

@@ -26,6 +26,7 @@ from nchilbert.examples import (
     LUKAS1_CHAINS,
     LUKAS1_SERIES,
     LUKAS2_CHAINS,
+    TRIPLE_L1,
     _chain_spec,
     example_ifthenelse,
     ratpoly,
@@ -39,12 +40,14 @@ from nchilbert.groebner import (
     eliminate_univariate,
     merge_unknowns,
 )
-from nchilbert.homology import HomologySpec, hilbert_from_homology
-from nchilbert.multipoly import MultiPolynomial, RatPoly
+from nchilbert.homology import HomologySpec, assemble_system, hilbert_from_homology
+from nchilbert.multipoly import RatPoly, primitive_terms, rename_terms
 from nchilbert.newton import newton_series, reciprocal_poly
-from nchilbert.ratfunc import RF_ONE, QPoly, RationalFunction, TruncatedSeries
+from nchilbert.ratfunc import QPoly, RationalFunction, TruncatedSeries
 from nchilbert.regular import RegularLanguageHandle, ideal_automaton, myhill_nerode_grammar
 from nchilbert.words import Alphabet, FiniteLanguage, minimize_antichain
+
+ONE = RationalFunction.const(1)
 
 
 def test_gamma_rational_xystar():
@@ -55,7 +58,7 @@ def test_gamma_rational_xystar():
 
 def test_gamma_linear_trivial():
     g = parse_grammar("terminals: a\nvariables: A\nstart: A\nA -> eps")
-    assert gamma_linear(g) == RF_ONE
+    assert gamma_linear(g) == ONE
 
 
 def _random_antichain(rng):
@@ -98,10 +101,6 @@ def ifthenelse_system():
     return build_system(parse_grammar(IFTHENELSE))
 
 
-def ifthenelse_equations():
-    return list(ifthenelse_system().equations)
-
-
 def test_eliminate_keep_each_unknown():
     want = {
         "S": ratpoly("S", [[1], [-1, 2], [0, -1, 2]]),
@@ -110,26 +109,29 @@ def test_eliminate_keep_each_unknown():
     }
     for keep, expected in want.items():
         got = eliminate_univariate(ifthenelse_system(), keep)
-        assert got.proportional_to(expected), (keep, got.cleared())
+        assert got.proportional_to(expected), (keep, got)
+        assert got == got.cleared()
 
 
 def test_eliminate_trivial_binding():
+    # A = 1/(1 - t), as (1 - t) A - 1
     f = RationalFunction(QPoly((1,)), QPoly((1, -1)))
-    eq = MultiPolynomial.var(("A",), "A") - f
+    eq = {(1,): QPoly((1, -1)), (0,): QPoly((-1,))}
     out = eliminate_univariate(AlgebraicSystem(("A",), (eq,)), "A")
     assert out.degree == 1
-    assert out.proportional_to(RatPoly("A", [-f, RF_ONE]))
+    assert out.proportional_to(RatPoly("A", [-f, ONE]))
 
 
-def keep_lowest(gens, keep):
-    """gens renamed into eliminate_univariate's lex order: keep lowest."""
-    order = tuple(v for v in reversed(gens[0].variables) if v != keep) + (keep,)
-    return [g.rename({}, order) for g in gens]
+def keep_lowest(system, keep):
+    """The system's equations renamed into eliminate_univariate's lex order:
+    keep lowest."""
+    order = tuple(v for v in reversed(system.unknowns) if v != keep) + (keep,)
+    return [rename_terms(g, system.unknowns, {}, order) for g in system.equations]
 
 
 def test_buchberger_postconditions():
-    for keep in ifthenelse_equations()[0].variables:
-        gens = keep_lowest(ifthenelse_equations(), keep)
+    for keep in ifthenelse_system().unknowns:
+        gens = keep_lowest(ifthenelse_system(), keep)
         assert_groebner(buchberger_lex(gens), gens)
 
 
@@ -144,16 +146,17 @@ def x12_equations():
 
 
 def test_buchberger_basis_is_reduced():
-    # monic, and no term of an element is divisible by another's leading monomial
-    systems = [keep_lowest(ifthenelse_equations(), keep) for keep in "SAB"]
+    # primitive with a positive leading integer, and no term of an element is
+    # divisible by another's leading monomial
+    systems = [keep_lowest(ifthenelse_system(), keep) for keep in "SAB"]
     for gens in systems + [x12_equations()]:
         basis = buchberger_lex(gens)
-        leads = [max(g.terms) for g in basis]
+        leads = [max(g) for g in basis]
         for i, g in enumerate(basis):
-            assert g.terms[leads[i]] == RF_ONE
+            assert g == primitive_terms(g) and g[leads[i]].coeffs[-1] > 0
             for j, lead in enumerate(leads):
                 assert j == i or not any(
-                    all(a <= b for a, b in zip(lead, e)) for e in g.terms
+                    all(a <= b for a, b in zip(lead, e)) for e in g
                 )
 
 
@@ -172,7 +175,7 @@ def _fp_completion(cap):
 
 
 def _ifthenelse_buchberger(cap):
-    buchberger_lex(keep_lowest(ifthenelse_equations(), "S"), cap)
+    buchberger_lex(keep_lowest(ifthenelse_system(), "S"), cap)
 
 
 def _x_determinize(cap):
@@ -202,7 +205,7 @@ def test_cap_message_names_cap_and_value(case):
 
 
 def xy_poly(terms):  # lex with x > y
-    return MultiPolynomial(("x", "y"), terms)
+    return {e: QPoly.const(c) for e, c in terms.items()}
 
 
 X_1, Y_2 = xy_poly({(1, 0): 1, (0, 0): -1}), xy_poly({(0, 1): 1, (0, 0): -2})
@@ -232,18 +235,19 @@ def damaged_bases(basis):
     one element raised by 1."""
     for i, g in enumerate(basis):
         yield basis[:i] + basis[i + 1:]
-        for e in g.terms:
-            if e != max(g.terms):
-                terms = dict(g.terms)
+        for e in g:
+            if e != max(g):
+                terms = dict(g)
                 terms[e] = terms[e] + 1
-                yield basis[:i] + [MultiPolynomial(g.variables, terms)] + basis[i + 1:]
+                terms = {u: c for u, c in terms.items() if c}
+                yield basis[:i] + [terms] + basis[i + 1:]
 
 
 def test_assert_groebner_rejects_a_damaged_basis():
     # a damaged reduced basis with all inputs and S-pairs reducing to zero
     # would be a reduced Groebner basis of the same ideal, which is unique
     for keep in "SAB":
-        gens = keep_lowest(ifthenelse_equations(), keep)
+        gens = keep_lowest(ifthenelse_system(), keep)
         basis = buchberger_lex(gens)
         assert_groebner(basis, gens)
         damaged = list(damaged_bases(basis))
@@ -279,7 +283,7 @@ def test_series_below_derivative_valuation(d):
 
 
 def test_reciprocal_poly_examples():
-    p = RatPoly("E", [RationalFunction.const(-2), RF_ONE])
+    p = RatPoly("E", [RationalFunction.const(-2), ONE])
     q = reciprocal_poly(p, "H")
     assert q.proportional_to(ratpoly("H", [[1], [-2]]))
     abc = ratpoly("E", [[3], [0, 5], [7]])
@@ -331,7 +335,7 @@ def test_ratpoly_squarefree_part():
     # (E - r)^2 (E - s) over Q(t) goes through RatPoly's field Euclid
     r = RationalFunction(QPoly((1,)), QPoly((1, -1)))
     s = RationalFunction(QPoly((0, 2)), QPoly((3, 0, 1)))
-    e_r, e_s = RatPoly("E", [-r, RF_ONE]), RatPoly("E", [-s, RF_ONE])
+    e_r, e_s = RatPoly("E", [-r, ONE]), RatPoly("E", [-s, ONE])
     assert (e_r * e_r * e_s).squarefree_part() == e_r * e_s
 
 
@@ -429,11 +433,13 @@ def sympy_poly(sympy, p, keep):
     return sympy.Poly(expr, sympy.Symbol(keep), domain=field)
 
 
-def sympy_coeff(c, t):
-    def value(q):
-        return sum(x * t**i for i, x in enumerate(q.coeffs))
+def sympy_value(q, t):
+    """The QPoly q as a sympy expression in t."""
+    return sum(x * t**i for i, x in enumerate(q.coeffs))
 
-    return value(c.znum) / value(c.zden)
+
+def sympy_coeff(c, t):
+    return sympy_value(c.znum, t) / sympy_value(c.zden, t)
 
 
 def sympy_eliminants(sympy, system, keep):
@@ -445,8 +451,8 @@ def sympy_eliminants(sympy, system, keep):
     names = {v: sympy.Symbol(v) for v in system.unknowns}
     polys = [
         sum(
-            sympy_coeff(c, t) * sympy.Mul(*(names[v] ** k for v, k in zip(eq.variables, e)))
-            for e, c in eq.terms.items()
+            sympy_value(c, t) * sympy.Mul(*(names[v] ** k for v, k in zip(system.unknowns, e)))
+            for e, c in eq.items()
         )
         for eq in system.equations
     ]
@@ -500,13 +506,7 @@ def test_build_system_images():
     system = build_system(g)
     eq = system.equations[system.unknowns.index("S")]
     # S - 1 - t^2 S^2
-    t2 = RationalFunction.t_power(2)
-    expected = (
-        MultiPolynomial.var(("S",), "S")
-        - 1
-        - MultiPolynomial.monomial(("S",), (2,), t2)
-    )
-    assert eq == expected
+    assert eq == {(1,): QPoly.const(1), (0,): QPoly.const(-1), (2,): QPoly.t_power(2, -1)}
 
 
 # ---------------------------------------------------------------------------
@@ -565,16 +565,51 @@ def test_merge_sums_the_terms_that_meet():
 def test_merge_drops_terms_that_cancel():
     # X = t*A - t*B is 0 once B merges into A, so X and Y = 0 merge
     names = ("S", "X", "Y", "A", "B")
-    t = RationalFunction.t_power(1)
-    a, b = (MultiPolynomial.var(names, v) for v in "AB")
+    one, t = QPoly.const(1), QPoly.t_power(1)
+    s, x, y, a, b = (tuple(int(u == v) for u in names) for v in names)
     system = AlgebraicSystem(names, (
-        MultiPolynomial.var(names, "S") - MultiPolynomial.monomial(names, (0, 1, 1, 0, 0), RF_ONE),
-        MultiPolynomial.var(names, "X") - a * t + b * t,
-        MultiPolynomial.var(names, "Y"),
-        a - 1 - MultiPolynomial.monomial(names, (0, 0, 0, 2, 0), t),
-        b - 1 - MultiPolynomial.monomial(names, (0, 0, 0, 0, 2), t),
+        {s: one, (0, 1, 1, 0, 0): -one},
+        {x: one, a: -t, b: t},
+        {y: one},
+        {a: one, (0,) * 5: -one, (0, 0, 0, 2, 0): -t},
+        {b: one, (0,) * 5: -one, (0, 0, 0, 0, 2): -t},
     ))
     assert merge_unknowns(system, "S") == {"S": "S", "X": "X", "Y": "X", "A": "A", "B": "A"}
+
+
+def test_rename_terms_sums_and_cancels():
+    one, t = QPoly.const(1), QPoly.t_power(1)
+    # A + t B -> (1 + t) A: the terms meet and are summed
+    assert rename_terms({(1, 0): one, (0, 1): t}, "AB", {"B": "A"}, "A") == {(1,): one + t}
+    # t A - t B + 1 -> 1: the terms meet and cancel
+    got = rename_terms({(1, 0): t, (0, 1): -t, (0, 0): one}, "AB", {"B": "A"}, "A")
+    assert got == {(0,): one}
+    # no mapping: the exponents follow the unknowns into their new slots
+    assert rename_terms({(2, 1): t, (0, 1): one}, "AB", {}, "BA") == {(1, 2): t, (1, 0): one}
+
+
+# chain 2 of triple as the rational descriptor t^6 / (1 - t^3)
+TRIPLE_GAMMA2 = RationalFunction(QPoly.t_power(6), QPoly((1, 0, 0, -1)))
+
+
+def test_rational_descriptor_equation_is_cleared():
+    # E2 - t^6/(1 - t^3) is q E2 - p for the canonical pair p/q in Z[t],
+    # whose q has a positive leading integer: (t^3 - 1) E2 + t^6
+    spec = HomologySpec(3, (("grammar", parse_grammar(IFTHENELSE)), ("rational", TRIPLE_GAMMA2)))
+    system = assemble_system(spec)
+    assert system.unknowns == ("E", "E1", "A", "B", "E2")
+    e2 = tuple(int(u == "E2") for u in system.unknowns)
+    assert system.equations[-1] == {e2: QPoly((-1, 0, 0, 1)), (0,) * 5: QPoly.t_power(6)}
+
+
+def test_equal_rational_descriptors_merge():
+    # triple's chain 1 grammar, then t^6/(1 - t^3) twice; A and B of the
+    # grammar count x^n y^n and y^n z^n, and merge too
+    chains = (("grammar", parse_grammar(TRIPLE_L1)),) + (("rational", TRIPLE_GAMMA2),) * 2
+    system = assemble_system(HomologySpec(3, chains))
+    assert system.unknowns == ("E", "E1", "A", "B", "E2", "E3")
+    rep = merge_unknowns(system, "E")
+    assert rep == {"E": "E", "E1": "E1", "A": "A", "B": "A", "E2": "E2", "E3": "E2"}
 
 
 def test_x12_system_merges_nothing():

@@ -447,6 +447,22 @@ def test_hilbert_oracle_line(tmp_path, capsys, max_deg, cert_deg, k):
     assert out.splitlines()[-1] == "series-vs-oracle: ok to degree %d" % k
 
 
+@pytest.mark.parametrize("max_deg, code", [(7, 0), (8, 1)])
+def test_hilbert_reports_an_ambiguous_chain_grammar(tmp_path, capsys, max_deg, code):
+    # x x y y z z a c is also x x y y z z T c with T -> a: chain 3 counts it
+    # twice, which the series shows only from degree 8 on
+    spec = _lukas1_spec(tmp_path)
+    body = "S -> x x y y z z T c | x x z y z z T c"
+    write(tmp_path, "c3.gf", LUKAS1_CHAINS[2].replace(body, body + " | x x y y z z a c"))
+    got, out, err = run(capsys, ["hilbert", spec, "--max-deg", str(max_deg)])
+    assert got == code
+    if code == 0:
+        assert "chain-3-grammar: ambiguity counterexample found" in out.splitlines()
+        assert out.splitlines()[-1] == "series-vs-oracle: ok to degree 7"
+    else:
+        assert err == "mathematical failure: Hilbert series disagrees with the oracle to degree 8\n"
+
+
 @pytest.mark.parametrize("text, why", [
     ("n: 2\nchain 1: rational t^2\n", "chain 1 is rational"),
     ("n: 2\n", "chain 1 is absent"),

@@ -8,8 +8,7 @@ from nchilbert.csys import DEFAULT_CERT_DEG, build_system, gamma_algebraic
 from nchilbert.errors import DivergenceError
 from nchilbert.examples import DYCK, IFTHENELSE, LUKASIEWICZ
 from nchilbert.grammar import parse_grammar
-from nchilbert.multipoly import MultiPolynomial
-from nchilbert.ratfunc import RationalFunction
+from nchilbert.ratfunc import QPoly
 
 
 def test_gamma_algebraic_lukasiewicz():
@@ -81,15 +80,14 @@ def system_by_terms(g):
     names = tuple(g.variables.symbols[j] for j in sorted(g.productive))
     equations = []
     for name in names:
-        eq = MultiPolynomial.var(names, name)
+        eq = {tuple(int(x == name) for x in names): QPoly.const(1)}
         for var, rhs in g.productions:
             used = [g.sym_text(s) for s in rhs if g.is_var(s)]
             if g.variables.symbols[var] != name or not set(used) <= set(names):
                 continue
-            exps = [used.count(x) for x in names]
-            coeff = RationalFunction.t_power(len(rhs) - len(used))
-            eq = eq - MultiPolynomial.monomial(names, exps, coeff)
-        equations.append(eq)
+            exps = tuple(used.count(x) for x in names)
+            eq[exps] = eq.get(exps, QPoly()) - QPoly.t_power(len(rhs) - len(used))
+        equations.append({e: c for e, c in eq.items() if c})
     return names, tuple(equations)
 
 

@@ -161,9 +161,8 @@ def test_built_windows_hold_no_word_past_their_bound(ws, vs, d, m, grammar):
         trunc_ideal(a, d),
         enumerate_words(parse_grammar(grammar), d),
         govorov_chains_trunc(a, m, d),
+        trunc_boolean(a, wide),
     ]
-    for op in ("union", "intersection", "difference"):
-        windows.append(trunc_boolean(a, wide, op))
     for lang in windows:
         assert lang.d == d
         assert max(map(len, lang.words), default=0) <= d

@@ -99,20 +99,18 @@ def test_trunc_ideal_rejects_short_basis_window():
         trunc_ideal(tlang(2, "x x"), 3)
 
 
-def test_trunc_boolean_clamps_union_bound():
+def test_trunc_boolean_clamps_bound():
     a = tlang(1, "x", "y")
     b = tlang(2, "y", "x y")
-    out = trunc_boolean(a, b, "union")
+    out = trunc_boolean(a, b)
     assert out.d == 1
-    assert texts(out) == {"x", "y"}
+    assert texts(out) == {"y"}
 
 
-def test_trunc_boolean_intersection_difference():
+def test_trunc_boolean_intersection():
     a = tlang(2, "x", "x y")
     b = tlang(2, "x y")
-    assert texts(trunc_boolean(a, b, "intersection")) == {"x y"}
-    c = tlang(2, "x", "x y", "y y")
-    assert texts(trunc_boolean(c, b, "difference")) == {"x", "y y"}
+    assert texts(trunc_boolean(a, b)) == {"x y"}
 
 
 def test_normal_plus_ideal_counts():
