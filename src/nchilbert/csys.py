@@ -26,17 +26,19 @@ class AlgebraicSystem:
     equations: tuple
 
 
-def build_system(g):
-    """One unknown per productive variable, whose equation is the unknown
-    minus each body's commutative image, t^(#terminals) times its unknowns,
-    as a term dict with no zero term.
+def build_system(g, root=None):
+    """One unknown per variable of `g.reached_from(root)`, root the start by
+    default, whose equation is the unknown minus each body's commutative
+    image, t^(#terminals) times its unknowns, as a term dict with no zero term.
     An unproductive variable's series is 0, so it is no unknown and a body
-    that uses it is dropped; an unproductive start is an InputError."""
+    that uses it is dropped; an unproductive start is an InputError.  A
+    variable that root does not reach is no unknown either, so its equation
+    cannot make the system inconsistent."""
     if g.start not in g.productive:
         raise InputError(
             "start variable %s derives no word" % g.variables.symbols[g.start]
         )
-    productive = sorted(g.productive)
+    productive = sorted(g.reached_from(g.start if root is None else root))
     names = tuple(g.variables.symbols[j] for j in productive)
     n = g.n
     slot = {n + j: i for i, j in enumerate(productive)}
@@ -86,16 +88,18 @@ class GammaResult:
 
 
 def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None):
-    """The eliminant of the start unknown and its certified series.
+    """The eliminant of the kept unknown, the start by default, and its
+    certified series.
 
-    The eliminant generates the elimination ideal; it annihilates the series
-    but can be reducible.  The series is the derivation counts to degree d,
-    over the variables the kept unknown reaches, checked against the
-    eliminant by newton_series's one residual test.
+    The system and the derivation counts both run over the variables the
+    kept unknown reaches.  The eliminant generates that system's elimination
+    ideal; it annihilates the series but can be reducible.  The series is
+    the counts to degree d, checked against the eliminant by newton_series's
+    one residual test.
     """
-    system = build_system(g)
     name = keep or g.variables.symbols[g.start]
     index = g.variables.index(name)  # InputError for an unknown variable
+    system = build_system(g, index)
     if name not in system.unknowns:
         raise InputError("variable %s derives no word" % name)
     certified, witness = certify_unambiguous(g, cert_deg)

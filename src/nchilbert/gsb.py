@@ -172,18 +172,23 @@ def gs_complete(relations, order, D, cap=20000):
     starts = {}  # proper prefix -> the live leading words that begin with it
     ends = {}  # proper suffix -> the live leading words that end with it
     queue = []
+    longest = 0  # the length of the longest leading word added so far
 
     def add(r):
         # r is nonzero and in normal form modulo the basis
+        nonlocal longest
         g = r.monic(order)
         w = g.lm(order)
         displaced = []
-        for v in [v for v in basis if w in v]:
+        # w is normal, so it is no key and can sit only inside a longer one
+        hits = [v for v in basis if w in v] if len(w) < longest else ()
+        for v in hits:
             displaced.append(basis.pop(v))
             for o in range(1, len(v)):
                 starts[v[:o]].remove(v)
                 ends[v[-o:]].remove(v)
         basis[w] = g
+        longest = max(longest, len(w))
         for o in range(1, len(w)):
             starts.setdefault(w[:o], []).append(w)
             ends.setdefault(w[-o:], []).append(w)
@@ -219,10 +224,12 @@ def gs_complete(relations, order, D, cap=20000):
                 raise MismatchError("homogeneity broken: remainder above cap")
             add(r)
     # leading words form an antichain, so one tail pass leaves the reduced
-    # basis; re-inserting each key keeps the dict order
+    # basis: no other leading word occurs in an element's own, and only its
+    # tail is reduced; re-inserting each key keeps the dict order
     for w, g in list(basis.items()):
         del basis[w]
-        basis[w] = nc_reduce(g, basis, order)
+        tail = NCPolynomial(g.alphabet, {v: c for v, c in g.terms.items() if v != w})
+        basis[w] = NCPolynomial(g.alphabet, {w: g.terms[w]}) + nc_reduce(tail, basis, order)
     return list(basis.values())
 
 

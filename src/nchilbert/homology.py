@@ -139,22 +139,21 @@ def _govorov_window(L1, d):
             for w in candidates.words
         )
 
-    def scan(w):
-        # (pieces, 1 if the last piece ends at |w| else 0); b >= 1 here
-        count, start, end, n = 0, 0, b, len(w)
-        while end <= n:
-            lo = end - ell  # the lemma's clamp, as an expression: max() is slower
-            if w[lo if lo > start else start:end] in ideal:
-                count, start, end = count + 1, end, end + b
-            else:
-                end += 1
-        return count, int(count > 0 and start == n)
-
     window = []
     for w in candidates.words:  # eps is not one: it would put eps in the ideal
-        p, p_last = scan(w)
-        pl, pl_last = scan(w[1:])
-        window.append((w, p, pl, p - p_last, pl - pl_last if len(w) >= 2 else -1))
+        n, cuts = len(w), []
+        for start in (0, 1):  # the greedy cuts of w, then of w[1:]; b >= 1 here
+            count, end = 0, start + b
+            while end <= n:
+                lo = end - ell  # the lemma's clamp, as an expression: max() is slower
+                if w[lo if lo > start else start:end] in ideal:
+                    count, start, end = count + 1, end, end + b
+                else:
+                    end += 1
+            # the count, then the count less a last piece ending at |w|
+            cuts += count, count - (count > 0 and start == n)
+        p, pr, pl, pb = cuts
+        window.append((w, p, pl, pr, pb if n >= 2 else -1))
     return tuple(window)
 
 
@@ -185,17 +184,14 @@ def govorov_chains_trunc(L1, m, d):
     if L1.d < d:
         raise InputError("L1 window too small for the requested degree")
     k = (m + 1) // 2
+    window = _govorov_window(L1, d)
     if m % 2 == 0:
-        def member(p, pl, pr, pb):
-            return pl >= k and pr >= k and not (pb >= k or p >= k + 1)
+        words = (w for w, p, pl, pr, pb in window
+                 if pl >= k and pr >= k and not (pb >= k or p >= k + 1))
     else:
-        def member(p, pl, pr, pb):
-            return pb >= k - 1 and p >= k and not (pl >= k or pr >= k)
-    return TruncatedLanguage._built(
-        L1.alphabet, d,
-        frozenset(w for w, p, pl, pr, pb in _govorov_window(L1, d)
-                  if member(p, pl, pr, pb)),
-    )
+        words = (w for w, p, pl, pr, pb in window
+                 if pb >= k - 1 and p >= k and not (pl >= k or pr >= k))
+    return TruncatedLanguage._built(L1.alphabet, d, frozenset(words))
 
 
 # ---------------------------------------------------------------------------

@@ -164,27 +164,24 @@ class TruncatedLanguage:
         return min(self.by_length, default=self.d + 1)
 
 
-def _proper_factors(word):
-    """Every factor of word but word itself; eps is one of every nonempty word."""
-    n = len(word)
-    return {word[i:j] for i in range(n) for j in range(i, n + 1)} - {word}
-
-
 def minimize_antichain(lang):
     """Drop every word containing another (distinct) word of the set as a factor.
 
     The result is the unique minimal monomial basis of the ideal generated by
     the input.
     """
-    kept = set()
+    kept = []
     for w in lang.sorted_words():  # shorter words first: they can only survive
-        if kept.isdisjoint(_proper_factors(w)):
-            kept.add(w)
+        if not any(v in w for v in kept):  # v is no longer than w and not w
+            kept.append(w)
     return FiniteLanguage(lang.alphabet, frozenset(kept))
 
 
 def is_antichain(lang):
-    return all(lang.words.isdisjoint(_proper_factors(w)) for w in lang.words)
+    """No word is a factor of another: each occurs once in the words joined by
+    byte 255, which no letter is (MAX_LETTERS), so no occurrence spans a join."""
+    joined = b"\xff".join(lang.words)
+    return all(joined.count(w) == 1 for w in lang.words)
 
 
 def full_language(alphabet, d):
@@ -194,7 +191,10 @@ def full_language(alphabet, d):
     layers = [[EMPTY]]
     for _ in range(d):
         layers.append(list(starmap(add, product(layers[-1], letters))))
-    return TruncatedLanguage._built(alphabet, d, frozenset().union(*layers))
+    return TruncatedLanguage._built(
+        alphabet, d, frozenset().union(*layers),
+        {n: layer for n, layer in enumerate(layers) if layer},
+    )
 
 
 def trunc_product(a, b, d):

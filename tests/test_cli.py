@@ -439,6 +439,26 @@ def test_gamma_merges_equal_unknowns(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("text, polynomial, series", [
+    # A = 1 + A and B = t + B + 1 have no solution, but S reaches neither
+    ("terminals: a b\nvariables: S A B\nstart: S\n"
+     "S -> eps | a B\nA -> eps | A\nB -> eps | b S\n",
+     "(t - 1)*S + 1", "1,1,1,1,1,1,1"),
+    ("terminals: a\nvariables: S A B\nstart: S\n"
+     "S -> A\nA -> eps\nB -> a A | S B | A S\n",
+     "S + -1", "1,0,0,0,0,0,0"),
+])
+def test_gamma_ignores_an_unreachable_inconsistent_equation(
+    tmp_path, capsys, text, polynomial, series
+):
+    gf = write(tmp_path, "g.gf", text)
+    code, out, err = run(capsys, ["gamma", gf, "--max-deg", "6"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == [
+        "unknown: S", "polynomial: " + polynomial, "series: " + series
+    ]
+
+
 @pytest.mark.parametrize("max_deg, cert_deg, k", [(9, 12, 9), (9, 5, 5)])
 def test_hilbert_oracle_line(tmp_path, capsys, max_deg, cert_deg, k):
     argv = ["hilbert", _lukas1_spec(tmp_path), "--max-deg", str(max_deg)]

@@ -64,7 +64,8 @@ UNREACHABLE_CYCLE = "terminals: x\nvariables: S A B\nstart: S\nS -> x\nA -> A A 
 
 def test_gamma_ignores_an_unreachable_cycle():
     g = parse_grammar(UNREACHABLE_CYCLE)
-    assert build_system(g).unknowns == ("S", "A", "B")  # the system keeps A
+    assert build_system(g).unknowns == ("S",)  # S reaches neither A nor B
+    assert build_system(g, g.variables.index("A")).unknowns == ("A",)
     res = gamma_algebraic(g, 6)
     assert res.poly.degree == 1 and res.certified
     assert list(res.series.coeffs) == [0, 1, 0, 0, 0, 0, 0]
@@ -75,9 +76,17 @@ def test_gamma_ignores_an_unreachable_cycle():
 
 def system_by_terms(g):
     """The unknowns and equations of build_system, one monomial at a time:
-    each productive variable minus t^(#terminals) times the unknowns of each
-    of its bodies that uses no unproductive variable."""
-    names = tuple(g.variables.symbols[j] for j in sorted(g.productive))
+    each productive variable that the start reaches through any body, minus
+    t^(#terminals) times the unknowns of each of its bodies that uses no
+    unproductive variable."""
+    reached = {g.start}
+    while True:
+        bodies = [rhs for var, rhs in g.productions if var in reached]
+        new = {g.var_of(s) for rhs in bodies for s in rhs if g.is_var(s)} - reached
+        if not new:
+            break
+        reached |= new
+    names = tuple(g.variables.symbols[j] for j in sorted(g.productive & reached))
     equations = []
     for name in names:
         eq = {tuple(int(x == name) for x in names): QPoly.const(1)}
@@ -109,6 +118,9 @@ SYSTEM_GRAMMARS = [
     # bodies that use the unproductive U are dropped, the others kept
     "terminals: a b\nvariables: S U T\nstart: S\n"
     "S -> a U | T b T | U S | eps\nU -> a U\nT -> S a | b",
+    # productive variables that the start does not reach are no unknowns
+    "terminals: a b\nvariables: S A B\nstart: S\nS -> eps | a B\nA -> eps | A\nB -> eps | b S",
+    "terminals: a\nvariables: S A B\nstart: S\nS -> A\nA -> eps\nB -> a A | S B | A S",
 ]
 
 

@@ -1,5 +1,6 @@
 """Truncated Groebner-Shirshov completion in the free algebra."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from nchilbert import gsb
 from nchilbert.errors import InputError
-from nchilbert.examples import FP_FAMILY, FP_FINITE, FP_PRESENTATION
+from nchilbert.examples import FP_FAMILY, FP_FINITE, FP_PRESENTATION, FPV_PRESENTATION
 from nchilbert.grammar import parse_grammar
 from nchilbert.gsb import (
     MonomialOrder,
@@ -149,6 +150,34 @@ def test_fp_leading_language_matches_record(D):
     assert computed.texts() == record["leading"]
     ok = compare_leading(fp_predicted(alphabet), computed, D).ok
     assert ok == record["predicted_ok"]
+
+
+# The whole reduced bases at D = 10: their sizes and the sha256 of every
+# element's text, in basis order, joined by newlines
+BASIS_D10 = {
+    "fp": (FP_PRESENTATION, 91,
+           "ebc287c3c9abc0ff241a5079bf0193e98fbedab6aa8a2601ab0070dbd4918f82"),
+    "fp-variant": (FPV_PRESENTATION, 90,
+                   "8b38a78701b04ea23fcb047a725ef425e2199514af0f87b33680f11cd00c3e2b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_D10))
+def test_reduced_basis_at_degree_10_matches_record(name):
+    text, size, digest = BASIS_D10[name]
+    _, order, rels = parse_presentation(text)
+    basis = gs_complete(rels, order, 10)
+    assert len(basis) == size
+    blob = "\n".join(g.text() for g in basis).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_shorter_relation_displaces_a_longer_leading_word():
+    # y x divides the leading word of x y x - y y y, added before it: that
+    # element leaves the basis and comes back reduced, as x y y - y y y
+    _, order, rels = parse_presentation("alphabet: x y\nx y x - y y y\ny x - y y\n")
+    basis = gs_complete(rels, order, 5)
+    assert [g.text() for g in basis] == ["y x - y y", "x y y - y y y"]
 
 
 def test_completion_order_independent():

@@ -3,6 +3,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import is_normal
 from nchilbert.errors import BoundError, InputError
@@ -49,6 +51,29 @@ def test_minimize_antichain_single_survivor():
     out = minimize_antichain(inp)
     assert out.texts() == ["b"]
     assert is_antichain(out)
+
+
+def proper_factor(v, w):
+    """v is a factor of w other than w itself, by every slice of w."""
+    return v != w and any(
+        w[i:j] == v for i in range(len(w) + 1) for j in range(i, len(w) + 1)
+    )
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.lists(st.integers(0, n - 1), max_size=5).map(bytes), max_size=8)
+)))
+@example((1, {b"", b"\x00", b"\x00\x00"}))
+@example((2, {b"\x00", b"\x01"}))
+@example((1, {b""}))
+def test_antichain_helpers_match_the_definition(case):
+    n, words = case
+    lang = FiniteLanguage(Alphabet(list("xyz"[:n])), frozenset(words))
+    pairs = [(v, w) for v in words for w in words]
+    assert is_antichain(lang) == (not any(proper_factor(v, w) for v, w in pairs))
+    assert minimize_antichain(lang).words == {
+        w for w in words if not any(proper_factor(v, w) for v in words)
+    }
 
 
 def test_is_normal():
@@ -158,6 +183,11 @@ def test_full_language_layers():
         full = full_language(XY, d)
         assert full.d == d
         assert set(full.words) == {bytes(t) for k in range(d + 1) for t in product(range(2), repeat=k)}
+        # the layers it hands on are the ones a length walk finds
+        walked = TruncatedLanguage(XY, d, full.words).by_length
+        assert {n: set(ws) for n, ws in full.by_length.items()} == {
+            n: set(ws) for n, ws in walked.items()
+        }
     assert full_language(XY, 4).counts() == [1, 2, 4, 8, 16]
 
 
