@@ -14,7 +14,7 @@ from .errors import InputError
 from .grammar import count_derivations, certify_unambiguous
 from .groebner import eliminate_univariate
 from .newton import newton_series
-from .ratfunc import QPoly, TruncatedSeries
+from .ratfunc import QPoly, RationalFunction, TruncatedSeries
 
 DEFAULT_CERT_DEG = 12
 
@@ -65,8 +65,8 @@ def gamma_linear(g):
     The start unknown is eliminated as in gamma_algebraic, so the result
     passes assert_groebner and the run is bounded by Buchberger's pair cap
     (2000 S-pairs reduced; the pairs its criteria skip are not counted).  A
-    linear system leaves p1*S + p0, and its root -p0/p1 is the series; any
-    other degree raises InputError.
+    linear system leaves p1*S + p0 with p0, p1 in Z[t], and its root
+    -p0/p1 is the series; any other degree raises InputError.
     """
     system = build_system(g)
     poly = eliminate_univariate(system, g.variables.symbols[g.start])
@@ -75,7 +75,7 @@ def gamma_linear(g):
             "start unknown's polynomial has degree %d; a linear grammar gives 1"
             % poly.degree
         )
-    return -poly[0] / poly[1]
+    return RationalFunction(-poly[0].znum, poly[1].znum)
 
 
 @dataclass(frozen=True)

@@ -435,7 +435,7 @@ def hilbert_from_homology(spec, d, cert_deg=DEFAULT_CERT_DEG, check_oracle=None)
         if u is not None:
             gl = _descriptor_series("grammar", u.grammar, D)
             one = TruncatedSeries.one(D)
-            e_series = e_series + (g_r * g_rp).series(D) * gl / (one + g_q.series(D) * gl)
+            e_series = e_series + g_r.series(D) * g_rp.series(D) * gl / (one + g_q.series(D) * gl)
         for i, (kind, payload) in enumerate(spec.descriptors, start=1):
             term = _descriptor_series(kind, payload, D)
             e_series = e_series + (term if i % 2 == 1 else -term)

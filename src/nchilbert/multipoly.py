@@ -5,21 +5,28 @@ A polynomial in several unknowns is a term dict: each exponent vector, one
 slot per unknown, to its nonzero coefficient, an integer polynomial in t (a
 `QPoly` with int coefficients).  Equation systems are built, merged and
 eliminated in this form, so their coefficients stay in Z[t] throughout.
-`RatPoly` is the univariate eliminant, with coefficients in Q(t).
+`RatPoly` is the univariate eliminant, with coefficients in Q(t) kept as
+canonical `RationalFunction` pairs.  It has no ring arithmetic: its cleared
+form, primitive with coefficients in Z[t], decides proportionality, and
+`newton` runs its gcds on that form with `groebner.reduce_poly`.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .ratfunc import QPoly, RationalFunction, RF_ZERO, TruncatedSeries
+from .ratfunc import QPoly, RationalFunction, TruncatedSeries
 from .ratfunc import format_qpoly, primitive_part
 
 _ZERO = QPoly()
 
 
 def _as_rational(c):
-    return c if isinstance(c, RationalFunction) else RationalFunction(c)
+    """c in Q(t): a RationalFunction as it is, a number or a QPoly over 1,
+    and a list of integer t-coefficients as that polynomial."""
+    if isinstance(c, RationalFunction):
+        return c
+    return RationalFunction(QPoly(c) if isinstance(c, (list, tuple)) else c)
 
 
 def integral_terms(terms):
@@ -74,21 +81,30 @@ def rename_terms(terms, variables, mapping, new_variables):
     return out
 
 
-class RatPoly(QPoly):
-    """Univariate polynomial in a named unknown with Q(t) coefficients; the
-    dense arithmetic is QPoly's."""
+class RatPoly:
+    """Univariate polynomial in a named unknown with Q(t) coefficients.  It
+    has no ring arithmetic: it is differentiated, evaluated at a series,
+    cleared and compared, and `newton` takes its gcds on the cleared form
+    in Z[t]."""
 
-    __slots__ = ("var",)
-    _zero = RF_ZERO
-    _coeff = staticmethod(_as_rational)
-    _div = staticmethod(RationalFunction.__truediv__)
+    __slots__ = ("var", "coeffs")
 
     def __init__(self, var, coeffs):
+        coeffs = list(map(_as_rational, coeffs))
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
         self.var = var
-        super().__init__(coeffs)
+        self.coeffs = tuple(coeffs)
 
-    def _new(self, coeffs):
-        return RatPoly(self.var, coeffs)
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1  # -1 for the zero polynomial
+
+    def __getitem__(self, k):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else RationalFunction(0)
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def __eq__(self, other):
         return (
@@ -97,6 +113,11 @@ class RatPoly(QPoly):
             and self.coeffs == other.coeffs
         )
 
+    def derivative(self):
+        """q', each k*c built in Z[t]."""
+        coeffs = enumerate(self.coeffs)
+        return RatPoly(self.var, [RationalFunction(c.znum * k, c.zden) for k, c in coeffs if k])
+
     def eval_series(self, h, d):
         """Evaluate at a truncated series argument (coefficients expanded)."""
         acc = TruncatedSeries([0] * (d + 1), d)
@@ -104,47 +125,19 @@ class RatPoly(QPoly):
             acc = acc * h + c.series(d)
         return acc
 
-    def gcd(self, other):
-        """Monic gcd by the Euclidean algorithm over the field Q(t)."""
-        a, b = self, other
-        while b:
-            a, b = b, a % b
-        return a.monic()
-
-    def squarefree_part(self):
-        if self.degree <= 1:
-            return self
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self
-        return (self // g).monic()
-
     def cleared(self):
         """Scale by an element of Q(t) so coefficients are primitive Z[t]
         polynomials with no common factor, the leading one's leading integer
-        positive."""
+        positive.  The form is canonical: two polynomials have the same one
+        exactly when they are proportional over Q(t)."""
         if not self:
             return self
         p = primitive_terms(integral_terms({k: c for k, c in enumerate(self.coeffs) if c}))
-        return RatPoly(self.var, [p.get(k, RF_ZERO) for k in range(self.degree + 1)])
+        return RatPoly(self.var, [p.get(k, _ZERO) for k in range(self.degree + 1)])
 
     def proportional_to(self, other):
         """Equal up to a nonzero scalar in Q(t)."""
-        if self.degree != other.degree:
-            return False
-        if not self:
-            return not other
-        ratio = None
-        for a, b in zip(self.coeffs, other.coeffs):
-            if bool(a) != bool(b):
-                return False
-            if a:
-                r = a / b
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    return False
-        return True
+        return self.cleared().coeffs == other.cleared().coeffs
 
     def __repr__(self):
         if not self.coeffs:

@@ -1,11 +1,13 @@
-"""Exact arithmetic: Q[t] polynomials, the rational function field Q(t) and
-degree-truncated power series over Q.
+"""Exact arithmetic: Q[t] polynomials, elements of Q(t) as canonical pairs
+in Z[t], and degree-truncated power series over Q.
 
 One number rule holds for every exact rational of the package: `_rational`
 stores an integral value as a Python int and any other as a Fraction, and
-`_qdiv` divides two of them exactly, never giving a float.  So the arithmetic of Q(t),
-kept as reduced pairs in Z[t], and of integer series runs on ints; a
-Fraction appears only where a value is not integral."""
+`_qdiv` divides two of them exactly, never giving a float.  So integer
+series and the pairs of Q(t) run on ints; a Fraction appears only where a
+value is not integral.  Q(t) has no arithmetic here: an eliminant's
+operations run fraction-free in Z[t], and a `RationalFunction` is only
+normalised, compared and expanded into a series."""
 
 from __future__ import annotations
 
@@ -38,28 +40,15 @@ def _qdiv(a, b):
 
 class QPoly:
     """Dense univariate polynomial in t with exact rational coefficients:
-    an integral coefficient is an int, any other a Fraction.
-
-    The arithmetic works over any coefficient field: a subclass sets the
-    zero element `_zero`, the coefficient coercion `_coeff`, the exact
-    division `_div` and `_new`, which builds a result of its own type.
-    `gcd` alone is specific to Q: it runs over Z, and `RatPoly` keeps the
-    field Euclid for Q(t).
-    """
+    an integral coefficient is an int, any other a Fraction."""
 
     __slots__ = ("coeffs",)
-    _zero = 0
-    _coeff = staticmethod(_rational)
-    _div = staticmethod(_qdiv)
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
         while coeffs and not coeffs[-1]:
             coeffs.pop()
-        self.coeffs = tuple(map(self._coeff, coeffs))
-
-    def _new(self, coeffs):
-        return QPoly(coeffs)
+        self.coeffs = tuple(map(_rational, coeffs))
 
     @classmethod
     def const(cls, c):
@@ -85,48 +74,48 @@ class QPoly:
         return hash(self.coeffs)
 
     def __getitem__(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self._zero
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __add__(self, other, op=add):
-        if not isinstance(other, type(self)):
-            other = self._new((other,))
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=self._zero)
-        return self._new(tuple(starmap(op, pairs)))
+        if not isinstance(other, QPoly):
+            other = QPoly((other,))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return QPoly(tuple(starmap(op, pairs)))
 
     def __neg__(self):
-        return self._new(tuple(-c for c in self.coeffs))
+        return QPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         return self.__add__(other, sub)
 
     def __mul__(self, other):
-        if not isinstance(other, type(self)):
-            return self._new(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, QPoly):
+            return QPoly(tuple(c * other for c in self.coeffs))
         if not self or not other:
-            return self._new(())
-        out = [self._zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return QPoly(())
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return self._new(out)
+        return QPoly(out)
 
     def divmod(self, other):
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        q = [self._zero] * max(len(rem) - len(other.coeffs) + 1, 0)
+        q = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
         dlead = other.coeffs[-1]
         dn = len(other.coeffs)
         while len(rem) >= dn:
-            c = self._div(rem[-1], dlead)
+            c = _qdiv(rem[-1], dlead)
             k = len(rem) - dn
             q[k] = c
             for i, b in enumerate(other.coeffs):
                 rem[k + i] -= c * b
             while rem and not rem[-1]:
                 rem.pop()
-        return self._new(q), self._new(rem)
+        return QPoly(q), QPoly(rem)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -138,7 +127,7 @@ class QPoly:
         if not self:
             return self
         lead = self.coeffs[-1]
-        return self._new(tuple(self._div(c, lead) for c in self.coeffs))
+        return QPoly(tuple(_qdiv(c, lead) for c in self.coeffs))
 
     def gcd(self, other):
         """Monic gcd by the primitive pseudo-remainder sequence over Z (Collins
@@ -161,10 +150,10 @@ class QPoly:
                     a.pop()
             a, b = b, primitive_part(a) if a else []
         g = b or a  # a nonzero constant remainder is [1]: the gcd is 1
-        return self._new(tuple(_qdiv(c, g[-1]) for c in g))
+        return QPoly(tuple(_qdiv(c, g[-1]) for c in g))
 
     def derivative(self):
-        return self._new(tuple(i * self.coeffs[i] for i in range(1, len(self.coeffs))))
+        return QPoly(tuple(i * self.coeffs[i] for i in range(1, len(self.coeffs))))
 
     def __repr__(self):
         return "QPoly(%s)" % format_qpoly(self)
@@ -209,14 +198,12 @@ class RationalFunction:
 
     Every instance holds znum/zden in Z[t] with int coefficients, coprime in
     Z[t] (no common factor of positive degree and no common integer factor),
-    zden's leading coefficient positive.  The form is canonical: `==` and
-    `hash` compare the pair, and the arithmetic below relies on its operands
-    having it.  Results are built reduced from reduced operands (Henrici's
-    method, Knuth TAOCP 2, 4.5.1): each gcd is `QPoly.gcd`'s, made
-    primitive, each cofactor an exact division in Z[t], and a last integer
-    gcd takes out the common content.  Only the constructor normalises input
-    from outside.  `num` and `den` read the same element as a reduced
-    fraction over Q with a monic denominator.
+    zden's leading coefficient positive.  The form is canonical, so `==` and
+    `hash` compare the pair.  The constructor normalises its input: the
+    gcd is `QPoly.gcd`'s, made primitive, each cofactor an exact division in
+    Z[t], and a last integer gcd takes out the common content.  `num` and
+    `den` read the same element as a reduced fraction over Q with a monic
+    denominator.
     """
 
     __slots__ = ("znum", "zden")
@@ -232,16 +219,13 @@ class RationalFunction:
         g = _zgcd(num, den)
         if g is not None:
             num, den = num // g, den // g
-        out = _lowest(num, den)
-        self.znum, self.zden = out.znum, out.zden
-
-    @classmethod
-    def _reduced(cls, num, den):
-        """num/den as it stands: the caller guarantees the canonical form."""
-        out = object.__new__(cls)
-        out.znum = num
-        out.zden = den
-        return out
+        k = gcd(*num.coeffs, *den.coeffs)
+        if den.coeffs[-1] < 0:
+            k = -k
+        if k != 1:
+            num = QPoly(c // k for c in num.coeffs)
+            den = QPoly(c // k for c in den.coeffs)
+        self.znum, self.zden = num, den
 
     @property
     def num(self):
@@ -254,14 +238,6 @@ class RationalFunction:
     def den(self):
         return self.zden.monic()
 
-    @classmethod
-    def const(cls, c):
-        return cls(c)
-
-    @classmethod
-    def t_power(cls, k, c=1):
-        return cls(QPoly.t_power(k, c))
-
     def is_polynomial(self):
         return self.zden.degree == 0
 
@@ -269,89 +245,12 @@ class RationalFunction:
         return bool(self.znum)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.znum.coeffs == other.znum.coeffs and self.zden.coeffs == other.zden.coeffs
 
     def __hash__(self):
         return hash((self.znum.coeffs, self.zden.coeffs))
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.znum:
-            return self
-        if not self.znum:
-            return other
-        a, b, c, d = self.znum, self.zden, other.znum, other.zden
-        if b == d:
-            num = a + c
-            if not num:
-                return RF_ZERO
-            g = _zgcd(num, b)
-            if g is not None:
-                num, b = num // g, b // g
-            return _lowest(num, b)
-        g = _zgcd(b, d)
-        if g is None:
-            return _lowest(a * d + c * b, b * d)
-        b, d = b // g, d // g
-        num = a * d + c * b
-        g2 = _zgcd(num, g)
-        if g2 is None:
-            return _lowest(num, b * d * g)
-        return _lowest(num // g2, b * d * (g // g2))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction._reduced(-self.znum, self.zden)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b, c, d = self.znum, self.zden, other.znum, other.zden
-        if not a or not c:
-            return RF_ZERO
-        g = _zgcd(a, d)
-        if g is not None:
-            a, d = a // g, d // g
-        g = _zgcd(c, b)
-        if g is not None:
-            c, b = c // g, b // g
-        return _lowest(a * c, b * d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.znum:
-            raise ZeroDivisionError("division by zero rational function")
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
-
-    def inverse(self):
-        if not self.znum:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if self.znum.coeffs[-1] < 0:
-            return RationalFunction._reduced(-self.zden, -self.znum)
-        return RationalFunction._reduced(self.zden, self.znum)
 
     def series(self, d):
         """Maclaurin expansion to degree d; needs no pole at t = 0."""
@@ -380,31 +279,6 @@ def _zgcd(p, q):
         return None
     g = p.gcd(q)
     return None if g.degree == 0 else QPoly(primitive_part(g.coeffs))
-
-
-def _lowest(num, den):
-    """num/den for num and den in Z[t], coprime over Q: their common integer
-    factor and the sign of den's leading coefficient are taken out."""
-    k = gcd(*num.coeffs, *den.coeffs)
-    if den.coeffs[-1] < 0:
-        k = -k
-    if k != 1:
-        num = QPoly(c // k for c in num.coeffs)
-        den = QPoly(c // k for c in den.coeffs)
-    return RationalFunction._reduced(num, den)
-
-
-def _coerce(x):
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, (int, Fraction)):  # reduced, with a positive denominator
-        return RationalFunction._reduced(QPoly.const(x.numerator), QPoly.const(x.denominator))
-    if type(x) is QPoly:  # a RatPoly is a polynomial over Q(t), not in Q[t]
-        return RationalFunction(x)
-    return None
-
-
-RF_ZERO = RationalFunction.const(0)
 
 
 class TruncatedSeries:

@@ -42,12 +42,12 @@ from nchilbert.groebner import (
 )
 from nchilbert.homology import HomologySpec, assemble_system, hilbert_from_homology
 from nchilbert.multipoly import RatPoly, primitive_terms, rename_terms
-from nchilbert.newton import newton_series, reciprocal_poly
+from nchilbert.newton import _gcd_with_derivative, newton_series, reciprocal_poly
 from nchilbert.ratfunc import QPoly, RationalFunction, TruncatedSeries
 from nchilbert.regular import RegularLanguageHandle, ideal_automaton, myhill_nerode_grammar
 from nchilbert.words import Alphabet, FiniteLanguage, minimize_antichain
 
-ONE = RationalFunction.const(1)
+ONE = RationalFunction(1)
 
 
 def test_gamma_rational_xystar():
@@ -115,11 +115,11 @@ def test_eliminate_keep_each_unknown():
 
 def test_eliminate_trivial_binding():
     # A = 1/(1 - t), as (1 - t) A - 1
-    f = RationalFunction(QPoly((1,)), QPoly((1, -1)))
+    minus_f = RationalFunction(QPoly((-1,)), QPoly((1, -1)))
     eq = {(1,): QPoly((1, -1)), (0,): QPoly((-1,))}
     out = eliminate_univariate(AlgebraicSystem(("A",), (eq,)), "A")
     assert out.degree == 1
-    assert out.proportional_to(RatPoly("A", [-f, ONE]))
+    assert out.proportional_to(RatPoly("A", [minus_f, ONE]))
 
 
 def keep_lowest(system, keep):
@@ -283,7 +283,7 @@ def test_series_below_derivative_valuation(d):
 
 
 def test_reciprocal_poly_examples():
-    p = RatPoly("E", [RationalFunction.const(-2), ONE])
+    p = RatPoly("E", [RationalFunction(-2), ONE])
     q = reciprocal_poly(p, "H")
     assert q.proportional_to(ratpoly("H", [[1], [-2]]))
     abc = ratpoly("E", [[3], [0, 5], [7]])
@@ -324,25 +324,49 @@ def test_newton_linear():
 
 
 def test_newton_squarefree_fallback():
-    # ((1 - t) H - 1)^2: a double root at 1/(1 - t), where q' vanishes too
+    # ((1 - t) H - 1)^2: a double root at 1/(1 - t), where q' vanishes too,
+    # so the check runs on gcd(q, q')
     q = ratpoly("H", [[1], [-2, 2], [1, -2, 1]])
     assert list(newton_series(q, _series(lambda k: 1), 8).coeffs) == [1] * 9
     with pytest.raises(RootMismatchError):
         newton_series(q, _series(lambda k: 1, bump=2), 8)  # 1, 1, 2, 1, 1, ...
 
 
-def test_ratpoly_squarefree_part():
-    # (E - r)^2 (E - s) over Q(t) goes through RatPoly's field Euclid
-    r = RationalFunction(QPoly((1,)), QPoly((1, -1)))
-    s = RationalFunction(QPoly((0, 2)), QPoly((3, 0, 1)))
-    e_r, e_s = RatPoly("E", [-r, ONE]), RatPoly("E", [-s, ONE])
-    assert (e_r * e_r * e_s).squarefree_part() == e_r * e_s
+def test_newton_triple_root_fallback():
+    # ((1 - t) H - 1)^3: gcd(q, q') still has a double root at 1/(1 - t),
+    # so the check takes a second gcd before q' has a valuation there
+    q = ratpoly("H", [[-1], [3, -3], [-3, 6, -3], [1, -3, 3, -1]])
+    assert list(newton_series(q, _series(lambda k: 1), 8).coeffs) == [1] * 9
+    with pytest.raises(RootMismatchError):
+        newton_series(q, _series(lambda k: 1, bump=2), 8)
+
+
+def _zt_product(*factors):
+    """The product in Z[t][E] of factors given as ascending lists of integer
+    t-coefficient lists, as a RatPoly."""
+    out = [QPoly((1,))]
+    for f in factors:
+        prod = [QPoly()] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] = prod[i + j] + a * QPoly(b)
+        out = prod
+    return RatPoly("E", out)
+
+
+def test_ratpoly_repeated_factor_gcd():
+    # (E - r)^2 (E - s) for r = 1/(1 - t) and s = 2t/(3 + t^2), cleared into
+    # Z[t][E]: gcd(q, q') is E - r, cleared, and (E - r)^3 gives (E - r)^2
+    e_r, e_s = [[-1], [1, -1]], [[0, -2], [3, 0, 1]]
+    assert _gcd_with_derivative(_zt_product(e_r, e_r, e_s)) == ratpoly("E", [[1], [-1, 1]])
+    assert _gcd_with_derivative(_zt_product(e_r, e_r, e_r)) == _zt_product(e_r, e_r)
+    assert _gcd_with_derivative(_zt_product(e_r, e_s)).degree == 0
 
 
 def test_ratpoly_cleared_primitive_and_positive():
     # (2 + 4t)/(1 - t) + (-6/5) E  ->  (5 + 10t) + (3t - 3) E
     c0 = RationalFunction(QPoly((2, 4)), QPoly((1, -1)))
-    p = RatPoly("E", [c0, RationalFunction.const(Fraction(-6, 5))])
+    p = RatPoly("E", [c0, RationalFunction(Fraction(-6, 5))])
     assert p.cleared() == ratpoly("E", [[5, 10], [-3, 3]])
 
 
@@ -491,11 +515,13 @@ def test_newton_check_catches_each_bump(g):
         reject()
     f = newton_series(q, at(None), d)
     assert list(f.coeffs) == count_derivations(g, d)[g.start]
-    # a power-series root r != f of q has val(f - r) <= v = val p'(f) for the
-    # cleared squarefree part p of q: the check can accept the series with
-    # coefficient k raised by one only for k <= v, where it can be r's
-    p = q.squarefree_part().cleared()
-    v = p.derivative().eval_series(f, d).valuation()
+    # a power-series root r != f of q has val(f - r) <= v = val q'(f) for the
+    # cleared q, whose q'(f) is its leading coefficient, in Z[t], times the
+    # f - r over q's other roots: the check can accept the series with
+    # coefficient k raised by one only for k <= v, where it can be r's.  At
+    # a repeated root f, v is None and no bump is asserted here; the triple
+    # root test covers that path
+    v = q.cleared().derivative().eval_series(f, d).valuation()
     for k in range(d + 1 if v is None else v + 1, d + 1):
         with pytest.raises(RootMismatchError):
             newton_series(q, at(k), d)
@@ -684,3 +710,18 @@ def test_eliminant_matches_sympy(sympy, g):
         reject()
     (want,) = sympy_eliminants(sympy, system, "S")
     assert sympy_poly(sympy, q, "S").monic() == want.monic()
+
+
+zt_factor_st = st.lists(
+    st.lists(st.integers(-3, 3), max_size=3), min_size=2, max_size=3
+).filter(lambda f: any(f[-1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=zt_factor_st, b=zt_factor_st)
+def test_repeated_factor_gcd_matches_sympy(sympy, a, b):
+    # gcd(q, q') of q = a^2 b over QQ(t), against sympy's field gcd
+    q = _zt_product(a, a, b)
+    want = sympy_poly(sympy, q, "E")
+    want = want.gcd(want.diff(sympy.Symbol("E")))
+    assert sympy_poly(sympy, _gcd_with_derivative(q), "E").monic() == want.monic()

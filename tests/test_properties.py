@@ -1,5 +1,5 @@
-"""Randomized invariants over the word/language/automaton layer and the
-Q(t) arithmetic."""
+"""Randomized invariants over the word/language/automaton layer, the
+canonical Q(t) pairs and the Q[t] gcd."""
 
 from fractions import Fraction
 from functools import reduce
@@ -15,6 +15,7 @@ from helpers import is_normal
 from nchilbert.examples import DYCK, IFTHENELSE, LUKASIEWICZ
 from nchilbert.grammar import count_derivations, enumerate_words, parse_grammar
 from nchilbert.homology import count_normal, govorov_chains_trunc
+from nchilbert.multipoly import RatPoly
 from nchilbert.ratfunc import QPoly, RationalFunction
 from nchilbert.regular import (
     ideal_automaton,
@@ -217,48 +218,35 @@ dense_st = st.lists(
     st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=4
 ).map(QPoly)
 nonzero_poly_st = st.one_of(factored_st, dense_st.filter(bool))
-ratfunc_st = st.builds(
-    RationalFunction, st.one_of(nonzero_poly_st, dense_st), nonzero_poly_st
-)
-
-
-def _ratfunc_results(x, y):
-    """(result of the fast arithmetic, normalising constructor applied to the
-    textbook formula) for every operation on x = a/b and y = c/d."""
-    a, b, c, d = x.num, x.den, y.num, y.den
-    out = [
-        (x + y, (a * d + c * b, b * d)),
-        (x - y, (a * d - c * b, b * d)),
-        (x * y, (a * c, b * d)),
-        (-x, (-a, b)),
-    ]
-    if y:
-        out += [(x / y, (a * d, b * c)), (y.inverse(), (d, c))]
-    return out
+# (numerator, denominator) pairs; shared factors make reduction needed
+ratpair_st = st.tuples(st.one_of(nonzero_poly_st, dense_st), nonzero_poly_st)
 
 
 @settings(max_examples=300, deadline=None)
-@given(ratfunc_st, ratfunc_st)
-def test_ratfunc_results_are_canonical(x, y):
-    for got, (num, den) in _ratfunc_results(x, y):
-        assert got.den.coeffs[-1] == 1
-        assert got.num.gcd(got.den) == QPoly.const(1)
-        want = RationalFunction(num, den)
-        assert (got.num, got.den) == (want.num, want.den)
+@given(ratpair_st, factored_st)
+def test_ratfunc_results_are_canonical(pair, k):
+    # the constructor's pair is the element num/den, with a positive leading
+    # denominator coefficient, and depends only on the element: scaling
+    # both by a common factor k changes nothing
+    num, den = pair
+    got = RationalFunction(num, den)
+    assert got.znum * den == num * got.zden
+    assert got.zden.coeffs[-1] > 0 and got.den.coeffs[-1] == 1
+    again = RationalFunction(num * k, den * k)
+    assert (again.znum.coeffs, again.zden.coeffs) == (got.znum.coeffs, got.zden.coeffs)
+    assert again == got and hash(again) == hash(got)
 
 
 @settings(max_examples=300, deadline=None)
-@given(ratfunc_st, ratfunc_st)
-def test_ratfunc_results_store_integer_pairs(x, y):
+@given(ratpair_st)
+def test_ratfunc_results_store_integer_pairs(pair):
     # int coefficients, coprime in Z[t] (no common factor of positive degree
     # and no common integer factor), the denominator's leading one positive
-    for got, (num, den) in _ratfunc_results(x, y):
-        n, d = got.znum.coeffs, got.zden.coeffs
-        assert all(type(c) is int for c in n + d)
-        assert d[-1] > 0 and gcd(*n, *d) == 1
-        assert got.znum.gcd(got.zden) == QPoly.const(1)
-        want = RationalFunction(num, den)
-        assert (n, d) == (want.znum.coeffs, want.zden.coeffs)
+    got = RationalFunction(*pair)
+    n, d = got.znum.coeffs, got.zden.coeffs
+    assert all(type(c) is int for c in n + d)
+    assert d[-1] > 0 and gcd(*n, *d) == 1
+    assert _field_gcd(got.znum, got.zden) == QPoly.const(1)
 
 
 def test_ratfunc_results_match_sympy():
@@ -280,21 +268,55 @@ def test_ratfunc_results_match_sympy():
             cs.pop()
         return cs
 
-    @settings(max_examples=60, deadline=None)
-    @given(ratfunc_st, ratfunc_st)
-    def check(x, y):
-        xs = to_sympy(x.num) / to_sympy(x.den)
-        ys = to_sympy(y.num) / to_sympy(y.den)
-        exprs = [xs + ys, xs - ys, xs * ys, -xs]
-        if y:
-            exprs += [xs / ys, 1 / ys]
-        for (got, _), expr in zip(_ratfunc_results(x, y), exprs, strict=True):
-            snum, sden = sympy.fraction(sympy.cancel(expr))
-            lead = sympy.Poly(sden, t).LC()
-            assert list(got.num.coeffs) == coeffs(snum, lead)
-            assert list(got.den.coeffs) == coeffs(sden, lead)
+    @settings(max_examples=100, deadline=None)
+    @given(ratpair_st)
+    def check(pair):
+        num, den = pair
+        got = RationalFunction(num, den)
+        snum, sden = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
+        lead = sympy.Poly(sden, t).LC()
+        assert list(got.num.coeffs) == coeffs(snum, lead)
+        assert list(got.den.coeffs) == coeffs(sden, lead)
 
     check()
+
+
+def _cross_proportional(p, q):
+    """Reference: p and q, both zero or both nonzero, with a_i b_j = a_j b_i
+    for their coefficients, cross-multiplied over Z[t]."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    a = [p[i] for i in range(n)]
+    b = [q[i] for i in range(n)]
+    return bool(p) == bool(q) and all(
+        a[i].znum * b[j].znum * a[j].zden * b[i].zden
+        == a[j].znum * b[i].znum * a[i].zden * b[j].zden
+        for i in range(n)
+        for j in range(i)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-4, 4), max_size=3), min_size=1, max_size=4),
+    nonzero_poly_st,
+    nonzero_poly_st,
+    dense_st.filter(bool),
+    st.data(),
+)
+def test_proportional_to_matches_cross_multiplication(lists, a, b, delta, data):
+    # an integer polynomial and its copy with every coefficient scaled by a/b
+    # through the constructor are proportional; with one coefficient of the
+    # copy changed they are not, unless that coefficient was the only one
+    p = RatPoly("H", lists)
+    scaled = [RationalFunction(QPoly(c) * a, b) for c in lists]
+    copy = RatPoly("H", scaled)
+    assert p.proportional_to(copy) and _cross_proportional(p, copy)
+    k = data.draw(st.integers(0, len(lists) - 1))
+    scaled[k] = RationalFunction((QPoly(lists[k]) + delta) * a, b)
+    changed = RatPoly("H", scaled)
+    assert p.proportional_to(changed) == _cross_proportional(p, changed)
+    if any(c for i, c in enumerate(p.coeffs) if i != k):
+        assert not p.proportional_to(changed)
 
 
 def _field_gcd(a, b):

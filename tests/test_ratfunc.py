@@ -1,4 +1,4 @@
-"""Exact kernel: Q[t] polynomials, Q(t) fractions, truncated series."""
+"""Exact kernel: Q[t] polynomials, canonical Q(t) pairs, truncated series."""
 
 from fractions import Fraction
 
@@ -112,11 +112,3 @@ def test_qpoly_division_is_exact():
     m = p.monic(MonomialOrder(alphabet))
     assert m.terms == {b"\x00\x01": 1, b"\x01\x00": Fraction(-1, 2)}
     assert [type(c) for c in m.terms.values()] == [int, Fraction]
-
-
-def test_rational_arith():
-    t = RationalFunction.t_power(1)
-    f = 1 / (1 - t)
-    assert isinstance(f, RationalFunction)
-    assert list(f.series(3).coeffs) == [1, 1, 1, 1]
-    assert (f - f) == RationalFunction.const(0)
