@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .csys import DEFAULT_CERT_DEG, gamma_algebraic
 from .errors import (
@@ -254,7 +253,8 @@ def _chain_oracle(spec, k):
     # the letters past chain 1's are free; a name longer than every symbol is new
     pad = "_" * (1 + max(map(len, symbols), default=0))
     free = tuple(pad + str(i) for i in range(len(symbols), spec.n))
-    return hilbert_oracle(replace(rels, alphabet=Alphabet(symbols + free)), k), None
+    rels = RelationSet(Alphabet(symbols + free), rels.finite, rels.families)
+    return hilbert_oracle(rels, k), None
 
 
 def _hilbert_report(rep, spec, args):

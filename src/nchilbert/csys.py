@@ -8,8 +8,6 @@ unknown yields a polynomial annihilating the language's generating function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
 from .grammar import count_derivations, certify_unambiguous
 from .groebner import eliminate_univariate
@@ -19,11 +17,13 @@ from .ratfunc import QPoly, RationalFunction, TruncatedSeries
 DEFAULT_CERT_DEG = 12
 
 
-@dataclass(frozen=True)
 class AlgebraicSystem:
-    unknowns: tuple  # the head of each equation
-    # one term dict per unknown, slot j for unknowns[j]: {exponents: QPoly}
-    equations: tuple
+    __slots__ = ("unknowns", "equations")
+
+    def __init__(self, unknowns, equations):
+        self.unknowns = unknowns  # the head of each equation
+        # one term dict per unknown, slot j for unknowns[j]: {exponents: QPoly}
+        self.equations = equations
 
 
 def build_system(g, root=None):
@@ -78,13 +78,13 @@ def gamma_linear(g):
     return RationalFunction(-poly[0].znum, poly[1].znum)
 
 
-@dataclass(frozen=True)
 class GammaResult:
-    poly: object  # the elimination ideal's generator in the kept unknown, cleared
-    series: TruncatedSeries
-    cert_bound: int
-    certified: bool
-    counterexample: object = None
+    __slots__ = ("poly", "series", "cert_bound", "certified", "counterexample")
+
+    def __init__(self, poly, series, cert_bound, certified, counterexample):
+        self.poly = poly  # the elimination ideal's generator in the kept unknown, cleared
+        self.series, self.cert_bound = series, cert_bound
+        self.certified, self.counterexample = certified, counterexample
 
 
 def gamma_algebraic(g, d, cert_deg=DEFAULT_CERT_DEG, keep=None):

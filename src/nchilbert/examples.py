@@ -8,7 +8,6 @@ and the acceptance tests reuse the same constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
 from .csys import gamma_algebraic, gamma_linear
@@ -31,11 +30,11 @@ from .regular import DFA, RegularLanguageHandle, myhill_nerode_grammar
 from .words import Alphabet, FiniteLanguage
 
 
-@dataclass
 class ExampleReport:
-    name: str
-    lines: list = field(default_factory=list)
-    ok: bool = True
+    __slots__ = ("name", "lines", "ok")
+
+    def __init__(self, name):
+        self.name, self.lines, self.ok = name, [], True
 
     def check(self, label, passed, detail=""):
         self.ok = self.ok and bool(passed)

@@ -291,9 +291,7 @@ def enumerate_words(g, d, cap=DEFAULT_WORD_CAP):
     """Distinct generated words of length <= d, by length in `by_length`."""
     layers = _layers(g, d, g.live, _WORDS, cap).get(g.start, ())
     by_length = {k: layer for k, layer in enumerate(layers) if layer}
-    return TruncatedLanguage._built(
-        g.terminals, d, frozenset().union(*layers), by_length
-    )
+    return TruncatedLanguage._built(g.terminals, d, None, by_length)
 
 
 def count_derivations(g, d, root=None):

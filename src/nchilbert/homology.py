@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .csys import DEFAULT_CERT_DEG, AlgebraicSystem, build_system
 from .errors import InputError, MismatchError
 from .grammar import (
-    CFGrammar,
     certify_unambiguous,
     count_derivations,
     enumerate_words,
@@ -55,12 +53,20 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
 class ChainElement:
     """An i-chain as a word with the split separating prefix chain and tail."""
 
-    word: bytes
-    split: int
+    __slots__ = ("word", "split")
+
+    def __init__(self, word, split):
+        self.word, self.split = word, split
+
+    def __eq__(self, other):
+        return (isinstance(other, ChainElement) and self.word == other.word
+                and self.split == other.split)
+
+    def __hash__(self):
+        return hash((self.word, self.split))
 
 
 def _next_chains(current, basis_words):
@@ -198,11 +204,13 @@ def govorov_chains_trunc(L1, m, d):
 # relation descriptors and the brute-force oracle
 
 
-@dataclass(frozen=True)
 class PatternFamily:
     """Concatenation of literal words and grammar-generated blocks."""
 
-    parts: tuple  # items: ("word", bytes) | ("grammar", CFGrammar)
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = parts  # items: ("word", bytes) | ("grammar", CFGrammar)
 
     def words_upto(self, d):
         fixed = sum(len(p) for kind, p in self.parts if kind == "word")
@@ -215,13 +223,21 @@ class PatternFamily:
         return acc
 
 
-@dataclass(frozen=True)
 class RelationSet:
     """Monomial relations: a finite part plus optional pattern families."""
 
-    alphabet: object
-    finite: FiniteLanguage
-    families: tuple = ()
+    __slots__ = ("alphabet", "finite", "families")
+
+    def __init__(self, alphabet, finite, families=()):
+        self.alphabet, self.finite, self.families = alphabet, finite, families
+
+    def __eq__(self, other):
+        return isinstance(other, RelationSet) and (
+            self.alphabet, self.finite, self.families
+        ) == (other.alphabet, other.finite, other.families)
+
+    def __hash__(self):
+        return hash((self.alphabet, self.finite, self.families))
 
     def words_upto(self, d):
         words = {w for w in self.finite.words if len(w) <= d}
@@ -274,12 +290,22 @@ def chain_relations(kind, payload):
 # homology specs and the assembled pipeline
 
 
-@dataclass(frozen=True)
 class HomologySpec:
-    n: int  # the number of generators, a sandwich grammar's terminals included
-    descriptors: tuple  # per chain degree i >= 1: (kind, payload)
-    gldim: int = None
-    uchain2: object = None  # a Uchain2Spec, with no descriptors
+    __slots__ = ("n", "descriptors", "gldim", "uchain2")
+
+    def __init__(self, n, descriptors, gldim=None, uchain2=None):
+        self.n = n  # the number of generators, a sandwich grammar's terminals included
+        self.descriptors = descriptors  # per chain degree i >= 1: (kind, payload)
+        self.gldim = gldim
+        self.uchain2 = uchain2  # a Uchain2Spec, with no descriptors
+
+    def __eq__(self, other):
+        return isinstance(other, HomologySpec) and (
+            self.n, self.descriptors, self.gldim, self.uchain2
+        ) == (other.n, other.descriptors, other.gldim, other.uchain2)
+
+    def __hash__(self):
+        return hash((self.n, self.descriptors, self.gldim, self.uchain2))
 
     @property
     def terms(self):
@@ -289,13 +315,13 @@ class HomologySpec:
         return self.descriptors
 
 
-@dataclass(frozen=True)
 class Uchain2Spec:
     """Relations R * L(grammar) * R' for finite word sets R and R'."""
 
-    R: FiniteLanguage
-    Rp: FiniteLanguage
-    grammar: CFGrammar
+    __slots__ = ("R", "Rp", "grammar")
+
+    def __init__(self, R, Rp, grammar):
+        self.R, self.Rp, self.grammar = R, Rp, grammar
 
     def gammas(self):
         """The length polynomials of R, R' and Q = overlap_language(R, R')."""
@@ -327,13 +353,13 @@ def _descriptor_poly(kind, payload):
     raise InputError("unknown chain descriptor %r" % (kind,))
 
 
-@dataclass(frozen=True)
 class HilbertResult:
-    poly_e: object  # cleared eliminant annihilating the Euler characteristic
-    poly_h: object  # its reciprocal, annihilating the Hilbert series
-    series: TruncatedSeries
-    closed_form: str = None
-    certifications: tuple = ()
+    __slots__ = ("poly_e", "poly_h", "series", "closed_form", "certifications")
+
+    def __init__(self, poly_e, poly_h, series, closed_form, certifications):
+        self.poly_e = poly_e  # cleared eliminant annihilating the Euler characteristic
+        self.poly_h = poly_h  # its reciprocal, annihilating the Hilbert series
+        self.series, self.closed_form, self.certifications = series, closed_form, certifications
 
 
 def _radical_closed_form(q):

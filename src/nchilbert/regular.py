@@ -17,8 +17,6 @@ word sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError, ResourceCapError
 from .grammar import CFGrammar
 from .words import Alphabet
@@ -26,14 +24,23 @@ from .words import Alphabet
 DEFAULT_STATE_CAP = 10**5
 
 
-@dataclass(frozen=True)
 class DFA:
     """Total deterministic automaton; transitions[s][i] is the successor."""
 
-    alphabet: Alphabet
-    transitions: tuple  # tuple of tuples, one row per state
-    accepting: frozenset
-    initial: int
+    __slots__ = ("alphabet", "transitions", "accepting", "initial")
+
+    def __init__(self, alphabet, transitions, accepting, initial):
+        self.alphabet = alphabet
+        self.transitions = transitions  # tuple of tuples, one row per state
+        self.accepting, self.initial = accepting, initial
+
+    def __eq__(self, other):
+        return isinstance(other, DFA) and (
+            self.alphabet, self.transitions, self.accepting, self.initial
+        ) == (other.alphabet, other.transitions, other.accepting, other.initial)
+
+    def __hash__(self):
+        return hash((self.alphabet, self.transitions, self.accepting, self.initial))
 
     @property
     def n_states(self):

@@ -8,7 +8,6 @@ which for equal lengths coincides with the natural byte order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby, product, starmap
 from operator import add
@@ -82,12 +81,20 @@ class Alphabet:
         return Alphabet(self.symbols + other.symbols)
 
 
-@dataclass(frozen=True)
 class FiniteLanguage:
     """Finite set of words with deterministic canonical iteration order."""
 
-    alphabet: Alphabet
-    words: frozenset = field(default_factory=frozenset)
+    __slots__ = ("alphabet", "words")
+
+    def __init__(self, alphabet, words=frozenset()):
+        self.alphabet, self.words = alphabet, frozenset(words)
+
+    def __eq__(self, other):
+        return (isinstance(other, FiniteLanguage) and self.alphabet == other.alphabet
+                and self.words == other.words)
+
+    def __hash__(self):
+        return hash((self.alphabet, self.words))
 
     @classmethod
     def from_texts(cls, alphabet, texts):
@@ -110,7 +117,6 @@ class FiniteLanguage:
         return min((len(w) for w in self.words), default=None)
 
 
-@dataclass(frozen=True)
 class TruncatedLanguage:
     """Window of a (possibly infinite) language: all its words of length <= d.
 
@@ -118,30 +124,42 @@ class TruncatedLanguage:
     language with length <= d is present, and nothing else is.
     """
 
-    alphabet: Alphabet
-    d: int
-    words: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.d < 0:
+    def __init__(self, alphabet, d, words=frozenset()):
+        self.alphabet, self.d, self.words = alphabet, d, frozenset(words)
+        if d < 0:
             raise InputError("negative degree bound")
-        if max(map(len, self.words), default=0) > self.d:
+        if max(map(len, self.words), default=0) > d:
             raise InputError("word longer than the declared bound")
 
     @classmethod
     def _built(cls, alphabet, d, words, by_length=None):
         """A window whose words are no longer than d by construction: no length
-        walk.  `by_length`, when given, is taken as the window's `by_length`."""
+        walk.  `by_length`, when given, is taken as the window's `by_length`;
+        with it, `words` may be None, to be united from the layers on first use."""
         if d < 0:
             raise InputError("negative degree bound")
         lang = object.__new__(cls)
-        lang.__dict__.update(alphabet=alphabet, d=d, words=words)
+        lang.alphabet, lang.d = alphabet, d
+        if words is not None:
+            lang.words = words
         if by_length is not None:
-            lang.__dict__["by_length"] = by_length
+            lang.by_length = by_length
         return lang
 
+    def __eq__(self, other):
+        return (isinstance(other, TruncatedLanguage) and self.d == other.d
+                and self.alphabet == other.alphabet and self.words == other.words)
+
+    def __hash__(self):
+        return hash((self.alphabet, self.d, self.words))
+
     def __len__(self):
-        return len(self.words)
+        words = self.__dict__.get("words")  # None until a layered window's first use
+        return sum(map(len, self.by_length.values())) if words is None else len(words)
+
+    @cached_property
+    def words(self):
+        return frozenset().union(*self.by_length.values())
 
     @cached_property
     def by_length(self):
@@ -192,8 +210,7 @@ def full_language(alphabet, d):
     for _ in range(d):
         layers.append(list(starmap(add, product(layers[-1], letters))))
     return TruncatedLanguage._built(
-        alphabet, d, frozenset().union(*layers),
-        {n: layer for n, layer in enumerate(layers) if layer},
+        alphabet, d, None, {n: layer for n, layer in enumerate(layers) if layer}
     )
 
 

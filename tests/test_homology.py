@@ -294,6 +294,41 @@ def test_govorov_equal_l1_distinct_object():
         assert set(govorov_chains_trunc(again, m, 8).words) == want
 
 
+def test_govorov_equal_windows_share_one_entry():
+    # equal windows hash equal, so a separately built L1 hits the cache
+    basis = flang("x x y", "y x")
+    homology._govorov_window.cache_clear()
+    govorov_chains_trunc(TruncatedLanguage(XY, 8, basis.words), 2, 8)
+    govorov_chains_trunc(TruncatedLanguage(XY, 8, frozenset(set(basis.words))), 3, 8)
+    info = homology._govorov_window.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_govorov_accepts_a_plain_set_of_words():
+    l1 = TruncatedLanguage(Alphabet(["x", "y"]), 4, {b"\x00\x01"})
+    assert govorov_chains_trunc(l1, 1, 4).words == {b"\x00\x01"}
+
+
+def test_equal_chain_elements_collapse():
+    a, b = homology.ChainElement(b"\x00\x01", 1), homology.ChainElement(b"\x00\x01", 1)
+    assert a == b and a is not b and len({a, b}) == 1
+    assert a != homology.ChainElement(b"\x00\x01", 2) and a != (b"\x00\x01", 1)
+
+
+def test_specs_equality_agrees_with_hash():
+    family = PatternFamily((("grammar", parse_grammar(DYCK)),))
+    pairs = [
+        (RelationSet(XY, flang("x x")), RelationSet(XY, flang("x x"), ())),
+        (RelationSet(XY, flang("x"), (family,)), RelationSet(XY, flang("x"), (family,))),
+        (HomologySpec(2, (("finite", flang("x y")),), 2),
+         HomologySpec(2, (("finite", flang("x y")),), gldim=2)),
+    ]
+    for a, b in pairs:
+        assert a == b and a is not b and hash(a) == hash(b) and len({a, b}) == 1
+    assert RelationSet(XY, flang("x x")) != RelationSet(XY, flang("x x"), (family,))
+    assert HomologySpec(2, (("finite", flang("x y")),)) != pairs[2][0]
+
+
 def test_govorov_eps_in_ideal():
     # eps in L1 puts every word in every power of the ideal; a finite
     # stand-in for "infinitely many pieces" would keep x in C_4

@@ -2,10 +2,13 @@
 class or method it defines is referenced by name somewhere in the project.
 
 `__init__.py` is exempt from the import check: its imports are the package's
-re-exports.
+re-exports.  Importing the CLI loads no module that generates code.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,3 +138,14 @@ def test_one_number_rule():
     calls = {p.name: fraction_calls(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     calls.pop("ratfunc.py")
     assert {name: f for name, f in calls.items() if f} == {"gsb.py": ["_parse_relation"]}
+
+
+def test_start_up_generates_no_code():
+    """Importing the CLI loads neither `dataclasses` nor `inspect`: the value
+    types are plain classes, so no method is generated at import time."""
+    code = "import nchilbert.cli, sys; print(*{'dataclasses', 'inspect'} & set(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

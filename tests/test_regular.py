@@ -61,6 +61,13 @@ def test_myhill_nerode_xystar():
     }
 
 
+def test_dfa_equality_agrees_with_hash():
+    a = DFA(XY, ((0, 1), (1, 1)), frozenset([1]), 0)
+    b = DFA(XY, ((0, 1), (1, 1)), frozenset({1}), 0)
+    assert a == b and a is not b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != DFA(XY, ((0, 1), (1, 1)), frozenset([1]), 1)
+
+
 def test_myhill_nerode_empty_language():
     dfa = DFA(XY, ((0, 0),), frozenset(), 0)
     g = myhill_nerode_grammar(RegularLanguageHandle(dfa))

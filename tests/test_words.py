@@ -191,6 +191,33 @@ def test_full_language_layers():
     assert full_language(XY, 4).counts() == [1, 2, 4, 8, 16]
 
 
+def test_layered_window_unites_its_words_on_first_use():
+    full = full_language(XY, 3)
+    assert len(full) == 15 and full.counts() == [1, 2, 4, 8]
+    assert "words" not in vars(full)  # len and counts read the layers alone
+    assert full == TruncatedLanguage(XY, 3, full.words) and "words" in vars(full)
+
+
+def test_public_constructors_store_frozensets():
+    w = XY.word("x y")
+    fin, trunc = FiniteLanguage(XY, {w}), TruncatedLanguage(XY, 2, {w})
+    assert type(fin.words) is frozenset and type(trunc.words) is frozenset
+    assert hash(fin) == hash(FiniteLanguage(XY, frozenset({w})))
+    assert hash(trunc) == hash(TruncatedLanguage(XY, 2, [w]))
+
+
+def test_language_equality_agrees_with_hash():
+    pairs = [
+        (lang("x y", "y"), lang("y", "x y")),
+        (tlang(3, "x y", "y"), tlang(3, "y", "x y")),
+    ]
+    for a, b in pairs:
+        assert a == b and a is not b and hash(a) == hash(b) and len({a, b}) == 1
+    assert lang("x y") != lang("y x") and lang("x y") != tlang(3, "x y")
+    assert tlang(3, "x y") != tlang(4, "x y")
+    assert lang("x") != FiniteLanguage(Alphabet(["x"]), {b"\x00"})
+
+
 def test_language_file_roundtrip():
     text = "# comment\nx y\neps\ny y y\n"
     out = parse_language_file(text, XY)
