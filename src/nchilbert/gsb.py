@@ -30,9 +30,10 @@ class MonomialOrder:
 
     def max_word(self, words):
         # the key's maximum without a key per word: among the longest words,
-        # the bytes-least (earlier symbols are smaller bytes)
-        n = max(map(len, words))
-        return min(w for w in words if len(w) == n)
+        # the bytes-least (earlier symbols are smaller bytes); the least word
+        # of all is that one when it is longest, as in a homogeneous set
+        n, w = max(map(len, words)), min(words)
+        return w if len(w) == n else min(w for w in words if len(w) == n)
 
 
 class NCPolynomial:
@@ -49,6 +50,17 @@ class NCPolynomial:
                 clean[bytes(w)] = c
         self.terms = clean
 
+    @classmethod
+    def _built(cls, alphabet, terms):
+        """From bytes words and nonzero exact rationals, as sums and products
+        of canonical terms give them: only an integral Fraction becomes int."""
+        p = object.__new__(cls)
+        for w, c in terms.items():
+            if type(c) is not int and c.denominator == 1:
+                terms[w] = c.numerator
+        p.alphabet, p.terms = alphabet, terms
+        return p
+
     def __bool__(self):
         return bool(self.terms)
 
@@ -63,27 +75,24 @@ class NCPolynomial:
         return hash((self.alphabet, frozenset(self.terms.items())))
 
     def __add__(self, other):
+        return self._merged(other.terms.items())
+
+    def __sub__(self, other):
+        return self._merged((w, -c) for w, c in other.terms.items())
+
+    def _merged(self, pairs):
         terms = dict(self.terms)
-        for w, c in other.terms.items():
+        for w, c in pairs:
             s = terms.get(w, 0) + c
             if s:
                 terms[w] = s
             else:
-                terms.pop(w, None)
-        return NCPolynomial(self.alphabet, terms)
-
-    def __neg__(self):
-        return NCPolynomial(self.alphabet, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return NCPolynomial(self.alphabet, {w: x * c for w, x in self.terms.items()})
+                del terms[w]  # c is nonzero, so w was a term
+        return NCPolynomial._built(self.alphabet, terms)
 
     def sandwich(self, left, right):
         """left * self * right for words left, right."""
-        return NCPolynomial(
+        return NCPolynomial._built(
             self.alphabet, {left + w + right: c for w, c in self.terms.items()}
         )
 
@@ -92,31 +101,16 @@ class NCPolynomial:
             raise InputError("zero polynomial has no leading monomial")
         return order.max_word(self.terms)
 
-    def lc(self, order):
-        return self.terms[self.lm(order)]
-
     def monic(self, order):
-        return self.scale(_qdiv(1, self.lc(order)))
-
-    def is_homogeneous(self):
-        lengths = {len(w) for w in self.terms}
-        return len(lengths) <= 1
-
-    def degree(self):
-        return max((len(w) for w in self.terms), default=-1)
+        inv = _qdiv(1, self.terms[self.lm(order)])
+        return NCPolynomial._built(self.alphabet, {w: c * inv for w, c in self.terms.items()})
 
     def text(self):
         parts = []
         for w in sorted(self.terms, key=WORD_KEY):
             c = self.terms[w]
-            word = self.alphabet.text(w)
-            if c == 1:
-                parts.append("+ %s" % word)
-            elif c == -1:
-                parts.append("- %s" % word)
-            else:
-                sign = "-" if c < 0 else "+"
-                parts.append("%s %s %s" % (sign, abs(c), word))
+            size = "" if abs(c) == 1 else "%s " % abs(c)
+            parts.append("%s %s%s" % ("-" if c < 0 else "+", size, self.alphabet.text(w)))
         out = " ".join(parts)
         return out[2:] if out.startswith("+ ") else out
 
@@ -146,7 +140,7 @@ def nc_reduce(f, basis, order):
                     work[u] = nu
                 else:
                     work.pop(u, None)
-    return NCPolynomial(f.alphabet, done)
+    return NCPolynomial._built(f.alphabet, done)
 
 
 def gs_complete(relations, order, D, cap=20000):
@@ -165,9 +159,8 @@ def gs_complete(relations, order, D, cap=20000):
     suffix of width o begins the words of the first index under it, and
     w's prefix of width o ends those of the second.
     """
-    for f in relations:
-        if not f.is_homogeneous():
-            raise InputError("relations must be homogeneous")
+    if any(len(set(map(len, f.terms))) > 1 for f in relations):
+        raise InputError("relations must be homogeneous")
     basis = {}  # leading word -> monic element
     starts = {}  # proper prefix -> the live leading words that begin with it
     ends = {}  # proper suffix -> the live leading words that end with it
@@ -220,7 +213,7 @@ def gs_complete(relations, order, D, cap=20000):
         s = basis[u].sandwich(b"", v[o:]) - basis[v].sandwich(u[:-o], b"")
         r = nc_reduce(s, basis, order)
         if r:
-            if r.degree() > D:
+            if max(map(len, r.terms)) > D:
                 raise MismatchError("homogeneity broken: remainder above cap")
             add(r)
     # leading words form an antichain, so one tail pass leaves the reduced
@@ -228,8 +221,8 @@ def gs_complete(relations, order, D, cap=20000):
     # tail is reduced; re-inserting each key keeps the dict order
     for w, g in list(basis.items()):
         del basis[w]
-        tail = NCPolynomial(g.alphabet, {v: c for v, c in g.terms.items() if v != w})
-        basis[w] = NCPolynomial(g.alphabet, {w: g.terms[w]}) + nc_reduce(tail, basis, order)
+        tail = NCPolynomial._built(g.alphabet, {v: c for v, c in g.terms.items() if v != w})
+        basis[w] = NCPolynomial._built(g.alphabet, {w: g.terms[w]}) + nc_reduce(tail, basis, order)
     return list(basis.values())
 
 

@@ -132,21 +132,30 @@ def _govorov_window(L1, d):
     w[start:end-1] outside the ideal: on a first test that slice is shorter
     than b, and on a retry the shorter test just failed.  So the piece lies
     in the ideal iff a word of L1 is a suffix of it, iff
-    w[max(start, end - l):end] lies in the ideal truncated at l."""
+    w[max(start, end - l):end] lies in the ideal truncated at l.
+
+    The candidates come in two parts.  In a word longer than 2l - 1, an L1
+    prefix and an L1 suffix lie apart, so those words are the exact product
+    L1 X^(<= d - 2b) L1.  Only the near words, up to min(d, 2l - 1), are
+    found by intersecting L1 X* with X* L1, padded to that length."""
     ell = max((len(v) for v in L1.words if len(v) <= d), default=0)
     ideal = trunc_ideal(L1, ell).words
     b = L1.min_length_bound()
-    pad = full_language(L1.alphabet, max(d - b, 0))
-    candidates = trunc_boolean(trunc_product(L1, pad, d), trunc_product(pad, L1, d))
+    near = max(min(d, 2 * ell - 1), 0)
+    pad = full_language(L1.alphabet, max(near - b, 0))
+    candidates = trunc_boolean(trunc_product(L1, pad, near), trunc_product(pad, L1, near)).words
+    if near < d and 2 * b <= d:  # the apart words; none when 2b > d
+        gap = full_language(L1.alphabet, d - 2 * b)
+        candidates |= trunc_product(trunc_product(L1, gap, d - b), L1, d).words
     if EMPTY in ideal:
         inf = math.inf
         return tuple(
             (w, inf, inf if w else -1, inf if w else -1, inf if len(w) >= 2 else -1)
-            for w in candidates.words
+            for w in candidates
         )
 
     window = []
-    for w in candidates.words:  # eps is not one: it would put eps in the ideal
+    for w in candidates:  # eps is not one: it would put eps in the ideal
         n, cuts = len(w), []
         for start in (0, 1):  # the greedy cuts of w, then of w[1:]; b >= 1 here
             count, end = 0, start + b
@@ -178,12 +187,10 @@ def govorov_chains_trunc(L1, m, d):
     L^k is an ideal, so w is in X+ L^k iff w[1:] is in L^k, in L^k X+ iff
     w[:-1] is, and in X+ L^k X+ iff |w| >= 2 and w[1:-1] is; X+ L^0 X+ is
     every word of length >= 2.  Every word of C_m begins and ends with a
-    word of L1, so only the words of L1 X* cap X* L1 up to length d are
-    tested.  Their piece counts do not depend on m and come from one
-    window per (L1, d); each index then compares integers.  The ideal is
-    built only to l, the longest word of L1 up to d: a piece that the greedy
-    cut tests is one letter longer than a slice outside L, so a word of L1
-    in it is a suffix, and the piece lies in L iff its last l letters do.
+    word of L1, so only such words up to length d are tested: the near ones,
+    up to 2l - 1 with l the longest word of L1 up to d, and the apart ones,
+    L1 X* L1.  Their piece counts do not depend on m and come from one
+    window per (L1, d); each index then compares integers.
     """
     if m < 1:
         raise InputError("chain index must be >= 1")

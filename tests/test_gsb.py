@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nchilbert import gsb
@@ -100,6 +100,64 @@ def test_presentation_coefficients_complete_to_monic():
     basis = gs_complete(rels, order, 5)
     assert basis == [poly(alphabet, (1, "x y"), (Fraction(-1, 4), "y x"))]
     assert basis[0].text() == "x y - 1/4 y x"
+
+
+THREE_RELATIONS = "alphabet: x y z\n2 x y - 1/2 y x\n3 y z - z y + 1/3 x x\nz x - 5/7 x z\n"
+
+
+def typed(p):
+    return {w: (type(c), c) for w, c in p.terms.items()}
+
+
+@pytest.mark.parametrize("D", [6, 8])
+def test_completion_coefficients_follow_the_number_rule(D):
+    # an int exactly when integral, else a Fraction; both kinds occur
+    _, order, rels = parse_presentation(THREE_RELATIONS)
+    kinds = set()
+    for g in gs_complete(rels, order, D):
+        for c in g.terms.values():
+            assert type(c) in (int, Fraction)
+            assert (type(c) is int) == (Fraction(c).denominator == 1), g.text()
+            kinds.add(type(c))
+    assert kinds == {int, Fraction}
+
+
+XY = Alphabet(["x", "y"])
+HALF = Fraction(1, 2)
+_, _XY_ORDER, _XY_RELATIONS = parse_presentation("alphabet: x y\n2 x y - 1/2 y x\n")
+XY_BASIS = {g.lm(_XY_ORDER): g for g in gs_complete(_XY_RELATIONS, _XY_ORDER, 4)}
+xy_words = st.binary(max_size=3).map(lambda w: bytes(b % 2 for b in w))
+xy_terms = st.dictionaries(
+    xy_words, st.sampled_from((1, -1, 2, 4, HALF, -HALF, Fraction(1, 4), Fraction(3, 2))),
+    max_size=5,
+)
+
+
+@given(xy_terms, xy_terms, xy_words, xy_words)
+@example({b"\x00\x01": HALF}, {b"\x00\x01": HALF}, b"", b"")  # 1/2 + 1/2; a - that cancels
+@example({b"\x01": HALF, b"\x00": 1}, {b"\x01": -HALF}, b"\x00", b"")
+@example({b"\x00\x01": 4, b"\x01\x00": 1}, {}, b"", b"\x01")  # 4 * 1/4 in nc_reduce
+def test_built_polynomials_match_the_normalising_constructor(f, g, left, right):
+    # sums, products and remainders of canonical terms, computed here over
+    # Fractions, and stored as NCPolynomial(alphabet, terms) stores them
+    f, g = NCPolynomial(XY, f), NCPolynomial(XY, g)
+
+    def same(p, terms):
+        assert typed(p) == typed(NCPolynomial(XY, terms))
+
+    same(f.sandwich(left, right), {left + w + right: c for w, c in f.terms.items()})
+    total, difference = dict(f.terms), dict(f.terms)
+    for w, c in g.terms.items():
+        total[w] = Fraction(total.get(w, 0)) + c
+        difference[w] = Fraction(difference.get(w, 0)) - c
+    same(f + g, total)
+    same(f - g, difference)
+    if f:
+        lc = Fraction(f.terms[f.lm(_XY_ORDER)])
+        same(f.monic(_XY_ORDER), {w: c / lc for w, c in f.terms.items()})
+    r = nc_reduce(f.sandwich(left, right), XY_BASIS, _XY_ORDER)
+    same(r, r.terms)
+    assert not any(lead in w for w in r.terms for lead in XY_BASIS)
 
 
 def test_rejects_inhomogeneous():

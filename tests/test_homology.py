@@ -44,6 +44,7 @@ from nchilbert.words import (
     full_language,
     is_antichain,
     minimize_antichain,
+    trunc_boolean,
     trunc_ideal,
 )
 
@@ -269,6 +270,95 @@ def test_govorov_window_on_grammar_windows(text, degrees, nonempty):
         assert max(map(len, words)) in (d, d - 1)
         l1 = TruncatedLanguage(g.terminals, d, words)
         assert set(homology._govorov_window(l1, d)) == _four_scan_window(l1, d), d
+
+
+def _greedy_window(l1, d, candidates):
+    """The window's tuples over the given candidates, by a copy of its
+    greedy-cut formula: two scans per word, pieces from b letters long,
+    each tested on its last l letters against the ideal cut at l."""
+    ell = max((len(v) for v in l1.words if len(v) <= d), default=0)
+    ideal = trunc_ideal(l1, ell).words
+    b = l1.min_length_bound()
+    if b"" in ideal:
+        return {(w, math.inf, math.inf if w else -1, math.inf if w else -1,
+                 math.inf if len(w) >= 2 else -1) for w in candidates}
+    window = set()
+    for w in candidates:
+        n, cuts = len(w), []
+        for start in (0, 1):
+            count, end = 0, start + b
+            while end <= n:
+                if w[max(start, end - ell):end] in ideal:
+                    count, start, end = count + 1, end, end + b
+                else:
+                    end += 1
+            cuts += count, count - (count > 0 and start == n)
+        p, pr, pl, pb = cuts
+        window.add((w, p, pl, pr, pb if n >= 2 else -1))
+    return window
+
+
+def _check_split_window(l1, d):
+    """The window's words are every word up to d with an L1 prefix and an L1
+    suffix, its tuples those of the greedy formula, and only the near words,
+    up to min(d, 2l - 1), come from intersecting padded products."""
+    want = {w for w in full_language(l1.alphabet, d).words
+            if any(w.startswith(v) for v in l1.words)
+            and any(w.endswith(v) for v in l1.words)}
+    bounds = []
+
+    def boolean(a, b):
+        bounds.append(min(a.d, b.d))
+        return trunc_boolean(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "trunc_boolean", boolean)
+        window = homology._govorov_window.__wrapped__(l1, d)
+    assert {t[0] for t in window} == want and len(window) == len(want)
+    assert set(window) == _greedy_window(l1, d, want)
+    ell = max((len(v) for v in l1.words if len(v) <= d), default=0)
+    assert bounds == [max(min(d, 2 * ell - 1), 0)]
+    return ell
+
+
+def test_govorov_window_near_and_apart_words():
+    # criterion-10 antichains: 1-4 words of length 2-4 over 2 or 3 letters
+    rng = random.Random(20261022)
+    split = 0
+    for i in range(120):
+        d = (6, 8, 9, 11)[i % 4]
+        n = 2 if d > 8 else (2, 3)[i // 4 % 2]
+        alphabet = Alphabet(list("xyz"[:n]))
+        words = {bytes(rng.randrange(n) for _ in range(rng.randint(2, 4)))
+                 for _ in range(rng.randint(1, 4))}
+        basis = minimize_antichain(FiniteLanguage(alphabet, frozenset(words)))
+        ell = _check_split_window(TruncatedLanguage(alphabet, d, basis.words), d)
+        split += 2 * ell - 1 < d
+    assert split >= 60  # most of them have apart words
+    for text, degrees, drop in ((DYCK, range(9), set()), (DYCK, range(2, 10), {b""}),
+                                (TRIPLE_L1, (5, 6, 7, 8), set())):
+        g = parse_grammar(text)
+        for d in degrees:
+            words = enumerate_words(g, d).words - drop
+            _check_split_window(TruncatedLanguage(g.terminals, d, words), d)
+
+
+@pytest.mark.parametrize("window, texts, d", [
+    (3, ("eps",), 3),  # eps in L1: every word, near is 0
+    (4, ("eps", "x y"), 4),
+    (6, ("x x x x x",), 4),  # no word of L1 up to d, a longer one in the window
+    (4, ("x y", "y x y"), 3),  # 2b > d
+    (6, ("x y", "x x y y"), 6),  # 2l - 1 >= d: near is d
+    (7, ("x y", "x x y y"), 7),
+    (8, ("x y", "x x y y"), 8),  # 2l = d: the longest words are apart
+    (6, ("x",), 6),  # a one-letter word
+    (7, ("x", "y y"), 7),
+    (8, ("x y", "x y x", "y x y"), 8),  # not an antichain
+    (9, (), 9),
+], ids=["eps", "eps-xy", "none-up-to-d", "2b>d", "near-d", "near-d-1", "2l=d",
+        "one-letter", "one-letter-yy", "non-antichain", "empty"])
+def test_govorov_window_split_edge_cases(window, texts, d):
+    _check_split_window(TruncatedLanguage(XY, window, flang(*texts).words), d)
 
 
 def test_govorov_window_serves_no_stale_chains():
